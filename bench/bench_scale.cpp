@@ -1,25 +1,25 @@
 // E17: million-node substrate — µs/round and bytes/node along the
 // n = 2^16 .. 2^21 trajectory (DESIGN.md §9).
 //
-// For every (n, balancer) cell the cache-blocked fused round (the
-// default single-worker path) runs against the flat unblocked oracle
-// (LB_BLOCK_NODES disabled via the programmatic override), plus pool-2,
-// pool-hw and an invariant-checked (LB_CHECK-equivalent) leg.  The bench
-// *verifies* bit-identity — rounds, per-round Φ trace, final loads —
-// before reporting any cost column, and exits nonzero on divergence, so
-// it doubles as the scale determinism gate for CI (--quick keeps that
-// gate cheap).
+// For every (n, balancer) cell the blocked round at its default width
+// runs against the single-block oracle (block width 0 via the
+// programmatic override — the "flat" leg), plus pool-2, pool-hw and an
+// invariant-checked (LB_CHECK-equivalent) leg.  The bench *verifies*
+// bit-identity — rounds, per-round Φ trace, final loads — before
+// reporting any cost column, and exits nonzero on divergence, so it
+// doubles as the scale determinism gate for CI (--quick keeps that gate
+// cheap).
 //
 // Two substrate metrics ride along:
-//   bytes/node  — measured resident topology bytes (Graph + FlowLedger)
-//                 against the analytic legacy layout (8-byte offsets and
-//                 row pointers, 8-byte signs), proving the compact
+//   bytes/node  — measured resident topology bytes (Graph + a FlowLedger
+//                 CSR) against the analytic legacy layout (8-byte offsets
+//                 and row pointers, 8-byte signs), proving the compact
 //                 uint32/int8 storage actually shrank the working set;
 //   allocs/round — a global operator-new counting hook runs the blocked
 //                 pool-1 leg at R and 2R rounds; the difference divided
 //                 by the extra rounds is the steady-state allocation
-//                 rate, which must be zero (the RunArena/FlowLedger
-//                 audit).  Nonzero fails the bench.
+//                 rate, which must be zero (the RunArena audit).
+//                 Nonzero fails the bench.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -185,7 +185,7 @@ CellResult run_cell(const lb::graph::Graph& g, const std::string& name,
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const bool last = rep + 1 == reps;
     {
-      // Flat oracle: blocking disabled, sequential.
+      // Single-block oracle, sequential.
       WidthOverride flat(0);
       lb::util::ThreadPool pool(1);
       cell.flat_run = timed(pool, false, flat_s, flat_load);

@@ -1,13 +1,14 @@
 // lint-fixture-path: core/clean_blocked_sweep.cpp
-// Clean fixture: the cache-blocked fused-round sweep (DESIGN.md §9), the
-// distilled single-worker idiom behind run_blocked_fused_round.  It is
-// sequential — one cursor walks the sorted edge slab, blocks advance by a
-// pure function of n, and the per-chunk epilogue both folds the summary
-// and refreshes the snapshot from the same load read.  None of that is a
-// parallel region, so LD003/LD004 must not fire on the cursor advance,
-// the ±amount load writes, or the snapshot stores; and the
-// partition_point slice search must not trip any rule.  This pins the
-// heuristics against false positives on the substrate's hottest loop.
+// Clean fixture: the blocked round (DESIGN.md §9.2), the distilled idiom
+// behind run_blocked_round_into.  Each block is one for_fixed_chunks
+// task: it seeds its slice of `out`, applies its incoming cut edges,
+// sweeps its own edges chunk by chunk, and stores one partial per chunk.
+// Every write is either to the block's own disjoint slice of `out`
+// (subscripted), to a per-chunk partial slot (subscripted), or to a
+// locally declared accumulator — so LD003/LD004 must stay silent on the
+// ±flow updates, the cursor loops, the local partial's `+=`/`++`, and the
+// partial stores.  This pins the heuristics against false positives on
+// the substrate's hottest loop.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -18,43 +19,42 @@ struct Edge {
   std::size_t v;
 };
 
-// Distilled blocked sweep: for each node block [lo, hi), apply the edge
-// slice whose canonical endpoints fall inside the block, then run the
-// cache-resident epilogue over the block while it is still hot.
-double blocked_sweep(const std::vector<Edge>& edges, std::vector<double>& load,
-                     std::vector<double>& snapshot, std::size_t block_width) {
-  const std::size_t n = load.size();
-  snapshot = load;
-  double folded = 0.0;
-  std::size_t k = 0;  // edge cursor: monotone across blocks, never rewinds
-  for (std::size_t lo = 0; lo < n; lo += block_width) {
-    const std::size_t hi = std::min(lo + block_width, n);
-    // Edges are sorted by canonical u < v, so the block's slice end is a
-    // partition point — found once, keeping the hot loop single-condition.
-    const std::size_t k_end = static_cast<std::size_t>(
-        std::partition_point(
-            edges.begin() + static_cast<std::ptrdiff_t>(k), edges.end(),
-            [hi](const Edge& e) { return e.u < hi; }) -
-        edges.begin());
-    for (; k < k_end; ++k) {
-      const Edge& e = edges[k];
-      const double f = 0.25 * (snapshot[e.u] - snapshot[e.v]);
-      const double amount = std::fabs(f);
-      if (f > 0.0) {
-        load[e.u] -= amount;  // disjoint canonical-endpoint writes
-        load[e.v] += amount;
-      } else {
-        load[e.v] -= amount;
-        load[e.u] += amount;
+struct Partial {
+  double moved = 0.0;
+  std::size_t active = 0;
+};
+
+struct ThreadPool;
+
+template <class Fn>
+void for_fixed_chunks(ThreadPool* pool, std::size_t n, std::size_t width, Fn&& fn);
+
+// Distilled blocked round: `chunk_begin[c]` is chunk c's first edge (edges
+// sorted by canonical u < v), `cuts[b]` block b's incoming cut edges.
+void blocked_round(ThreadPool* pool, const std::vector<Edge>& edges,
+                   const std::vector<double>& load, std::vector<double>& out,
+                   const std::vector<std::size_t>& chunk_begin,
+                   const std::vector<std::vector<std::size_t>>& cuts,
+                   std::vector<Partial>& partials, std::size_t width,
+                   std::size_t chunk_width) {
+  for_fixed_chunks(pool, load.size(), width, [&](std::size_t b, std::size_t lo,
+                                                 std::size_t hi) {
+    for (std::size_t u = lo; u < hi; ++u) out[u] = load[u];
+    for (const std::size_t k : cuts[b]) {
+      out[edges[k].v] += 0.25 * (load[edges[k].u] - load[edges[k].v]);
+    }
+    double outside = 0.0;  // absorbs shares of edges leaving the block
+    for (std::size_t c = lo / chunk_width; c * chunk_width < hi; ++c) {
+      Partial p;
+      for (std::size_t k = chunk_begin[c]; k < chunk_begin[c + 1]; ++k) {
+        const Edge& e = edges[k];
+        const double f = 0.25 * (load[e.u] - load[e.v]);
+        out[e.u] -= f;
+        (e.v < hi ? out[e.v] : outside) += f;
+        p.moved += std::fabs(f);
+        ++p.active;
       }
+      partials[c] = p;
     }
-    // Block epilogue: fold the summary and refresh the snapshot for the
-    // next round from the same (cache-resident) load read.
-    for (std::size_t u = lo; u < hi; ++u) {
-      const double v = load[u];
-      folded += v;
-      snapshot[u] = v;
-    }
-  }
-  return folded;
+  });
 }

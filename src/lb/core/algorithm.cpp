@@ -17,10 +17,6 @@ template <class T>
 StepStats Balancer<T>::step(const graph::Graph& g, std::vector<T>& load,
                             util::Rng& rng) {
   if (!legacy_arena_) legacy_arena_ = std::make_unique<RunArena<T>>();
-  // Manual stepping has no run boundary: the caller may mutate `load` (or
-  // pass a different vector) between calls, so the blocked round's
-  // snapshot cache can never be trusted across them.
-  legacy_arena_->invalidate_snapshot();
   RoundContext<T> ctx(g, rng, &util::ThreadPool::global(), *legacy_arena_);
   return step(ctx, load);
 }

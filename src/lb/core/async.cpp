@@ -1,9 +1,7 @@
 #include "lb/core/async.hpp"
 
-#include <cmath>
 #include <cstdio>
 
-#include "lb/core/flow_ledger.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/util/assert.hpp"
 #include "lb/util/thread_pool.hpp"
@@ -30,7 +28,6 @@ StepStats AsyncDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
   const graph::TopologyFrame& frame = ctx.frame();
   LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
   util::ThreadPool* pool = cfg_.parallel ? ctx.pool() : nullptr;
-  StepStats stats;
 
   // Draw this round's active set (sequential: the RNG is a shared
   // stream) — before any topology access, so masked and materialized
@@ -41,60 +38,24 @@ StepStats AsyncDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
     active[u] = ctx.rng().next_bool(p_) ? 1 : 0;
   }
 
-  if (ctx.masked() && cfg_.apply == ApplyPath::kLedger) {
-    // Masked dynamic round: Algorithm-1 weights from the mask's
-    // alive-degrees over alive edges only; no materialization.
-    stats.links = frame.num_edges();
-    const double factor = cfg_.factor;
-    const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
-    const DenominatorRule rule = cfg_.rule;
-    const auto flow_fn = [&frame, &active, factor, degree_plus_one, rule](
-                             std::size_t, const graph::Edge& e, double li,
-                             double lj) {
-      if (li == lj) return 0.0;
-      const graph::NodeId sender = li > lj ? e.u : e.v;
-      if (!active[sender]) return 0.0;
-      const double denom =
-          masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
-      double w = std::fabs(li - lj) / denom;
-      if constexpr (std::is_integral_v<T>) {
-        w = std::floor(w);
-      }
-      return li > lj ? w : -w;
-    };
-    run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
-    return stats;
-  }
-
-  const graph::Graph& g = ctx.graph();
-  stats.links = g.num_edges();
-
   // An edge moves load only if its *richer* endpoint is active (that node
   // executes the send); the flow is Algorithm 1's rule on the round-start
   // snapshot, so all the usual safety properties carry over.  With the
   // active set fixed, the flows are a pure function of the snapshot, so
-  // the round runs on the shared flow-ledger kernel like plain diffusion.
-  const auto flow_fn = [this, &g, &active](std::size_t, const graph::Edge& e,
-                                           double li, double lj) {
-    if (li == lj) return 0.0;
+  // the round runs as the blocked round like plain diffusion — on masked
+  // frames with the mask's alive-degrees, never materializing.
+  const double factor = cfg_.factor;
+  const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
+  const DenominatorRule rule = cfg_.rule;
+  const auto flow_fn = [&frame, &active, factor, degree_plus_one, rule](
+                           std::size_t, const graph::Edge& e, double li, double lj) {
     const graph::NodeId sender = li > lj ? e.u : e.v;
-    if (!active[sender]) return 0.0;
-    double w = diffusion_edge_weight(g, e.u, e.v, li, lj, cfg_);
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return li > lj ? w : -w;
+    const double f = diffusion_share<T>(
+        li - lj, masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
+    return active[sender] != 0 ? f : 0.0;
   };
-
-  if (pool == nullptr || pool->size() <= 1) {
-    run_fused_sequential_round(g, load, ctx.arena().node_scratch(), stats, flow_fn);
-    return stats;
-  }
-  FlowLedger& ledger = ctx.ledger();
-  std::vector<double>& flows = ctx.arena().flows();
-  compute_edge_flows(g, load, flows, pool, flow_fn);
-  accumulate_flow_totals<T>(flows, stats);
-  apply_flows_observed(ctx, ledger, flows, load, pool);
+  StepStats stats = run_blocked_round(ctx, pool, load, flow_fn);
+  stats.links = frame.num_edges();
   return stats;
 }
 

@@ -46,57 +46,40 @@ std::string DiffusionBalancer<T>::name() const {
 }
 
 template <class T>
-StepStats DiffusionBalancer<T>::step_masked(RoundContext<T>& ctx,
-                                            const graph::TopologyFrame& frame,
-                                            std::vector<T>& load) {
-  LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
-  util::ThreadPool* pool = cfg_.parallel ? ctx.pool() : nullptr;
-  StepStats stats;
-  stats.links = frame.num_edges();
-
-  // Alive-degrees move with every mask revision, so the per-epoch
-  // denominator cache buys nothing here; the denominator is computed
-  // inline from the mask's degree view.  It is the identical double the
-  // materialized path derives from its subgraph degrees, so the flows —
-  // and therefore the loads — are bit-identical to the rebuild oracle.
-  const double factor = cfg_.factor;
-  const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
-  const DenominatorRule rule = cfg_.rule;
-  const auto flow_fn = [&frame, factor, degree_plus_one, rule](
-                           std::size_t, const graph::Edge& e, double li, double lj) {
-    if (li == lj) return 0.0;
-    const double denom =
-        masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
-    double w = std::fabs(li - lj) / denom;
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return li > lj ? w : -w;
-  };
-
-  run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
-  return stats;
+template <class Use>
+decltype(auto) DiffusionBalancer<T>::with_round_flow(RoundContext<T>& ctx, Use&& use) {
+  const graph::TopologyFrame& frame = ctx.frame();
+  if (frame.masked()) {
+    // Alive-degrees move with every mask revision, so the per-epoch
+    // denominator cache buys nothing here.  The frame outlives the round
+    // (it lives in the sequence), so a planned closure may hold it.
+    const double factor = cfg_.factor;
+    const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
+    const DenominatorRule rule = cfg_.rule;
+    return use([&frame, factor, degree_plus_one, rule](
+                   std::size_t, const graph::Edge& e, double lu, double lv) {
+      return diffusion_share<T>(
+          lu - lv, masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
+    });
+  }
+  // The cached denominator is the same double the seed computes inline.
+  ensure_denominators(frame.base(), cfg_.parallel ? ctx.pool() : nullptr);
+  return use([this](std::size_t k, const graph::Edge&, double lu, double lv) {
+    return diffusion_share<T>(lu - lv, denoms_[k]);
+  });
 }
 
 template <class T>
 StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
-  if (ctx.masked() && cfg_.apply == ApplyPath::kLedger) {
-    // Masked dynamic round: run off the frame, never materializing.
-    // The kEdgeSweep configuration stays on the materialized path below —
-    // it is the seed-verbatim oracle and must keep its exact cost/shape.
-    return step_masked(ctx, ctx.frame(), load);
-  }
-  const graph::Graph& g = ctx.graph();
-  LB_ASSERT_MSG(load.size() == g.num_nodes(), "load vector does not match graph");
+  LB_ASSERT_MSG(load.size() == ctx.frame().num_nodes(), "load vector does not match graph");
   util::ThreadPool* pool = cfg_.parallel ? ctx.pool() : nullptr;
-  std::vector<double>& flows = ctx.arena().flows();
   StepStats stats;
-  stats.links = g.num_edges();
-
   if (cfg_.apply == ApplyPath::kEdgeSweep) {
-    // The seed path, verbatim: recompute the denominator per edge, apply
-    // sequentially with fused stats.  Kept as the ablation baseline and
-    // the bit-identity oracle.
+    // The seed path, verbatim, on the materialized view: recompute the
+    // denominator per edge, then apply sequentially.  Kept as the
+    // ablation baseline and the bit-identity oracle.
+    const graph::Graph& g = ctx.graph();
+    std::vector<double>& flows = ctx.arena().flows();
     compute_edge_flows(g, load, flows, pool,
                        [this, &g](std::size_t, const graph::Edge& e, double li,
                                   double lj) {
@@ -107,34 +90,13 @@ StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
                          }
                          return li > lj ? w : -w;
                        });
-    apply_edge_sweep_with_stats(g, flows, load, stats);
-    return stats;
+    accumulate_flow_totals<T>(graph::TopologyFrame(g), flows, stats);
+    apply_edge_sweep(g, flows, load);
+  } else {
+    stats = with_round_flow(
+        ctx, [&](const auto& flow) { return run_blocked_round(ctx, pool, load, flow); });
   }
-
-  // Ledger path.  The per-edge denominators are a per-epoch
-  // precomputation keyed on the same revision as the CSR view, so every
-  // round is free of degree lookups.  The cached denominator is the same
-  // double the seed computes inline, so the flows — and therefore the
-  // loads — remain bit-identical to the edge-sweep path.
-  ensure_denominators(g, pool);
-
-  const auto flow_fn = [this](std::size_t k, const graph::Edge&, double li,
-                              double lj) {
-    if (li == lj) return 0.0;
-    double w = std::fabs(li - lj) / denoms_[k];
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return li > lj ? w : -w;
-  };
-
-  // Shared ledger-round dispatch (round_context.hpp): single worker takes
-  // the fused one-pass round — cache-blocked with the summary riding each
-  // block when the engine asked for one — while multi-worker pools fill
-  // flows in parallel and apply through the CSR gather.  Every leg is
-  // bit-identical (same flows from the same snapshot, same per-node
-  // update order, chunk-deterministic summary).
-  run_ledger_round(ctx, g, load, pool, stats, flow_fn);
+  stats.links = ctx.frame().num_edges();
   return stats;
 }
 
@@ -172,36 +134,7 @@ bool DiffusionBalancer<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& prog
   // it keeps its bespoke step() shape and is never distributed.
   if (cfg_.apply != ApplyPath::kLedger) return false;
   program.links = ctx.frame().num_edges();
-  if (ctx.masked()) {
-    // Same inline alive-degree denominator as step_masked's flow_fn; the
-    // frame reference outlives the round (it lives in the sequence).
-    const graph::TopologyFrame& frame = ctx.frame();
-    const double factor = cfg_.factor;
-    const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
-    const DenominatorRule rule = cfg_.rule;
-    program.flow = [&frame, factor, degree_plus_one, rule](
-                       std::size_t, const graph::Edge& e, double li, double lj) {
-      if (li == lj) return 0.0;
-      const double denom =
-          masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
-      double w = std::fabs(li - lj) / denom;
-      if constexpr (std::is_integral_v<T>) {
-        w = std::floor(w);
-      }
-      return li > lj ? w : -w;
-    };
-    return true;
-  }
-  const graph::Graph& g = ctx.graph();
-  ensure_denominators(g, cfg_.parallel ? ctx.pool() : nullptr);
-  program.flow = [this](std::size_t k, const graph::Edge&, double li, double lj) {
-    if (li == lj) return 0.0;
-    double w = std::fabs(li - lj) / denoms_[k];
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return li > lj ? w : -w;
-  };
+  with_round_flow(ctx, [&program](const auto& flow) { program.flow = flow; });
   return true;
 }
 

@@ -19,7 +19,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <type_traits>
 
 #include "lb/core/algorithm.hpp"
 #include "lb/core/flow_ledger.hpp"
@@ -37,7 +39,7 @@ struct DiffusionConfig {
   DenominatorRule rule = DenominatorRule::kFactorTimesMaxDegree;
   /// The safety factor in front of max(d_i, d_j); the paper uses 4.
   double factor = 4.0;
-  /// Compute per-edge flows and the ledger apply on the global thread pool.
+  /// Run the round on the context's thread pool (false: inline).
   bool parallel = true;
   /// Apply phase implementation: the parallel node-centric ledger
   /// (default) or the seed's sequential edge sweep (ablation/oracle).
@@ -49,6 +51,21 @@ struct DiffusionConfig {
 /// must reproduce Algorithm 1's weights exactly.
 double diffusion_edge_weight(const graph::Graph& g, graph::NodeId i, graph::NodeId j,
                              double load_i, double load_j, const DiffusionConfig& cfg);
+
+/// Algorithm 1's signed edge flow: `gap` (ℓ_u − ℓ_v, or any signed
+/// numerator) over the edge's denominator, truncated toward zero for
+/// Tokens.  IEEE multiplication and division are sign-symmetric, so this
+/// is exactly the paper's "ℓ_u > ℓ_v ? ⌊w⌋ : −⌊w⌋" with w = |gap|/denom —
+/// with no data-dependent branch.  Positive moves load u -> v.
+template <class T>
+inline double diffusion_share(double gap, double denom) {
+  const double q = gap / denom;
+  if constexpr (std::is_integral_v<T>) {
+    return std::trunc(q);
+  } else {
+    return q;
+  }
+}
 
 /// Algorithm-1 denominator on a masked frame — the single definition the
 /// masked fast paths (plain and async diffusion) share, computing the
@@ -78,8 +95,8 @@ class DiffusionBalancer final : public Balancer<T> {
   using Balancer<T>::step;  // keep the deprecated (g, load, rng) shim visible
   StepStats step(RoundContext<T>& ctx, std::vector<T>& load) override;
 
-  /// Sharded replay (flow_program.hpp): the identical flow function the
-  /// ledger paths run — cached per-epoch denominators unmasked, inline
+  /// Sharded replay (flow_program.hpp): the identical flow function
+  /// step() runs — cached per-epoch denominators unmasked, inline
   /// alive-degree denominators masked.  The kEdgeSweep ablation oracle
   /// keeps its bespoke step() shape and is not planned.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
@@ -88,15 +105,15 @@ class DiffusionBalancer final : public Balancer<T> {
 
  private:
   // (Re)fill denoms_ for `g`'s epoch if stale — the shared per-epoch
-  // precomputation behind both the ledger step() and plan_round().
+  // precomputation behind both step() and plan_round().
   void ensure_denominators(const graph::Graph& g, util::ThreadPool* pool);
 
-  // Masked-frame fast path: flows over the base edge list with dead
-  // edges skipped and denominators from the mask's alive-degrees — no
-  // graph materialization, no CSR rebuild.  Bit-identical to stepping on
-  // the materialized subgraph.
-  StepStats step_masked(RoundContext<T>& ctx, const graph::TopologyFrame& frame,
-                        std::vector<T>& load);
+  // The one statement of this round's flow rule: calls use(flow) with the
+  // diffusion_share closure step() runs and plan_round() publishes —
+  // cached denominators on unmasked frames, the mask's alive-degrees on
+  // masked ones (the identical doubles the materialized subgraph gives).
+  template <class Use>
+  decltype(auto) with_round_flow(RoundContext<T>& ctx, Use&& use);
 
   DiffusionConfig cfg_;
   // Per-edge denominators: a per-epoch precomputation private to this
@@ -106,7 +123,7 @@ class DiffusionBalancer final : public Balancer<T> {
   // the step-time key check is the single source of invalidation).
   // Only the unmasked path uses it — alive-degrees move every mask
   // revision, so masked rounds compute denominators inline instead.
-  // Flow/snapshot buffers and the CSR ledger come from the RoundContext.
+  // Round scratch and the blocked round's plan come from the RoundContext.
   std::vector<double> denoms_;
   std::uint64_t denom_revision_ = 0;
 };

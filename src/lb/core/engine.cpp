@@ -19,12 +19,9 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
   const util::Stopwatch run_watch;
 
   // Run isolation: trajectory state from a previous run (SOS's L^{t-1},
-  // OPS's schedule position, ...) must not leak into this one.  The
-  // arena's blocked-round snapshot cache is tied to a specific load
-  // vector's values, so a new run (possibly reusing a caller-owned
-  // arena) always starts with it invalid.
+  // OPS's schedule position, ...) must not leak into this one.  The arena
+  // holds no trajectory state, so a caller-owned one needs no reset.
   balancer.on_run_begin();
-  arena.invalidate_snapshot();
 
   // Open-system traffic (DESIGN.md §11): the stream rides the config
   // type-erased; re-type it here and replay it from round 1.  Every
@@ -134,7 +131,6 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
       if (!delta.empty()) {
         applied = workload::tally_stream_delta(delta, load);
         workload::apply_stream_delta(delta, load);
-        arena.invalidate_snapshot();  // blocked-round load cache is stale
         delta_applied = true;
         const T net = applied.net();
         if (net != T{}) {
@@ -243,7 +239,8 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
 template <class T>
 RunResult run_static(Balancer<T>& balancer, const graph::Graph& g, std::vector<T>& load,
                      const EngineConfig& config) {
-  auto seq = graph::make_static_sequence(g);
+  // Non-owning: `g` outlives the run, so the graph is never copied.
+  auto seq = graph::make_static_view(g);
   return run(balancer, *seq, load, config);
 }
 

@@ -49,6 +49,48 @@ void set_blocked_width_override(long long width) {
   g_block_width_override.store(width < 0 ? -1 : width, std::memory_order_relaxed);
 }
 
+void BlockedRoundPlan::rebuild(const graph::Graph& base, std::size_t width) {
+  LB_ASSERT_MSG(width > 0 && width % kSummaryChunkWidth == 0,
+                "block width must be a positive summary-chunk multiple");
+  LB_ASSERT_MSG(base.num_edges() <= std::numeric_limits<std::uint32_t>::max(),
+                "the blocked round stores 32-bit edge ids");
+  const auto& edges = base.edges();
+  const std::size_t n = base.num_nodes();
+  revision_ = base.revision();
+  width_ = width;
+  chunks_ = summary_chunk_count(n);
+  blocks_ = (n + width - 1) / width;
+
+  std::size_t cuts = 0;
+  for (const graph::Edge& e : edges) cuts += e.u / width != e.v / width ? 1 : 0;
+  index_.assign(chunks_ + 1 + blocks_ + 1 + cuts, 0);
+  std::uint32_t* chunk_begin = index_.data();
+  std::uint32_t* cut_ptr = chunk_begin + chunks_ + 1;
+  std::uint32_t* cut_ids = cut_ptr + blocks_ + 1;
+
+  // Chunk slices: chunk_begin[c] is the first edge with u ≥ c·1024, so the
+  // first edge of each chunk seeds every chunk boundary up to its own.
+  std::size_t c = 0;
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    for (; c <= edges[k].u / kSummaryChunkWidth; ++c) {
+      chunk_begin[c] = static_cast<std::uint32_t>(k);
+    }
+    const std::size_t b = edges[k].v / width;
+    if (edges[k].u / width != b) ++cut_ptr[b + 1];
+  }
+  for (; c <= chunks_; ++c) chunk_begin[c] = static_cast<std::uint32_t>(edges.size());
+
+  // Cut lists: prefix-sum the counts into starts, append ids in ascending
+  // edge order (each cursor ends at its block's end), then shift back.
+  for (std::size_t b = 0; b < blocks_; ++b) cut_ptr[b + 1] += cut_ptr[b];
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const std::size_t b = edges[k].v / width;
+    if (edges[k].u / width != b) cut_ids[cut_ptr[b]++] = static_cast<std::uint32_t>(k);
+  }
+  for (std::size_t b = blocks_; b > 0; --b) cut_ptr[b] = cut_ptr[b - 1];
+  cut_ptr[0] = 0;
+}
+
 void FlowLedger::rebuild(const graph::Graph& g) {
   LB_ASSERT_MSG(g.num_edges() <= std::numeric_limits<std::uint32_t>::max(),
                 "flow ledger stores 32-bit edge ids");
@@ -88,7 +130,9 @@ void FlowLedger::apply(const graph::Graph& g, const std::vector<double>& flows,
   LB_ASSERT_MSG(flows.size() == num_edges_, "flow vector does not match ledger");
   LB_ASSERT_MSG(load.size() == num_nodes_, "load vector does not match ledger");
   if (pool != nullptr && pool->size() > 1) {
-    apply_gather(flows, load, *pool);
+    pool->parallel_for(0, num_nodes_, 256, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t u = lo; u < hi; ++u) load[u] = gather_node(u, flows, load);
+    });
   } else {
     // One worker gains nothing from the CSR gather (it touches every edge
     // twice through an indirection); the linear edge sweep performs the
@@ -96,17 +140,6 @@ void FlowLedger::apply(const graph::Graph& g, const std::vector<double>& flows,
     // bit-identical either way.
     apply_edge_sweep(g, flows, load);
   }
-}
-
-template <class T>
-void FlowLedger::apply_gather(const std::vector<double>& flows,
-                              std::vector<T>& load, util::ThreadPool& pool) const {
-  auto gather = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t u = lo; u < hi; ++u) {
-      load[u] = gather_node(u, flows, load);
-    }
-  };
-  pool.parallel_for(0, num_nodes_, 256, gather);
 }
 
 template <class T>
@@ -122,56 +155,6 @@ void FlowLedger::apply_with_summary(const graph::Graph& g,
   out = fused_sweep_with_summary<T>(pool, num_nodes_, average, mode, parts,
                                     [&](std::size_t u) {
                                       const T value = gather_node(u, flows, load);
-                                      load[u] = value;
-                                      return value;
-                                    });
-}
-
-template <class T>
-void FlowLedger::apply(const graph::TopologyFrame& frame,
-                       const std::vector<double>& flows, std::vector<T>& load,
-                       util::ThreadPool* pool) const {
-  if (!frame.masked()) {
-    apply(frame.base(), flows, load, pool);
-    return;
-  }
-  LB_ASSERT_MSG(revision_ == frame.base_revision(),
-                "masked apply with a ledger built for another base graph");
-  LB_ASSERT_MSG(flows.size() == num_edges_, "flow vector does not match ledger");
-  LB_ASSERT_MSG(load.size() == num_nodes_, "load vector does not match ledger");
-  const graph::EdgeMask& mask = *frame.mask();
-  if (pool != nullptr && pool->size() > 1) {
-    auto gather = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t u = lo; u < hi; ++u) {
-        load[u] = gather_node_masked(u, mask, flows, load);
-      }
-    };
-    pool->parallel_for(0, num_nodes_, 256, gather);
-  } else {
-    apply_edge_sweep_masked(frame, flows, load);
-  }
-}
-
-template <class T>
-void FlowLedger::apply_with_summary(const graph::TopologyFrame& frame,
-                                    const std::vector<double>& flows,
-                                    std::vector<T>& load, util::ThreadPool* pool,
-                                    double average, SummaryMode mode,
-                                    std::vector<SummaryPartial<T>>& parts,
-                                    LoadSummary<T>& out) const {
-  if (!frame.masked()) {
-    apply_with_summary(frame.base(), flows, load, pool, average, mode, parts, out);
-    return;
-  }
-  LB_ASSERT_MSG(revision_ == frame.base_revision(),
-                "masked apply with a ledger built for another base graph");
-  LB_ASSERT_MSG(flows.size() == num_edges_, "flow vector does not match ledger");
-  LB_ASSERT_MSG(load.size() == num_nodes_, "load vector does not match ledger");
-  const graph::EdgeMask& mask = *frame.mask();
-  out = fused_sweep_with_summary<T>(pool, num_nodes_, average, mode, parts,
-                                    [&](std::size_t u) {
-                                      const T value =
-                                          gather_node_masked(u, mask, flows, load);
                                       load[u] = value;
                                       return value;
                                     });
@@ -199,105 +182,45 @@ void apply_edge_sweep(const graph::Graph& g, const std::vector<double>& flows,
 }
 
 template <class T>
-void apply_edge_sweep_with_stats(const graph::Graph& g,
-                                 const std::vector<double>& flows,
-                                 std::vector<T>& load, StepStats& stats) {
-  const auto& edges = g.edges();
-  LB_ASSERT_MSG(flows.size() == edges.size(), "flow vector does not match graph");
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const double f = flows[k];
-    if (f == 0.0) continue;
-    const graph::Edge& e = edges[k];
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    if (f > 0.0) {
-      load[e.u] -= amount;
-      load[e.v] += amount;
-    } else {
-      load[e.v] -= amount;
-      load[e.u] += amount;
-    }
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-  }
-}
-
-template <class T>
-void apply_edge_sweep_masked(const graph::TopologyFrame& frame,
-                             const std::vector<double>& flows, std::vector<T>& load) {
+void accumulate_flow_totals(const graph::TopologyFrame& frame,
+                            const std::vector<double>& flows, StepStats& stats) {
   const auto& edges = frame.base().edges();
-  LB_ASSERT_MSG(flows.size() == edges.size(),
-                "flow vector does not match base graph");
+  LB_ASSERT_MSG(flows.size() == edges.size(), "flow vector does not match base graph");
+  StepStats chunk;
+  std::size_t current = 0;
   for (std::size_t k = 0; k < edges.size(); ++k) {
     if (!frame.alive(k)) continue;
-    const double f = flows[k];
-    if (f == 0.0) continue;
-    const graph::Edge& e = edges[k];
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    if (f > 0.0) {
-      load[e.u] -= amount;
-      load[e.v] += amount;
-    } else {
-      load[e.v] -= amount;
-      load[e.u] += amount;
+    const std::size_t c = edges[k].u / kSummaryChunkWidth;
+    if (c != current) {
+      fold_chunk_stats(stats, chunk);
+      chunk = StepStats{};
+      current = c;
     }
+    count_flow<T>(chunk, flows[k]);
   }
-}
-
-template <class T>
-void accumulate_flow_totals_masked(const graph::TopologyFrame& frame,
-                                   const std::vector<double>& flows,
-                                   StepStats& stats) {
-  for (std::size_t k = 0; k < flows.size(); ++k) {
-    if (!frame.alive(k)) continue;
-    const double f = flows[k];
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-  }
+  fold_chunk_stats(stats, chunk);
 }
 
 template <class T>
 void accumulate_flow_totals(const std::vector<double>& flows, StepStats& stats) {
-  for (const double f : flows) {
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-  }
+  for (const double f : flows) count_flow<T>(stats, f);
 }
 
 #define LB_INSTANTIATE(T)                                                      \
   template void FlowLedger::apply<T>(const graph::Graph&,                      \
                                      const std::vector<double>&,               \
                                      std::vector<T>&, util::ThreadPool*) const;\
-  template void FlowLedger::apply<T>(const graph::TopologyFrame&,              \
-                                     const std::vector<double>&,               \
-                                     std::vector<T>&, util::ThreadPool*) const;\
   template void FlowLedger::apply_with_summary<T>(                             \
       const graph::Graph&, const std::vector<double>&, std::vector<T>&,        \
-      util::ThreadPool*, double, SummaryMode, std::vector<SummaryPartial<T>>&, \
-      LoadSummary<T>&) const;                                                  \
-  template void FlowLedger::apply_with_summary<T>(                             \
-      const graph::TopologyFrame&, const std::vector<double>&, std::vector<T>&,\
       util::ThreadPool*, double, SummaryMode, std::vector<SummaryPartial<T>>&, \
       LoadSummary<T>&) const;                                                  \
   template void apply_edge_sweep<T>(const graph::Graph&,                       \
                                     const std::vector<double>&,                \
                                     std::vector<T>&);                          \
-  template void apply_edge_sweep_masked<T>(const graph::TopologyFrame&,        \
-                                           const std::vector<double>&,         \
-                                           std::vector<T>&);                   \
-  template void apply_edge_sweep_with_stats<T>(const graph::Graph&,            \
-                                               const std::vector<double>&,     \
-                                               std::vector<T>&, StepStats&);   \
-  template void accumulate_flow_totals<T>(const std::vector<double>&, StepStats&); \
-  template void accumulate_flow_totals_masked<T>(                              \
-      const graph::TopologyFrame&, const std::vector<double>&, StepStats&);
+  template void accumulate_flow_totals<T>(const graph::TopologyFrame&,         \
+                                          const std::vector<double>&,          \
+                                          StepStats&);                         \
+  template void accumulate_flow_totals<T>(const std::vector<double>&, StepStats&);
 
 LB_INSTANTIATE(double)
 LB_INSTANTIATE(std::int64_t)

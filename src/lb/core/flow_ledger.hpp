@@ -1,33 +1,27 @@
-// Node-centric flow-ledger kernel: the shared substrate for every
-// edge-flow balancing round (Algorithm 1 diffusion, FOS/SOS, dimension
-// exchange).
+// Edge-flow kernels: the blocked round's per-topology index, the shared
+// per-edge update and StepStats rules, the node-centric CSR ledger
+// (matching rounds), and the seed's edge-sweep oracle.
 //
 // A synchronous round in the paper is "compute every edge flow from the
-// round-start snapshot, then apply all of them".  The seed implemented the
-// apply as a sequential edge-list sweep; the ledger makes it node-centric:
-// a CSR view (linalg::CsrMatrix layout: row_ptr over nodes, column array
-// of incident edge ids) is precomputed once per graph epoch, and the apply
-// phase walks each node's incident edges, updating only that node's load.
-// Each node owns its row, so the sweep parallelizes with no write races
-// and no atomics — and because a node's incident edges are stored in
-// ascending edge-index order and applied with per-edge operations that
-// round exactly like the edge sweep's ±amount updates, the resulting load
-// vector is BIT-IDENTICAL to the sequential edge-list apply at every
-// thread count (floating-point included: same operand values, same
-// operation order per node).  On a single-worker pool the ledger instead
-// falls back to the linear edge sweep itself, because a one-thread gather
-// pays the CSR indirection for no parallel gain.
+// round-start snapshot, then apply all of them".  Because every flow is
+// computed from round-start values, that equals each node receiving its
+// ±flows in ascending edge order — the sequentialization the library's
+// bit-identity contract rests on.  Every all-edges round runs as the one
+// blocked round of round_context.hpp (DESIGN.md §9.2), indexed by the
+// BlockedRoundPlan below; the seed's sequential edge-list sweep
+// (compute_edge_flows + apply_edge_sweep) stays as the equivalence oracle.
 //
-// Epoch invalidation: the ledger is keyed on graph::Graph::revision(), a
-// process-unique id minted per build.  Dynamic sequences (graph/dynamic.hpp)
-// rebuild their current graph each round — often at the same address — and
-// the revision changes with them, so ensure() rebuilds exactly when the
-// topology actually changed and is free for static networks.
+// The FlowLedger is a CSR view (row_ptr over nodes, column array of
+// incident edge ids, ascending per row) whose gather applies a flow
+// vector node-parallel with no atomics, bit-identical to the edge sweep.
+// Dimension exchange still uses it for dense matchings.  Both indexes are
+// keyed on graph::Graph::revision(), a process-unique id minted per
+// build, so they rebuild exactly when the topology changes.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -40,28 +34,112 @@
 
 namespace lb::core {
 
-/// Node-block width for the cache-blocked fused round (DESIGN.md §9), in
-/// nodes.  Resolution order: set_blocked_width_override() ▸ the
-/// LB_BLOCK_NODES environment variable ▸ a 16384-node default (64–128 KiB
-/// of load vector — L2-resident on everything we target).  Always a
-/// multiple of kSummaryChunkWidth so summary chunks never straddle a
-/// block; 0 disables blocking (the flat fused sweep).  The width NEVER
-/// affects results — every width is bit-identical (the property tests
-/// randomize it) — so this is a pure performance knob.
+/// Node-block width of the blocked round (DESIGN.md §9.2), in nodes.
+/// Resolution order: set_blocked_width_override() ▸ the LB_BLOCK_NODES
+/// environment variable ▸ a 16384-node default (64–128 KiB of load
+/// vector — L2-resident on everything we target).  Always a multiple of
+/// kSummaryChunkWidth so summary chunks never straddle a block; 0 means
+/// one block spanning every node.  The width NEVER affects results —
+/// every width is bit-identical (the property tests randomize it) — it
+/// only decides how the round is split into tasks.
 std::size_t blocked_round_width();
 
 /// Test/bench hook: width < 0 clears the override (back to env/default),
-/// 0 forces the flat path, > 0 is rounded up to a kSummaryChunkWidth
+/// 0 forces a single block, > 0 is rounded up to a kSummaryChunkWidth
 /// multiple and used as the block width.
 void set_blocked_width_override(long long width);
 
 /// Which apply implementation a ported balancer uses.  kEdgeSweep is the
 /// seed's sequential edge-list path, kept as the equivalence oracle for
-/// tests and the ablation benches; kLedger is the parallel node-centric
-/// path and the production default.
+/// tests and the ablation benches; kLedger is the production default (the
+/// blocked round for all-edges balancers, the CSR gather for dimension
+/// exchange).
 enum class ApplyPath {
   kLedger,
   kEdgeSweep,
+};
+
+/// Apply one signed flow share `g` to a node's value — the per-node
+/// update of every all-edges path (e.u receives −f, e.v receives +f).
+/// Bit-identical to the seed's edge sweep, with no branch: for g ≠ 0,
+/// x − (−g) is x + g exactly (IEEE subtraction adds the negation), which
+/// is the sweep's x ∓ |f|.  A zero share must leave x untouched, a −0.0
+/// load included, like the sweep's skip: (−g) + 0.0 turns both zeros into
+/// +0.0, and x − (+0.0) is x for every x.  (A select such as
+/// `g == 0 ? −0.0 : g` would read more plainly, but compilers turn it
+/// back into the data-dependent branch this form exists to avoid.)
+/// Integral T adds the truncated share ±⌊|f|⌋; adding 0 is the identity.
+template <class T>
+inline void add_flow(T& x, double g) {
+  if constexpr (std::is_integral_v<T>) {
+    x += static_cast<T>(g);
+  } else {
+    x -= -g + 0.0;
+  }
+}
+
+/// Count one edge's flow into a StepStats partial: the moved amount
+/// |T(f)| into transferred, and the edge as active when it is nonzero.
+/// Adding a zero amount to a partial that starts at +0.0 changes no bit,
+/// so this matches the sweep's skip without a branch.
+template <class T>
+inline void count_flow(StepStats& s, double f) {
+  if constexpr (std::is_integral_v<T>) {
+    const T amount = static_cast<T>(f);
+    s.transferred += static_cast<double>(amount < 0 ? -amount : amount);
+    s.active_edges += amount != 0 ? 1 : 0;
+  } else {
+    s.transferred += std::fabs(f);
+    s.active_edges += f != 0.0 ? 1 : 0;
+  }
+}
+
+/// Fold one chunk's StepStats partial into the round total — the
+/// fixed-chunk StepStats contract (DESIGN.md §7): each edge counts in the
+/// kSummaryChunkWidth-node chunk of its lower endpoint, summed in
+/// ascending edge order from +0.0, and the chunk partials fold in chunk
+/// order.  Tokens sum exactly; Real totals depend only on n, never on the
+/// pool, block width or shard count.
+inline void fold_chunk_stats(StepStats& total, const StepStats& chunk) {
+  total.transferred += chunk.transferred;
+  total.active_edges += chunk.active_edges;
+}
+
+/// The blocked round's per-topology index (DESIGN.md §9.2), keyed on
+/// (base revision, block width) and held in one allocation:
+///   * chunk_begin(c) — the first edge whose canonical lower endpoint lies
+///     in summary chunk c.  Edges are sorted by u, so chunk c's own edges
+///     are [chunk_begin(c), chunk_begin(c + 1)).
+///   * cut_edges(b) — block b's incoming cut edges: edges owned by an
+///     earlier block (u < lo) whose upper endpoint v lies in b, ascending.
+/// Masks kill edges, not index entries: masked rounds share their base's
+/// plan and skip dead edges as they walk it.
+class BlockedRoundPlan {
+ public:
+  bool valid_for(const graph::Graph& base, std::size_t width) const {
+    return revision_ != 0 && revision_ == base.revision() && width_ == width;
+  }
+  /// Build for `base` cut into blocks of `width` nodes (a positive
+  /// kSummaryChunkWidth multiple).  O(n/1024 + m).
+  void rebuild(const graph::Graph& base, std::size_t width);
+  void ensure(const graph::Graph& base, std::size_t width) {
+    if (!valid_for(base, width)) rebuild(base, width);
+  }
+
+  std::size_t width() const { return width_; }
+  std::size_t chunk_begin(std::size_t c) const { return index_[c]; }
+  std::span<const std::uint32_t> cut_edges(std::size_t b) const {
+    const std::uint32_t* ptr = index_.data() + chunks_ + 1;
+    return {ptr + blocks_ + 1 + ptr[b], ptr[b + 1] - ptr[b]};
+  }
+
+ private:
+  std::uint64_t revision_ = 0;
+  std::size_t width_ = 0;
+  std::size_t chunks_ = 0;
+  std::size_t blocks_ = 0;
+  // chunk_begin[chunks + 1] | cut_ptr[blocks + 1] | cut edge ids
+  std::vector<std::uint32_t> index_;
 };
 
 class FlowLedger {
@@ -81,20 +159,12 @@ class FlowLedger {
 
   /// Rebuild iff the cached view does not match `g`'s epoch.  Returns true
   /// when a rebuild happened, so callers can refresh their own per-epoch
-  /// caches (e.g. per-edge denominators) in lockstep.
+  /// caches in lockstep.
   bool ensure(const graph::Graph& g) {
     if (valid_for(g)) return false;
     rebuild(g);
     return true;
   }
-
-  /// Masked-frame keying: the CSR depends only on the *base* graph, so a
-  /// frame ensure() rebuilds exactly when the base revision moves — mask
-  /// revisions churn every dynamic round without touching the CSR.  This
-  /// is the (base_revision, mask_revision) cache split: the ledger holds
-  /// the base_revision half, the per-round flows/degrees carry the
-  /// mask_revision half.
-  bool ensure(const graph::TopologyFrame& frame) { return ensure(frame.base()); }
 
   std::size_t num_nodes() const { return num_nodes_; }
   std::size_t num_edges() const { return num_edges_; }
@@ -124,10 +194,8 @@ class FlowLedger {
   /// Fused apply + deterministic summary: performs the exact same per-node
   /// load updates as apply(), and while each node's final value is still in
   /// register accumulates it into the fixed-chunk reduction of
-  /// core/metrics.hpp (Φ measured against `average`) — one sweep over the
-  /// load vector instead of apply-then-summarize's two.  The node gather is
-  /// driven chunk-by-chunk (chunk boundaries a function of n only), so both
-  /// the loads and `out` are bit-identical to apply() followed by
+  /// core/metrics.hpp (Φ measured against `average`).  Both the loads and
+  /// `out` are bit-identical to apply() followed by
   /// summarize_deterministic() at every pool size, including sequential.
   /// `parts` is the caller's per-chunk partial scratch (RunArena keeps one
   /// per run) so steady-state rounds allocate nothing.
@@ -138,75 +206,17 @@ class FlowLedger {
                           std::vector<SummaryPartial<T>>& parts,
                           LoadSummary<T>& out) const;
 
-  /// Masked apply: the CSR stays the base graph's, and each node's row
-  /// walk skips dead incident edges via the frame's alive bitmap before
-  /// ever reading the flow slot (dead slots are never written by the
-  /// masked flow fill, so they may hold stale values).  Because a node's
-  /// alive incident edges appear in ascending base-edge order — the same
-  /// relative order they have in the materialized subgraph — the result
-  /// is bit-identical to apply() on the materialized view at every pool
-  /// size.  Single-worker pools fall back to the masked edge sweep.
-  template <class T>
-  void apply(const graph::TopologyFrame& frame, const std::vector<double>& flows,
-             std::vector<T>& load, util::ThreadPool* pool) const;
-
-  /// Masked fused apply + deterministic summary (see apply_with_summary).
-  template <class T>
-  void apply_with_summary(const graph::TopologyFrame& frame,
-                          const std::vector<double>& flows, std::vector<T>& load,
-                          util::ThreadPool* pool, double average, SummaryMode mode,
-                          std::vector<SummaryPartial<T>>& parts,
-                          LoadSummary<T>& out) const;
-
  private:
-  template <class T>
-  void apply_gather(const std::vector<double>& flows, std::vector<T>& load,
-                    util::ThreadPool& pool) const;
-
-  // Masked row walk: identical ±updates to gather_node restricted to the
-  // alive incident edges (ascending base order = subgraph order).
-  template <class T>
-  T gather_node_masked(std::size_t u, const graph::EdgeMask& mask,
-                       const std::vector<double>& flows,
-                       const std::vector<T>& load) const {
-    T value = load[u];
-    const std::size_t row_end = static_cast<std::size_t>(row_ptr_[u + 1]);
-    for (std::size_t p = static_cast<std::size_t>(row_ptr_[u]); p < row_end; ++p) {
-      const std::uint32_t k = edge_idx_[p];
-      if (!mask.alive(k)) continue;  // dead slot: flows[k] may be stale
-      const double f = flows[k];
-      if (f == 0.0) continue;
-      if constexpr (std::is_integral_v<T>) {
-        value += static_cast<T>(sign_[p] * f);
-      } else {
-        value += static_cast<T>(sign_[p]) * static_cast<T>(f);
-      }
-    }
-    return value;
-  }
-
-  // The shared per-node row walk: node u's final value from its incident
-  // rows, with the rounding rules that make the gather bit-identical to
-  // the sequential edge sweep (see apply_gather's commentary).
+  // The per-node row walk: node u's final value from its incident rows in
+  // ascending edge order, with add_flow's per-edge update (sign_[p]·f is
+  // exactly ±f), so the gather is bit-identical to the edge sweep.
   template <class T>
   T gather_node(std::size_t u, const std::vector<double>& flows,
                 const std::vector<T>& load) const {
     T value = load[u];
     const std::size_t row_end = static_cast<std::size_t>(row_ptr_[u + 1]);
     for (std::size_t p = static_cast<std::size_t>(row_ptr_[u]); p < row_end; ++p) {
-      const double f = flows[edge_idx_[p]];
-      if (f == 0.0) continue;
-      // sign_[p]·f is exactly ±f (an int8 ±1 promotes to ±1.0 exactly),
-      // and x + (−f) rounds identically to the edge sweep's x −= |f|
-      // (x − |f| ≡ x + (−|f|) in IEEE), so every per-node update matches
-      // the oracle bit for bit.  For integral T the truncating cast of ±f
-      // equals the sweep's ±⌊|f|⌋, and adding a zero amount is the
-      // identity, matching the sweep's skip.
-      if constexpr (std::is_integral_v<T>) {
-        value += static_cast<T>(sign_[p] * f);
-      } else {
-        value += static_cast<T>(sign_[p]) * static_cast<T>(f);
-      }
+      add_flow(value, sign_[p] * flows[edge_idx_[p]]);
     }
     return value;
   }
@@ -219,46 +229,30 @@ class FlowLedger {
   std::vector<std::int8_t> sign_;        // -1 if the row's node is the edge's u
 };
 
-/// The seed's sequential edge-list apply, shared by every ported balancer's
-/// kEdgeSweep path (and the oracle the ledger is tested against).
+/// The seed's sequential edge-list apply: the oracle every all-edges path
+/// is tested against, and the kEdgeSweep configurations' apply.
 template <class T>
 void apply_edge_sweep(const graph::Graph& g, const std::vector<double>& flows,
                       std::vector<T>& load);
 
-/// The seed's fused apply + stats loop, verbatim: one pass that moves the
-/// load and accumulates transferred/active_edges.  The kEdgeSweep baseline
-/// uses this so the ablation benches compare against the seed's true cost.
-/// `stats.links` is left to the caller.
+/// StepStats of a flow vector under the fixed-chunk contract
+/// (fold_chunk_stats): `flows` is indexed by the frame's *base* edge id,
+/// and dead edges of a masked frame are skipped.  The kEdgeSweep oracles
+/// and the sharded engine's central totals use this, so every path
+/// reports identical StepStats.  `stats.links` is left to the caller.
 template <class T>
-void apply_edge_sweep_with_stats(const graph::Graph& g,
-                                 const std::vector<double>& flows,
-                                 std::vector<T>& load, StepStats& stats);
+void accumulate_flow_totals(const graph::TopologyFrame& frame,
+                            const std::vector<double>& flows, StepStats& stats);
 
-/// transferred/active_edges totals for a flow vector, accumulated in edge
-/// order with the same cast/skip rules as apply_edge_sweep, so both apply
-/// paths report identical StepStats.  `stats.links` is left to the caller.
+/// transferred/active_edges of a flow vector summed in plain edge order.
+/// Equal to the fixed-chunk overload whenever n ≤ kSummaryChunkWidth or
+/// T is integral; kept for callers that only hold the flow vector.
 template <class T>
 void accumulate_flow_totals(const std::vector<double>& flows, StepStats& stats);
 
-/// Masked variants: `flows` is indexed by *base* edge id and only alive
-/// slots are valid; dead edges are skipped via the frame's bitmap before
-/// the flow value is read.  Alive edges are visited in ascending base
-/// order — the materialized subgraph's edge order — so each is
-/// bit-identical to its unmasked counterpart run on the materialized
-/// view with the compacted flow vector.
-template <class T>
-void apply_edge_sweep_masked(const graph::TopologyFrame& frame,
-                             const std::vector<double>& flows, std::vector<T>& load);
-
-template <class T>
-void accumulate_flow_totals_masked(const graph::TopologyFrame& frame,
-                                   const std::vector<double>& flows,
-                                   StepStats& stats);
-
-/// Phase 1 of the shared kernel: fill `flows` with
-/// flow_fn(edge_index, edge, load_u, load_v) for every edge, edge-parallel
-/// on `pool` (nullptr = sequential).  flow_fn must be pure in its inputs;
-/// positive return moves load u -> v.
+/// Fill `flows` with flow_fn(edge_index, edge, load_u, load_v) for every
+/// edge, edge-parallel on `pool` (nullptr = sequential).  flow_fn must be
+/// pure in its inputs; positive return moves load u -> v.
 template <class T, class FlowFn>
 void compute_edge_flows(const graph::Graph& g, const std::vector<T>& load,
                         std::vector<double>& flows, util::ThreadPool* pool,
@@ -277,261 +271,6 @@ void compute_edge_flows(const graph::Graph& g, const std::vector<T>& load,
   } else {
     fill(0, edges.size());
   }
-}
-
-/// Masked phase 1: fill only the *alive* slots of `flows` (indexed by
-/// base edge id) with flow_fn(edge_index, edge, load_u, load_v).  Dead
-/// slots are left untouched — every masked consumer skips them via the
-/// frame's bitmap, so no O(m) zero-fill is paid either.
-template <class T, class FlowFn>
-void compute_edge_flows_masked(const graph::TopologyFrame& frame,
-                               const std::vector<T>& load,
-                               std::vector<double>& flows, util::ThreadPool* pool,
-                               FlowFn&& flow_fn) {
-  const auto& edges = frame.base().edges();
-  flows.resize(edges.size());
-  auto fill = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      if (!frame.alive(k)) continue;
-      const graph::Edge& e = edges[k];
-      flows[k] = flow_fn(k, e, static_cast<double>(load[e.u]),
-                         static_cast<double>(load[e.v]));
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, edges.size(), 2048, fill);
-  } else {
-    fill(0, edges.size());
-  }
-}
-
-/// Single-worker specialization of the whole round: copy the load into
-/// `snapshot`, then make one pass over the edge list that computes each
-/// flow from the snapshot, applies it to `load` immediately, and
-/// accumulates the fused stats — no flow buffer traffic, no separate
-/// totals pass.  Bit-identical to compute_edge_flows + totals + apply:
-/// the flow values are the same (computed from the same snapshot values)
-/// and each node still receives the same ±amount updates in ascending
-/// edge-index order.  `stats.links` is left to the caller.
-template <class T, class FlowFn>
-void run_fused_sequential_round(const graph::Graph& g, std::vector<T>& load,
-                                std::vector<T>& snapshot, StepStats& stats,
-                                FlowFn&& flow_fn) {
-  snapshot = load;
-  const auto& edges = g.edges();
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const graph::Edge& e = edges[k];
-    const double f = flow_fn(k, e, static_cast<double>(snapshot[e.u]),
-                             static_cast<double>(snapshot[e.v]));
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    if (f > 0.0) {
-      load[e.u] -= amount;
-      load[e.v] += amount;
-    } else {
-      load[e.v] -= amount;
-      load[e.u] += amount;
-    }
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-  }
-}
-
-/// Masked single-worker fused round: one pass over the base edge list
-/// skipping dead edges, computing each alive flow from the snapshot and
-/// applying it immediately with fused stats.  Alive edges are processed
-/// in ascending base order (= the materialized subgraph's edge order),
-/// so this is bit-identical to run_fused_sequential_round on the
-/// materialized view.  No GraphBuilder, no CSR, no allocations.
-template <class T, class FlowFn>
-void run_fused_sequential_round_masked(const graph::TopologyFrame& frame,
-                                       std::vector<T>& load, std::vector<T>& snapshot,
-                                       StepStats& stats, FlowFn&& flow_fn) {
-  snapshot = load;
-  const auto& edges = frame.base().edges();
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (!frame.alive(k)) continue;
-    const graph::Edge& e = edges[k];
-    const double f = flow_fn(k, e, static_cast<double>(snapshot[e.u]),
-                             static_cast<double>(snapshot[e.v]));
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    if (f > 0.0) {
-      load[e.u] -= amount;
-      load[e.v] += amount;
-    } else {
-      load[e.v] -= amount;
-      load[e.u] += amount;
-    }
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-  }
-}
-
-/// Cache-blocked single-worker fused round (DESIGN.md §9).  Keeps the
-/// fused edge sweep's apply-immediately structure (snapshot the loads,
-/// then one ascending pass over the edge list applying each flow as it
-/// is computed) but walks it in node blocks of `block_width` (a
-/// kSummaryChunkWidth multiple): the edge list is sorted by canonical
-/// source u, so block [lo,hi)'s outgoing edges are one contiguous slice
-/// found by a monotone cursor — no index structure, no CSR, no ledger.
-/// After that slice is applied every node in the block is FINAL (any
-/// edge touching w < hi has canonical endpoint u ≤ w, so it lies in this
-/// or an earlier slice), and the block's Φ/extrema summary chunks are
-/// folded right there, while the block is still cache-resident.  Loads,
-/// StepStats (global ascending edge order) and the summary are all
-/// BIT-IDENTICAL to run_fused_sequential_round + a standalone
-/// summarize_deterministic at any block width; the win is that the flat
-/// path re-streams the whole load vector through cache for that trailing
-/// summary sweep, which at n ≥ 2^19 no longer fits.
-///
-/// The same finality argument also fuses the round-start snapshot copy:
-/// once block [lo,hi) is final, `snapshot[lo,hi)` is refreshed to the
-/// block's final loads while they are still cache-resident — later edge
-/// slices only ever read snapshot at indices ≥ hi (canonical u < v), so
-/// the in-place overwrite is invisible to the rest of the round.  The
-/// next blocked round then starts from a snapshot that already equals
-/// its round-start loads and skips the flat O(n) copy entirely.
-/// `snapshot_ready` says whether the caller's scratch holds that copy
-/// (RunArena::snapshot_ready(), invalidated by every other user of the
-/// buffer and by every out-of-round load mutation); when false the round
-/// opens with the full copy, exactly like the flat path.
-template <class T, class FlowFn>
-LoadSummary<T> run_blocked_fused_round(const graph::Graph& g, std::vector<T>& load,
-                                       std::vector<T>& snapshot, bool snapshot_ready,
-                                       double average, SummaryMode mode,
-                                       StepStats& stats, std::size_t block_width,
-                                       FlowFn&& flow_fn) {
-  const std::size_t n = g.num_nodes();
-  LB_ASSERT_MSG(load.size() == n, "load vector does not match graph");
-  LB_ASSERT_MSG(block_width > 0 && block_width % kSummaryChunkWidth == 0,
-                "block width must be a positive summary-chunk multiple");
-  if (!snapshot_ready) {
-    snapshot = load;
-  } else {
-    LB_ASSERT_MSG(snapshot.size() == n, "stale snapshot cache: size mismatch");
-  }
-  const auto& edges = g.edges();
-  SummaryFold<T> fold;
-  std::size_t k = 0;
-  for (std::size_t lo = 0; lo < n; lo += block_width) {
-    const std::size_t hi = std::min(lo + block_width, n);
-    // Resolve the block's edge-slice end up front (edges are sorted by
-    // canonical u) so the hot loop carries a single counter condition,
-    // exactly like the flat sweep's.  The probes touch edges the stream
-    // is about to read anyway.
-    const std::size_t k_end = static_cast<std::size_t>(
-        std::partition_point(
-            edges.begin() + static_cast<std::ptrdiff_t>(k), edges.end(),
-            [hi](const graph::Edge& e) { return e.u < hi; }) -
-        edges.begin());
-    for (; k < k_end; ++k) {
-      const graph::Edge& e = edges[k];
-      const double f = flow_fn(k, e, static_cast<double>(snapshot[e.u]),
-                               static_cast<double>(snapshot[e.v]));
-      if (f == 0.0) continue;
-      const T amount = static_cast<T>(std::fabs(f));
-      if (amount == T{}) continue;
-      if (f > 0.0) {
-        load[e.u] -= amount;
-        load[e.v] += amount;
-      } else {
-        load[e.v] -= amount;
-        load[e.u] += amount;
-      }
-      stats.transferred += static_cast<double>(amount);
-      ++stats.active_edges;
-    }
-    // Cache-resident block epilogue, one pass per chunk: fold the
-    // block's summary and refresh the snapshot for the next round from
-    // the same load read (the flat path pays that copy against cold
-    // memory at its next round start instead).
-    for (std::size_t clo = lo; clo < hi; clo += kSummaryChunkWidth) {
-      const std::size_t chi = std::min(clo + kSummaryChunkWidth, hi);
-      SummaryPartial<T> p;
-      summary_begin(p, load[clo]);
-      for (std::size_t u = clo; u < chi; ++u) {
-        const T v = load[u];
-        summary_accumulate(p, v, average, mode);
-        snapshot[u] = v;
-      }
-      fold.add(p);
-    }
-  }
-  return fold.finish(n, average, mode);
-}
-
-/// Masked blocked round: the identical block walk over the *base* edge
-/// list with dead edges skipped in the fill — alive edges are processed
-/// in ascending base order, which is the materialized subgraph's edge
-/// order, so it is bit-identical to the masked flat path at any block
-/// width.  The summary folds every node (masks kill edges, not nodes),
-/// matching the flat path's full-vector sweep.  The snapshot cache works
-/// unchanged across mask revisions: it caches load *values*, and masks
-/// kill edges, not loads.
-template <class T, class FlowFn>
-LoadSummary<T> run_blocked_fused_round(const graph::TopologyFrame& frame,
-                                       std::vector<T>& load, std::vector<T>& snapshot,
-                                       bool snapshot_ready, double average,
-                                       SummaryMode mode, StepStats& stats,
-                                       std::size_t block_width, FlowFn&& flow_fn) {
-  if (!frame.masked()) {
-    return run_blocked_fused_round<T>(frame.base(), load, snapshot, snapshot_ready,
-                                      average, mode, stats, block_width,
-                                      std::forward<FlowFn>(flow_fn));
-  }
-  const std::size_t n = frame.num_nodes();
-  LB_ASSERT_MSG(load.size() == n, "load vector does not match frame");
-  LB_ASSERT_MSG(block_width > 0 && block_width % kSummaryChunkWidth == 0,
-                "block width must be a positive summary-chunk multiple");
-  if (!snapshot_ready) {
-    snapshot = load;
-  } else {
-    LB_ASSERT_MSG(snapshot.size() == n, "stale snapshot cache: size mismatch");
-  }
-  const auto& edges = frame.base().edges();
-  SummaryFold<T> fold;
-  std::size_t k = 0;
-  for (std::size_t lo = 0; lo < n; lo += block_width) {
-    const std::size_t hi = std::min(lo + block_width, n);
-    const std::size_t k_end = static_cast<std::size_t>(
-        std::partition_point(
-            edges.begin() + static_cast<std::ptrdiff_t>(k), edges.end(),
-            [hi](const graph::Edge& e) { return e.u < hi; }) -
-        edges.begin());
-    for (; k < k_end; ++k) {
-      if (!frame.alive(k)) continue;
-      const graph::Edge& e = edges[k];
-      const double f = flow_fn(k, e, static_cast<double>(snapshot[e.u]),
-                               static_cast<double>(snapshot[e.v]));
-      if (f == 0.0) continue;
-      const T amount = static_cast<T>(std::fabs(f));
-      if (amount == T{}) continue;
-      if (f > 0.0) {
-        load[e.u] -= amount;
-        load[e.v] += amount;
-      } else {
-        load[e.v] -= amount;
-        load[e.u] += amount;
-      }
-      stats.transferred += static_cast<double>(amount);
-      ++stats.active_edges;
-    }
-    for (std::size_t clo = lo; clo < hi; clo += kSummaryChunkWidth) {
-      const std::size_t chi = std::min(clo + kSummaryChunkWidth, hi);
-      SummaryPartial<T> p;
-      summary_begin(p, load[clo]);
-      for (std::size_t u = clo; u < chi; ++u) {
-        const T v = load[u];
-        summary_accumulate(p, v, average, mode);
-        snapshot[u] = v;
-      }
-      fold.add(p);
-    }
-  }
-  return fold.finish(n, average, mode);
 }
 
 }  // namespace lb::core

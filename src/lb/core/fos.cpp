@@ -1,7 +1,5 @@
 #include "lb/core/fos.hpp"
 
-#include <cmath>
-
 #include "lb/core/diffusion.hpp"
 #include "lb/core/flow_program.hpp"
 #include "lb/core/round_context.hpp"
@@ -12,59 +10,32 @@ namespace lb::core {
 
 StepStats FirstOrderScheme::step(RoundContext<double>& ctx,
                                  std::vector<double>& load) {
-  if (ctx.masked() && apply_ == ApplyPath::kLedger) {
-    // Masked dynamic round: α from the mask's alive max-degree, flows
-    // over alive base edges only — no materialization, bit-identical to
-    // stepping on the materialized subgraph.
-    const graph::TopologyFrame& frame = ctx.frame();
-    LB_ASSERT_MSG(load.size() == frame.num_nodes(),
-                  "load vector does not match graph");
-    const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
-    util::ThreadPool* pool = parallel_ ? ctx.pool() : nullptr;
-    const auto flow_fn = [alpha](std::size_t, const graph::Edge&, double lu,
-                                 double lv) { return alpha * (lu - lv); };
-    StepStats stats;
-    stats.links = frame.num_edges();
-    run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
-    return stats;
-  }
-
-  const graph::Graph& g = ctx.graph();
-  LB_ASSERT_MSG(load.size() == g.num_nodes(), "load vector does not match graph");
-  const double alpha = 1.0 / (static_cast<double>(g.max_degree()) + 1.0);
+  const graph::TopologyFrame& frame = ctx.frame();
+  LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
   util::ThreadPool* pool = parallel_ ? ctx.pool() : nullptr;
-  std::vector<double>& flows = ctx.arena().flows();
 
   // Flow form of L^{t+1} = M·L^t: every edge carries α·(ℓ_u − ℓ_v), all
   // computed from the round-start snapshot.
-  const auto flow_fn = [alpha](std::size_t, const graph::Edge&, double lu,
-                               double lv) { return alpha * (lu - lv); };
-
   StepStats stats;
-  stats.links = g.num_edges();
   if (apply_ == ApplyPath::kLedger) {
-    // Shared ledger-round dispatch (round_context.hpp): fused sequential /
-    // cache-blocked / parallel CSR, all bit-identical.
-    run_ledger_round(ctx, g, load, pool, stats, flow_fn);
+    stats = run_blocked_round(ctx, pool, load, fos_flow(frame));
   } else {
-    compute_edge_flows(g, load, flows, pool, flow_fn);
-    accumulate_flow_totals<double>(flows, stats);
+    // The seed's edge sweep on the materialized view (the oracle).
+    const graph::Graph& g = ctx.graph();
+    std::vector<double>& flows = ctx.arena().flows();
+    compute_edge_flows(g, load, flows, pool, fos_flow(frame));
+    accumulate_flow_totals<double>(graph::TopologyFrame(g), flows, stats);
     apply_edge_sweep(g, flows, load);
   }
+  stats.links = frame.num_edges();
   return stats;
 }
 
 bool FirstOrderScheme::plan_round(RoundContext<double>& ctx,
                                   FlowProgram<double>& program) {
   if (apply_ != ApplyPath::kLedger) return false;
-  // Unmasked frames: frame.max_degree() == graph().max_degree(), so this
-  // is the exact α both step() branches derive.
-  const graph::TopologyFrame& frame = ctx.frame();
-  const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
-  program.links = frame.num_edges();
-  program.flow = [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
-    return alpha * (lu - lv);
-  };
+  program.links = ctx.frame().num_edges();
+  program.flow = fos_flow(ctx.frame());
   return true;
 }
 

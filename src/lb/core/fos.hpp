@@ -18,6 +18,16 @@
 
 namespace lb::core {
 
+/// The first-order-scheme edge flow α·(ℓ_u − ℓ_v), α = 1/(δ+1) over the
+/// frame's (alive) max degree — the one statement of the rule that FOS
+/// and SOS's FOS half run in step() and publish from plan_round().
+inline auto fos_flow(const graph::TopologyFrame& frame) {
+  const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
+  return [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
+    return alpha * (lu - lv);
+  };
+}
+
 class FirstOrderScheme final : public Balancer<double> {
  public:
   explicit FirstOrderScheme(bool parallel = true,
@@ -28,8 +38,7 @@ class FirstOrderScheme final : public Balancer<double> {
   using Balancer<double>::step;
   StepStats step(RoundContext<double>& ctx, std::vector<double>& load) override;
 
-  /// Sharded replay (flow_program.hpp): the FOS edge flow α·(ℓ_u − ℓ_v)
-  /// with α from the frame's (alive) max degree — the identical closure
+  /// Sharded replay (flow_program.hpp): fos_flow, the identical closure
   /// step() runs.  The kEdgeSweep oracle is not planned.
   bool plan_round(RoundContext<double>& ctx,
                   FlowProgram<double>& program) override;

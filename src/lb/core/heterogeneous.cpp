@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "lb/core/diffusion.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/util/assert.hpp"
 #include "lb/util/thread_pool.hpp"
@@ -59,50 +60,22 @@ StepStats HeterogeneousDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& 
   LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
   LB_ASSERT_MSG(speed_.size() == frame.num_nodes(),
                 "speed vector does not match graph");
-  util::ThreadPool* pool = ctx.pool();
-  std::vector<double>& flows = ctx.arena().flows();
-  StepStats stats;
 
-  // The normalized-gap flow of Elsässer–Monien–Preis, on the shared
-  // flow-ledger kernel.  One definition serves both branches: on masked
-  // rounds frame.degree is the mask's alive-degree (= the materialized
-  // subgraph's degree), on unmasked rounds it is the graph's own — the
-  // identical doubles the original inline loop computed either way.
+  // The normalized-gap flow of Elsässer–Monien–Preis on the blocked round.
+  // frame.degree is the mask's alive-degree on masked rounds (= the
+  // materialized subgraph's degree) and the graph's own otherwise — the
+  // identical doubles either way.  The gap times the harmonic speed is
+  // signed, so diffusion_share gives ±⌊|gap|·h/denom⌋ with no branch.
   const auto flow_fn = [this, &frame](std::size_t, const graph::Edge& e, double li,
                                       double lj) {
-    const double ni = li / speed_[e.u];
-    const double nj = lj / speed_[e.v];
-    if (ni == nj) return 0.0;
     const double harmonic =
         2.0 * speed_[e.u] * speed_[e.v] / (speed_[e.u] + speed_[e.v]);
     const double denom =
         4.0 * static_cast<double>(std::max(frame.degree(e.u), frame.degree(e.v)));
-    double w = std::fabs(ni - nj) * harmonic / denom;
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return ni > nj ? w : -w;
+    return diffusion_share<T>((li / speed_[e.u] - lj / speed_[e.v]) * harmonic, denom);
   };
-
-  if (ctx.masked()) {
-    // Masked dynamic round: flows over alive base edges only, CSR keyed
-    // on the base — no materialization, bit-identical to the rebuild path.
-    stats.links = frame.num_edges();
-    run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
-    return stats;
-  }
-
-  const graph::Graph& g = ctx.graph();
-  stats.links = g.num_edges();
-
-  if (pool == nullptr || pool->size() <= 1) {
-    run_fused_sequential_round(g, load, ctx.arena().node_scratch(), stats, flow_fn);
-    return stats;
-  }
-  FlowLedger& ledger = ctx.ledger();
-  compute_edge_flows(g, load, flows, pool, flow_fn);
-  accumulate_flow_totals<T>(flows, stats);
-  apply_flows_observed(ctx, ledger, flows, load, pool);
+  StepStats stats = run_blocked_round(ctx, ctx.pool(), load, flow_fn);
+  stats.links = frame.num_edges();
   return stats;
 }
 

@@ -125,13 +125,11 @@ inline void summary_accumulate(SummaryPartial<T>& p, T v, double average,
   }
 }
 
-/// Incremental mirror of combine_summary_partials: feed partials one at a
-/// time (in chunk-index order) and finish() into a LoadSummary.  The fold
-/// performs the exact operation sequence of the vector combine — seed the
-/// extrema from the first partial, then total/Φ/min/max per partial in
-/// order — so a consumer that folds partials as it produces them (the
-/// cache-blocked round, which never materializes the partial vector) stays
-/// bit-identical to one that collects them all and combines at the end.
+/// Incremental fold of chunk partials: feed them one at a time (in
+/// chunk-index order) and finish() into a LoadSummary — seed the extrema
+/// from the first partial, then total/Φ/min/max per partial in order.
+/// combine_summary_partials is this fold over a vector, so every
+/// consumer combines partials with the one operation sequence.
 template <class T>
 struct SummaryFold {
   void add(const SummaryPartial<T>& p) {
@@ -180,9 +178,11 @@ LoadSummary<T> combine_summary_partials(const std::vector<SummaryPartial<T>>& pa
                                         std::size_t n, double average,
                                         SummaryMode mode);
 
-/// The one fused-sweep template every observed dense sweep in the library
-/// runs on (ledger gather, SOS β-combine, random-partner delta apply, the
-/// simulator's credit superstep, the standalone reduction): call
+/// The fused-sweep template the observed dense sweeps run on (the ledger
+/// gather, SOS β-combine, random-partner delta apply, the simulator's
+/// credit superstep, the standalone reduction; the blocked round folds
+/// its chunks with the same summary_begin/summary_accumulate sequence):
+/// call
 /// `value_fn(i)` exactly once for every i in [0, n), chunk-by-chunk on
 /// `pool`, accumulating each returned value into the deterministic
 /// reduction as it is produced.  value_fn performs the sweep's own store

@@ -4,10 +4,12 @@
 // access to the thread pool or reusable scratch, so each balancer
 // re-plumbed its own (flow buffers, snapshots, CSR ledgers).  The context
 // bundles the per-round view (graph + rng + pool) with the per-run
-// resources (scratch arena + shared flow ledger keyed on the graph's
-// topology epoch), and carries the engine's fused-summary request so the
-// metrics sweep can ride inside the apply phase instead of being a second
-// sequential O(n) pass.  See DESIGN.md §3 for the contract.
+// resources (scratch arena + the blocked round's plan and the flow ledger,
+// keyed on the graph's topology epoch), and carries the engine's
+// fused-summary request so the metrics sweep can ride inside the apply
+// phase instead of being a second sequential O(n) pass.  See DESIGN.md §3
+// for the contract.  The file ends with the one all-edges round every
+// edge-flow balancer runs (run_blocked_round, DESIGN.md §9.2).
 //
 // Ownership model:
 //   * RunArena<T> lives for a whole run (the engine owns one per run; the
@@ -18,6 +20,7 @@
 //     constructed fresh each round (dynamic sequences swap the graph).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -36,71 +39,52 @@ class SpectralCache;
 namespace lb::core {
 
 /// Per-run reusable state shared by every round: scratch buffers sized
-/// lazily by the balancers that use them, plus the flow-ledger CSR view,
-/// which re-keys itself on graph::Graph::revision() (the topology epoch)
-/// so dynamic sequences rebuild it exactly when the topology changes.
+/// lazily by the balancers that use them, plus the blocked round's plan
+/// and the flow-ledger CSR view, both re-keyed on graph::Graph::revision()
+/// (the topology epoch) so dynamic sequences rebuild them exactly when
+/// the topology changes.
 ///
 /// An arena may also outlive a run: Engine::run's caller-owned-arena
-/// overload lets back-to-back runs share one, in which case the CSR
-/// (revision-keyed) survives across runs on the same base — the campaign
-/// layer's per-cell amortization (lb/exp/, DESIGN.md §6).  That reuse is
-/// sound because nothing here is trajectory state: every buffer is
-/// (re)assigned before it is read within a round.
+/// overload lets back-to-back runs share one, in which case the
+/// revision-keyed indexes survive across runs on the same base — the
+/// campaign layer's per-cell amortization (lb/exp/, DESIGN.md §6).  That
+/// reuse is sound because nothing here is trajectory state: every buffer
+/// is (re)assigned before it is read within a round.
 template <class T>
 class RunArena {
  public:
   /// Per-edge signed flow buffer (positive moves load u -> v).
   std::vector<double>& flows() { return flows_; }
-  /// Per-node T scratch (round-start snapshots, per-node deltas).
-  /// Handing the buffer out invalidates the blocked round's cross-round
-  /// snapshot cache: any caller of this accessor may clobber it.
-  std::vector<T>& node_scratch() {
-    snapshot_ready_ = false;
-    return node_scratch_;
-  }
+  /// Per-node T scratch: the blocked round's output buffer (swapped with
+  /// the load vector every round), random-partner deltas.
+  std::vector<T>& node_scratch() { return node_scratch_; }
   /// Per-node flag scratch (e.g. async activation sets).
   std::vector<std::uint8_t>& node_flags() { return node_flags_; }
   /// Per-chunk partial buffer for the deterministic summary reductions
-  /// (fused_sweep_with_summary's scratch overload) — kept here so
-  /// steady-state rounds perform zero transient allocations.
+  /// (fused_sweep_with_summary's scratch overload, the blocked round) —
+  /// kept here so steady-state rounds perform zero transient allocations.
   std::vector<SummaryPartial<T>>& summary_parts() { return summary_parts_; }
+  /// Per-chunk StepStats partials of the blocked round.
+  std::vector<StepStats>& chunk_stats() { return chunk_stats_; }
+  /// The blocked round's (base revision, width)-keyed index.
+  BlockedRoundPlan& round_plan() { return round_plan_; }
   /// The shared CSR incident-edge view; callers go through
   /// RoundContext::ledger(), which ensure()s it against the round's graph.
   FlowLedger& ledger() { return ledger_; }
 
-  /// The blocked fused round's snapshot cache (DESIGN.md §9).  It is the
-  /// same buffer as node_scratch(), but accessed WITHOUT dropping the
-  /// validity flag: when snapshot_ready() is true the buffer holds a
-  /// byte-accurate copy of the run's load vector as the previous blocked
-  /// round left it, so the next blocked round skips its O(n) round-start
-  /// copy.  The contract is invalidation-by-default — every other user
-  /// of the buffer (node_scratch()) and every code path that mutates the
-  /// load vector outside a blocked round (run start, sharded halo
-  /// rounds, the legacy step() shim) clears the flag, and only a
-  /// completed blocked round sets it.
-  std::vector<T>& snapshot_scratch() { return node_scratch_; }
-  bool snapshot_ready() const { return snapshot_ready_; }
-  void set_snapshot_ready(bool ready) { snapshot_ready_ = ready; }
-  /// Call after any load mutation the blocked round did not see.
-  void invalidate_snapshot() { snapshot_ready_ = false; }
-
-  /// Pre-size every per-run buffer for an n-node / m-edge topology so the
-  /// first round allocates nothing either (the allocation audit's
-  /// warm-start hook; bench_scale calls this before its counted region).
-  void reserve_for(std::size_t num_nodes, std::size_t num_edges) {
-    flows_.reserve(num_edges);
-    node_scratch_.reserve(num_nodes);
-    node_flags_.reserve(num_nodes);
-    summary_parts_.reserve(summary_chunk_count(num_nodes));
-  }
+  /// No-op.  Rounds once cached the load vector across calls and callers
+  /// had to drop that cache after mutating loads; the blocked round reads
+  /// only the load it is handed, so there is nothing left to invalidate.
+  void invalidate_snapshot() {}
 
  private:
   std::vector<double> flows_;
   std::vector<T> node_scratch_;
   std::vector<std::uint8_t> node_flags_;
   std::vector<SummaryPartial<T>> summary_parts_;
+  std::vector<StepStats> chunk_stats_;
+  BlockedRoundPlan round_plan_;
   FlowLedger ledger_;
-  bool snapshot_ready_ = false;
 };
 
 template <class T>
@@ -137,9 +121,6 @@ class RoundContext {
   /// Balancers configured sequential (e.g. DiffusionConfig::parallel ==
   /// false) ignore it.
   util::ThreadPool* pool() const { return pool_; }
-  std::size_t workers() const { return pool_ == nullptr ? 1 : pool_->size(); }
-  /// True when parallel kernels are worth engaging.
-  bool parallel() const { return workers() > 1; }
 
   RunArena<T>& arena() { return *arena_; }
 
@@ -153,18 +134,9 @@ class RoundContext {
 
   /// The shared flow ledger, rebuilt iff its epoch differs from the
   /// round's graph.  Returns a view valid for graph() — on masked rounds
-  /// this materializes; mask-aware balancers use frame_ledger().
+  /// this materializes.
   FlowLedger& ledger() {
     arena_->ledger().ensure(frame_->view());
-    return arena_->ledger();
-  }
-
-  /// The shared flow ledger keyed on the frame's *base* graph: built
-  /// once per base revision and reused across every mask revision — the
-  /// masked substrate's whole point.  Valid for FlowLedger's frame
-  /// overloads (and for plain apply on unmasked frames).
-  FlowLedger& frame_ledger() {
-    arena_->ledger().ensure(*frame_);
     return arena_->ledger();
   }
 
@@ -209,7 +181,7 @@ class RoundContext {
   LoadSummary<T> summary_{};
 };
 
-/// The shared tail of every ledger-based round: apply `flows` through
+/// Dimension exchange's dense-matching tail: apply `flows` through
 /// `ledger`, riding the fused deterministic summary inside the gather
 /// when the engine requested one (and publishing it), plain apply
 /// otherwise.  `ledger` must already be valid for ctx.graph().
@@ -228,96 +200,131 @@ inline void apply_flows_observed(RoundContext<T>& ctx, FlowLedger& ledger,
   }
 }
 
-/// Masked-frame variant: `ledger` must be valid for the frame's base
-/// graph (ctx.frame_ledger()); dead edges are skipped inside the apply.
-template <class T>
-inline void apply_flows_observed(RoundContext<T>& ctx, FlowLedger& ledger,
-                                 const graph::TopologyFrame& frame,
-                                 const std::vector<double>& flows,
-                                 std::vector<T>& load, util::ThreadPool* pool) {
-  if (ctx.summary_requested()) {
-    LoadSummary<T> summary;
-    ledger.apply_with_summary(frame, flows, load, pool, ctx.summary_average(),
-                              ctx.summary_mode(), ctx.arena().summary_parts(),
-                              summary);
-    ctx.publish_summary(summary);
+namespace detail {
+
+// The block tasks of run_blocked_round_into, instantiated once per mask
+// state so unmasked rounds carry no liveness test.  `parts` is null when
+// no summary is folded.
+template <bool kMasked, class T, class FlowFn>
+void sweep_blocks(const graph::TopologyFrame& frame, const BlockedRoundPlan& plan,
+                  util::ThreadPool* pool, const std::vector<T>& load,
+                  std::vector<T>& out, StepStats* stats, SummaryPartial<T>* parts,
+                  double average, SummaryMode mode, const FlowFn& flow_fn) {
+  const auto& edges = frame.base().edges();
+  const graph::EdgeMask* mask = frame.mask();
+  const auto flow = [&edges, &load, &flow_fn](std::size_t k) {
+    const graph::Edge& e = edges[k];
+    return flow_fn(k, e, static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
+  };
+  util::for_fixed_chunks(
+      pool, load.size(), plan.width(),
+      [&](std::size_t b, std::size_t lo, std::size_t hi) {
+        std::copy_n(load.data() + lo, hi - lo, out.data() + lo);
+        for (const std::uint32_t k : plan.cut_edges(b)) {
+          if (kMasked && !mask->alive(k)) continue;
+          add_flow(out[edges[k].v], flow(k));
+        }
+        T outside{};  // absorbs the e.v share of edges leaving the block
+        for (std::size_t c = lo / kSummaryChunkWidth; c * kSummaryChunkWidth < hi; ++c) {
+          StepStats s;
+          const std::size_t k_end = plan.chunk_begin(c + 1);
+          for (std::size_t k = plan.chunk_begin(c); k < k_end; ++k) {
+            if (kMasked && !mask->alive(k)) continue;
+            const graph::Edge& e = edges[k];
+            const double f = flow(k);
+            add_flow(out[e.u], -f);
+            add_flow(e.v < hi ? out[e.v] : outside, f);
+            count_flow<T>(s, f);
+          }
+          stats[c] = s;
+          if (parts == nullptr) continue;
+          // Every edge touching chunk c has its lower endpoint at or
+          // before the chunk, so its nodes are final here.
+          const std::size_t clo = c * kSummaryChunkWidth;
+          const std::size_t chi = std::min(clo + kSummaryChunkWidth, hi);
+          SummaryPartial<T> p;
+          summary_begin(p, out[clo]);
+          for (std::size_t u = clo; u < chi; ++u) {
+            summary_accumulate(p, out[u], average, mode);
+          }
+          parts[c] = p;
+        }
+      });
+}
+
+}  // namespace detail
+
+/// The one all-edges round (DESIGN.md §9.2): writes the round's loads
+/// into `out` from the round-start `load`, for every pool size, block
+/// width and mask.  Nodes are cut into blocks of blocked_round_width()
+/// nodes (a single block when the width is 0), each one for_fixed_chunks
+/// task that
+///   1. seeds out[lo,hi) from the round-start loads;
+///   2. applies its incoming cut edges — edges of earlier blocks whose v
+///      lies in the block — in ascending edge order, each flow recomputed
+///      from the round-start loads;
+///   3. sweeps its own edges (u in the block) in ascending order, each
+///      flow going to e.u and, when v lies in the block, to e.v;
+///   4. folds each summary chunk's Φ/K partial, and its StepStats
+///      partial, as soon as the chunk's nodes are final.
+/// Every node receives the same ±flows in ascending edge order — a
+/// block's cut edges have lower ids than its own — computed from
+/// round-start values, so `out` is bit-identical to the seed's edge sweep
+/// at every pool size, block width and mask.  A block writes only
+/// out[lo,hi) and its own chunks' partials, so blocks need no
+/// synchronization.  StepStats follow the fixed-chunk contract
+/// (fold_chunk_stats); `stats.links` is left to the caller.  With
+/// `observe` set, a summary the engine requested is folded over `out`
+/// and published — pass it only when `out` is the round's final load.
+/// `flow_fn(k, e, lu, lv)` must be pure in its inputs.
+template <class T, class FlowFn>
+StepStats run_blocked_round_into(RoundContext<T>& ctx, util::ThreadPool* pool,
+                                 const std::vector<T>& load, std::vector<T>& out,
+                                 bool observe, const FlowFn& flow_fn) {
+  const graph::TopologyFrame& frame = ctx.frame();
+  const std::size_t n = frame.num_nodes();
+  LB_ASSERT_MSG(load.size() == n, "load vector does not match graph");
+  LB_ASSERT_MSG(&load != &out, "the blocked round cannot run in place");
+  RunArena<T>& arena = ctx.arena();
+  const std::size_t chunks = summary_chunk_count(n);
+  const std::size_t width = blocked_round_width();
+  BlockedRoundPlan& plan = arena.round_plan();
+  plan.ensure(frame.base(), width != 0 ? width : chunks * kSummaryChunkWidth);
+
+  out.resize(n);
+  std::vector<StepStats>& stats = arena.chunk_stats();
+  stats.resize(chunks);
+  const bool summarize = observe && ctx.summary_requested();
+  std::vector<SummaryPartial<T>>& parts = arena.summary_parts();
+  if (summarize) parts.resize(chunks);
+  SummaryPartial<T>* parts_out = summarize ? parts.data() : nullptr;
+  const double average = ctx.summary_average();
+  const SummaryMode mode = ctx.summary_mode();
+  if (frame.masked()) {
+    detail::sweep_blocks<true>(frame, plan, pool, load, out, stats.data(), parts_out,
+                               average, mode, flow_fn);
   } else {
-    ledger.apply(frame, flows, load, pool);
+    detail::sweep_blocks<false>(frame, plan, pool, load, out, stats.data(), parts_out,
+                                average, mode, flow_fn);
   }
+
+  StepStats total;
+  for (const StepStats& s : stats) fold_chunk_stats(total, s);
+  if (summarize) ctx.publish_summary(combine_summary_partials(parts, n, average, mode));
+  return total;
 }
 
-/// The shared masked ledger round (diffusion, FOS, async, heterogeneous):
-/// a single worker takes the fused one-pass masked sweep; otherwise the
-/// flows are filled over alive base edges, totalled, and applied through
-/// the base-keyed CSR with the fused summary riding the gather.  There is
-/// exactly one copy of this dispatch so the bit-identity contract cannot
-/// drift apart between balancers.  (SOS applies into a scratch vector and
-/// fuses its summary into the β-combine instead, so it stays bespoke.)
+/// run_blocked_round_into with the arena's node scratch as the output,
+/// swapped into `load` afterwards — so a round may hand the caller's
+/// vector a different buffer.  The round's final load is `load` itself,
+/// so a requested summary is always published.
 template <class T, class FlowFn>
-inline void run_masked_ledger_round(RoundContext<T>& ctx,
-                                    const graph::TopologyFrame& frame,
-                                    std::vector<T>& load, util::ThreadPool* pool,
-                                    StepStats& stats, FlowFn&& flow_fn) {
-  if (pool == nullptr || pool->size() <= 1) {
-    const std::size_t width = blocked_round_width();
-    if (width != 0 && ctx.summary_requested()) {
-      // Cache-blocked fused round (DESIGN.md §9): apply + summary per
-      // L2-sized node block, bit-identical to the flat path below at
-      // every block width.  Engaged only when the engine wants a summary —
-      // without one the flat masked sweep already makes a single pass.
-      // Deliberately does NOT touch ctx.frame_ledger(): the sweep needs
-      // no CSR, so the ledger build is skipped entirely on this path.
-      RunArena<T>& arena = ctx.arena();
-      const bool ready = arena.snapshot_ready();
-      arena.set_snapshot_ready(false);  // never leave a stale claim mid-round
-      ctx.publish_summary(run_blocked_fused_round<T>(
-          frame, load, arena.snapshot_scratch(), ready, ctx.summary_average(),
-          ctx.summary_mode(), stats, width, flow_fn));
-      arena.set_snapshot_ready(true);
-      return;
-    }
-    run_fused_sequential_round_masked(frame, load, ctx.arena().node_scratch(),
-                                      stats, flow_fn);
-    return;
-  }
-  FlowLedger& ledger = ctx.frame_ledger();  // CSR keyed on the base graph
-  ctx.arena().invalidate_snapshot();  // parallel apply mutates load directly
-  std::vector<double>& flows = ctx.arena().flows();
-  compute_edge_flows_masked(frame, load, flows, pool, flow_fn);
-  accumulate_flow_totals_masked<T>(frame, flows, stats);
-  apply_flows_observed(ctx, ledger, frame, flows, load, pool);
-}
-
-/// Unmasked counterpart of run_masked_ledger_round, shared by the ported
-/// balancers' kLedger paths (diffusion, FOS): one copy of the
-/// single-worker / blocked / parallel dispatch so the bit-identity
-/// contract cannot drift between balancers.  `g` must be ctx.graph().
-template <class T, class FlowFn>
-inline void run_ledger_round(RoundContext<T>& ctx, const graph::Graph& g,
-                             std::vector<T>& load, util::ThreadPool* pool,
-                             StepStats& stats, FlowFn&& flow_fn) {
-  if (pool == nullptr || pool->size() <= 1) {
-    const std::size_t width = blocked_round_width();
-    if (width != 0 && ctx.summary_requested()) {
-      RunArena<T>& arena = ctx.arena();
-      const bool ready = arena.snapshot_ready();
-      arena.set_snapshot_ready(false);  // never leave a stale claim mid-round
-      ctx.publish_summary(run_blocked_fused_round<T>(
-          g, load, arena.snapshot_scratch(), ready, ctx.summary_average(),
-          ctx.summary_mode(), stats, width, flow_fn));
-      arena.set_snapshot_ready(true);
-      return;
-    }
-    run_fused_sequential_round(g, load, ctx.arena().node_scratch(), stats,
-                               flow_fn);
-    return;
-  }
-  FlowLedger& ledger = ctx.ledger();
-  ctx.arena().invalidate_snapshot();  // parallel apply mutates load directly
-  std::vector<double>& flows = ctx.arena().flows();
-  compute_edge_flows(g, load, flows, pool, flow_fn);
-  accumulate_flow_totals<T>(flows, stats);
-  apply_flows_observed(ctx, ledger, flows, load, pool);
+StepStats run_blocked_round(RoundContext<T>& ctx, util::ThreadPool* pool,
+                            std::vector<T>& load, const FlowFn& flow_fn) {
+  std::vector<T>& next = ctx.arena().node_scratch();
+  const StepStats stats = run_blocked_round_into(ctx, pool, load, next, true, flow_fn);
+  load.swap(next);
+  return stats;
 }
 
 }  // namespace lb::core

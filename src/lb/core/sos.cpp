@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "lb/core/flow_program.hpp"
+#include "lb/core/fos.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/linalg/spectral.hpp"
 #include "lb/linalg/spectral_cache.hpp"
@@ -43,7 +44,6 @@ double SecondOrderScheme::optimal_beta(double gamma) {
 StepStats SecondOrderScheme::step(RoundContext<double>& ctx,
                                   std::vector<double>& load) {
   const graph::TopologyFrame& frame = ctx.frame();
-  const bool masked = ctx.masked() && apply_ == ApplyPath::kLedger;
   LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
   if (!beta_) {
     // γ needs the full spectral machinery; on a masked round this
@@ -51,52 +51,24 @@ StepStats SecondOrderScheme::step(RoundContext<double>& ctx,
     // the rebuild path computes.  Dynamic runs normally pass β explicitly.
     beta_ = optimal_beta(round_gamma(ctx));
   }
-  const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
   util::ThreadPool* pool = parallel_ ? ctx.pool() : nullptr;
-  std::vector<double>& flows = ctx.arena().flows();
 
-  // scratch = M·load via the flow-ledger kernel: the FOS edge flows
-  // α·(ℓ_u − ℓ_v) applied to a copy of the snapshot.
-  const auto flow_fn = [alpha](std::size_t, const graph::Edge&, double lu,
-                               double lv) { return alpha * (lu - lv); };
-
+  // scratch = M·load: the FOS edge flows α·(ℓ_u − ℓ_v) applied to the
+  // round-start loads, written into SOS's own buffer — `load` stays L^t
+  // for the β-combine below, so the round publishes no summary.
   StepStats stats;
-  stats.links = frame.num_edges();
-  if (masked) {
-    // Masked dynamic round: flows over alive base edges, CSR keyed on
-    // the base — no materialization, bit-identical to the rebuild path.
-    if (pool == nullptr || pool->size() <= 1) {
-      scratch_ = load;
-      run_fused_sequential_round_masked(frame, scratch_, ctx.arena().node_scratch(),
-                                        stats, flow_fn);
-    } else {
-      FlowLedger& ledger = ctx.frame_ledger();
-      compute_edge_flows_masked(frame, load, flows, pool, flow_fn);
-      accumulate_flow_totals_masked<double>(frame, flows, stats);
-      scratch_ = load;
-      ledger.apply(frame, flows, scratch_, pool);
-    }
-  } else if (apply_ == ApplyPath::kLedger) {
-    const graph::Graph& g = ctx.graph();
-    if (pool == nullptr || pool->size() <= 1) {
-      // The fused path never reads the CSR view; don't build it.
-      scratch_ = load;
-      run_fused_sequential_round(g, scratch_, ctx.arena().node_scratch(), stats,
-                                 flow_fn);
-    } else {
-      FlowLedger& ledger = ctx.ledger();
-      compute_edge_flows(g, load, flows, pool, flow_fn);
-      accumulate_flow_totals<double>(flows, stats);
-      scratch_ = load;
-      ledger.apply(g, flows, scratch_, pool);
-    }
+  if (apply_ == ApplyPath::kLedger) {
+    stats = run_blocked_round_into(ctx, pool, load, scratch_, /*observe=*/false,
+                                   fos_flow(frame));
   } else {
     const graph::Graph& g = ctx.graph();
-    compute_edge_flows(g, load, flows, pool, flow_fn);
-    accumulate_flow_totals<double>(flows, stats);
+    std::vector<double>& flows = ctx.arena().flows();
+    compute_edge_flows(g, load, flows, pool, fos_flow(frame));
+    accumulate_flow_totals<double>(graph::TopologyFrame(g), flows, stats);
     scratch_ = load;
     apply_edge_sweep(g, flows, scratch_);
   }
+  stats.links = frame.num_edges();
 
   if (!have_prev_) {
     // First round is a plain FOS step.
@@ -149,11 +121,8 @@ bool SecondOrderScheme::plan_round(RoundContext<double>& ctx,
     // materializes the cached view, identical to the stepped run.
     beta_ = optimal_beta(round_gamma(ctx));
   }
-  const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
   program.links = frame.num_edges();
-  program.flow = [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
-    return alpha * (lu - lv);
-  };
+  program.flow = fos_flow(frame);
   if (!have_prev_) {
     // First round is a plain FOS step: the applied value stands, and the
     // round-start load becomes L^{t-1} (step()'s prev_ = load copy).

@@ -159,14 +159,10 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx,
   });
   rt.comm.deliver();
 
-  // Round totals, centrally at the barrier: the same edge-order
-  // accumulation the shared-memory paths use, so StepStats — a
-  // left-to-right double sum — cannot depend on the domain split.
-  if (masked) {
-    core::accumulate_flow_totals_masked<T>(frame, flows, stats);
-  } else {
-    core::accumulate_flow_totals<T>(flows, stats);
-  }
+  // Round totals, centrally at the barrier: the fixed-chunk fold the
+  // shared-memory round uses, so StepStats cannot depend on the domain
+  // split.
+  core::accumulate_flow_totals<T>(frame, flows, stats);
 
   // Phase C1: unpack received boundary flows.  A separate phase from the
   // gathers below so no domain reads a slot another is still writing.
@@ -191,9 +187,9 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx,
   });
 
   // Phase C2: domain-local apply sweeps.  Each owned node's row walk is
-  // FlowLedger::gather_node(_masked) verbatim — ascending incident base
-  // edges, identical skip/cast/accumulate rules — so the loads land bit
-  // for bit on the oracle's.
+  // the FlowLedger gather restricted to alive edges — ascending incident
+  // base edges, identical skip/cast/accumulate rules — so the loads land
+  // bit for bit on the oracle's.
   for_each_domain(pool, K, [&](std::size_t d) {
     const DomainPlan& plan = rt.halo.plan(d);
     for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
@@ -484,7 +480,6 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
           workload::apply_stream_delta_owned(delta, load, owner,
                                              static_cast<std::uint32_t>(d));
         });
-        arena.invalidate_snapshot();  // blocked-round load cache is stale
         delta_applied = true;
         const T net = applied.net();
         if (net != T{}) {
@@ -524,10 +519,6 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
       }
       stats = matching ? step_matching(ctx, program, load, rt, pool)
                        : step_all_edges(ctx, program, load, rt, pool);
-      // The sharded kernels mutate `load` without going through the
-      // blocked round, so a later shared-memory step() in this loop must
-      // not trust the arena's snapshot cache.
-      arena.invalidate_snapshot();
       if (checking) {
         const std::vector<sim::CommTotals> after = snapshot_totals();
         check::check_comm_accounting(expected, before, after, round);
@@ -614,7 +605,8 @@ template <class T>
 core::RunResult run_static(core::Balancer<T>& balancer, const graph::Graph& g,
                            std::vector<T>& load, const core::EngineConfig& config,
                            const ShardConfig& shard) {
-  auto seq = graph::make_static_sequence(g);
+  // Non-owning: `g` outlives the run, so the graph is never copied.
+  auto seq = graph::make_static_view(g);
   return run(balancer, *seq, load, config, shard);
 }
 

@@ -149,26 +149,6 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-void for_fixed_chunks(
-    ThreadPool* pool, std::size_t n, std::size_t width,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk_fn) {
-  if (n == 0) return;
-  width = std::max<std::size_t>(1, width);
-  const std::size_t chunks = (n + width - 1) / width;
-  auto run_range = [&chunk_fn, n, width](std::size_t first, std::size_t last) {
-    for (std::size_t c = first; c < last; ++c) {
-      const std::size_t lo = c * width;
-      const std::size_t hi = std::min(n, lo + width);
-      chunk_fn(c, lo, hi);
-    }
-  };
-  if (pool == nullptr || pool->size() <= 1 || chunks == 1) {
-    run_range(0, chunks);
-    return;
-  }
-  pool->parallel_for(0, chunks, 1, run_range);
-}
-
 void parallel_for_each(std::size_t n, std::size_t grain,
                        const std::function<void(std::size_t)>& fn) {
   ThreadPool::global().parallel_for(0, n, grain, [&fn](std::size_t lo, std::size_t hi) {

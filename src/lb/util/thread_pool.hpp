@@ -94,8 +94,30 @@ void parallel_for_each(std::size_t n, std::size_t grain,
 /// partial results combined in chunk-index order are bit-identical for
 /// every pool size.  Contrast parallel_for, whose range splits depend on
 /// size() and therefore must only be used for order-independent writes.
-void for_fixed_chunks(
-    ThreadPool* pool, std::size_t n, std::size_t width,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& chunk_fn);
+///
+/// A template so the inline path calls chunk_fn directly: no
+/// std::function is built, so single-worker sweeps allocate nothing
+/// however much their lambda captures.  The pool path hands parallel_for
+/// a one-reference closure, which fits std::function's inline buffer.
+template <class ChunkFn>
+void for_fixed_chunks(ThreadPool* pool, std::size_t n, std::size_t width,
+                      ChunkFn&& chunk_fn) {
+  if (n == 0) return;
+  if (width == 0) width = 1;
+  const std::size_t chunks = (n + width - 1) / width;
+  const auto run_range = [&chunk_fn, n, width](std::size_t first, std::size_t last) {
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t lo = c * width;
+      chunk_fn(c, lo, lo + width < n ? lo + width : n);
+    }
+  };
+  if (pool == nullptr || pool->size() <= 1 || chunks == 1) {
+    run_range(0, chunks);
+    return;
+  }
+  pool->parallel_for(0, chunks, 1, [&run_range](std::size_t first, std::size_t last) {
+    run_range(first, last);
+  });
+}
 
 }  // namespace lb::util

@@ -1,0 +1,157 @@
+// Steady-state allocation audit (DESIGN.md §9.4): an engine round at pool
+// 1 must not touch the heap.  This binary replaces the global operator
+// new with a counting hook — which is why it is a binary of its own —
+// runs each balancer for R and for 2R rounds, and requires both runs to
+// allocate exactly as often: per-run setup cancels, so any difference is
+// an allocation made by the rounds themselves.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "lb/core/diffusion.hpp"
+#include "lb/core/engine.hpp"
+#include "lb/core/fos.hpp"
+#include "lb/core/sos.hpp"
+#include "lb/graph/dynamic.hpp"
+#include "lb/graph/generators.hpp"
+#include "lb/util/rng.hpp"
+#include "lb/util/thread_pool.hpp"
+#include "lb/workload/initial.hpp"
+
+namespace {
+std::atomic<long long> g_allocs{0};
+std::atomic<bool> g_counting{false};
+}  // namespace
+
+// GCC flags free() on memory from operator new once these replacements
+// are inlined into a new/delete pair, but here they are that pair.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+namespace {
+
+using lb::graph::Graph;
+
+/// Serves one fixed masked frame every round: the mask never changes
+/// after construction, so frame bookkeeping allocates nothing and every
+/// allocation the audit sees belongs to the round.
+class FixedMaskSequence final : public lb::graph::GraphSequence {
+ public:
+  explicit FixedMaskSequence(const Graph& base) : mask_(base), frame_(mask_) {
+    for (std::size_t k = 0; k < base.num_edges(); k += 3) mask_.set_alive(k, false);
+    mask_.commit();
+  }
+  std::size_t num_nodes() const override { return mask_.base().num_nodes(); }
+  const lb::graph::TopologyFrame& frame_at(std::size_t) override { return frame_; }
+  void reset() override {}
+  std::string name() const override { return "fixed-mask"; }
+
+ private:
+  lb::graph::EdgeMask mask_;
+  lb::graph::TopologyFrame frame_;
+};
+
+template <class T>
+using MakeBalancer = std::function<std::unique_ptr<lb::core::Balancer<T>>()>;
+
+/// Heap allocations of one pool-1 engine run of `rounds` rounds.  The
+/// pool, balancer and load copy are made before the hook is armed.
+template <class T>
+long long count_run(const MakeBalancer<T>& make, lb::graph::GraphSequence& seq,
+                    const std::vector<T>& load0, std::size_t rounds) {
+  lb::util::ThreadPool pool(1);
+  lb::core::EngineConfig cfg;
+  cfg.max_rounds = rounds;
+  cfg.target_potential = 0.0;
+  cfg.stall_rounds = 0;
+  cfg.record_trace = false;
+  cfg.pool = &pool;
+  auto balancer = make();
+  std::vector<T> load = load0;
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  const lb::core::RunResult result = lb::core::run(*balancer, seq, load, cfg);
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_EQ(result.rounds, rounds);
+  return g_allocs.load(std::memory_order_relaxed);
+}
+
+/// Zero allocations per steady-state round, unmasked and masked.
+template <class T>
+void expect_round_allocation_free(const MakeBalancer<T>& make, const std::vector<T>& load0,
+                                  const Graph& g) {
+  constexpr std::size_t kRounds = 12;
+  auto stat = lb::graph::make_static_view(g);
+  FixedMaskSequence masked(g);
+  for (lb::graph::GraphSequence* seq :
+       {static_cast<lb::graph::GraphSequence*>(stat.get()),
+        static_cast<lb::graph::GraphSequence*>(&masked)}) {
+    SCOPED_TRACE(seq->name());
+    const long long short_run = count_run<T>(make, *seq, load0, kRounds);
+    const long long long_run = count_run<T>(make, *seq, load0, 2 * kRounds);
+    EXPECT_EQ(long_run, short_run) << (long_run - short_run) << " allocations in "
+                                   << kRounds << " extra rounds";
+  }
+}
+
+/// n = 4096: four summary chunks, so every fixed-chunk path runs more
+/// than one chunk.
+Graph audit_graph() { return lb::graph::make_torus2d(64, 64); }
+
+std::vector<double> real_load(std::size_t n) {
+  lb::util::Rng rng(5);
+  return lb::workload::bimodal<double>(n, 1000.0 * static_cast<double>(n), rng);
+}
+
+TEST(AllocAuditTest, DiffusionContinuousRoundsDoNotAllocate) {
+  const Graph g = audit_graph();
+  expect_round_allocation_free<double>(
+      [] { return lb::core::make_diffusion_continuous(); }, real_load(g.num_nodes()), g);
+}
+
+TEST(AllocAuditTest, DiffusionDiscreteRoundsDoNotAllocate) {
+  const Graph g = audit_graph();
+  lb::util::Rng rng(7);
+  const auto load0 = lb::workload::uniform_random<std::int64_t>(
+      g.num_nodes(), static_cast<std::int64_t>(1000 * g.num_nodes()), rng);
+  expect_round_allocation_free<std::int64_t>(
+      [] { return lb::core::make_diffusion_discrete(); }, load0, g);
+}
+
+TEST(AllocAuditTest, FosRoundsDoNotAllocate) {
+  const Graph g = audit_graph();
+  expect_round_allocation_free<double>([] { return lb::core::make_fos_continuous(); },
+                                       real_load(g.num_nodes()), g);
+}
+
+TEST(AllocAuditTest, SosRoundsDoNotAllocate) {
+  const Graph g = audit_graph();
+  expect_round_allocation_free<double>([] { return lb::core::make_sos(1.5); },
+                                       real_load(g.num_nodes()), g);
+}
+
+}  // namespace

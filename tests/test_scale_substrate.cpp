@@ -1,13 +1,18 @@
 // Property tests for the million-node substrate (DESIGN.md §9): the
-// cache-blocked fused round must be bit-identical to the flat (unblocked)
-// oracle at every block width, pool size, mask state, and shard count;
-// the width-adaptive index storage must produce identical graphs and runs
-// in narrow (uint32) and forced-wide (uint64) modes; the streaming
-// generator builds must equal their add_edge counterparts exactly; and
-// the linalg scale guard must degrade deterministically.
+// blocked round must be bit-identical to its oracles — the single-block
+// round and the seed's edge sweep — at every block width, pool size, mask
+// state, and shard count, on regular graphs and on irregular ones where
+// most edges cross blocks; StepStats::transferred must follow the
+// fixed-chunk contract; the width-adaptive index storage must produce
+// identical graphs and runs in narrow (uint32) and forced-wide (uint64)
+// modes; the streaming generator builds must equal their add_edge
+// counterparts exactly; and the linalg scale guard must degrade
+// deterministically.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -77,33 +82,39 @@ void expect_identical(const RunResult& oracle, const RunResult& other,
 }
 
 template <class T>
+using MakeBalancer = std::function<std::unique_ptr<lb::core::Balancer<T>>()>;
+
+template <class T>
 struct Case {
   std::string name;
-  std::function<std::unique_ptr<lb::core::Balancer<T>>()> make;
+  MakeBalancer<T> make;
+  /// The oracle configuration; empty means `make` run as a single block.
+  MakeBalancer<T> oracle = nullptr;
 };
 
-/// Run one (balancer, sequence, load) cell with blocking disabled, then
-/// replay it across every width in `widths` × pools {1, 2, hw} and — when
-/// `shards` is nonempty — through the sharded engine, asserting bitwise
-/// equality of results and final loads throughout.
+/// Run one (balancer, sequence, load) cell through its oracle — the
+/// case's oracle configuration, or the single-block round — at pool 1,
+/// then replay it across every width in `widths` × pools {1, 2, hw} and —
+/// when `shards` is nonempty — through the sharded engine, asserting
+/// bitwise equality of results and final loads throughout.
 template <class T>
 void sweep_widths(const std::vector<Case<T>>& cases,
                   const std::function<std::unique_ptr<lb::graph::GraphSequence>()>& seq,
                   const std::vector<T>& load0, const std::vector<long long>& widths,
-                  const std::vector<std::size_t>& shards, const std::string& seq_label) {
+                  const std::vector<std::size_t>& shards, const std::string& seq_label,
+                  std::size_t rounds = 40) {
   EngineConfig cfg;
-  cfg.max_rounds = 40;
+  cfg.max_rounds = rounds;
   cfg.target_potential = 0.0;
   cfg.record_trace = true;
   for (const Case<T>& c : cases) {
-    // Flat oracle: blocking disabled, sequential single-worker run.
     RunResult oracle;
     std::vector<T> oracle_load = load0;
     {
-      BlockWidthGuard flat(0);
+      BlockWidthGuard single_block(0);
       lb::util::ThreadPool pool(1);
       cfg.pool = &pool;
-      auto alg = c.make();
+      auto alg = c.oracle ? c.oracle() : c.make();
       auto s = seq();
       oracle = lb::core::run(*alg, *s, oracle_load, cfg);
     }
@@ -155,7 +166,7 @@ std::vector<long long> randomized_widths(std::uint64_t seed, std::size_t count) 
   return widths;
 }
 
-// --------------------------------------------------- blocked ≡ unblocked
+// ------------------------------------------------ blocked ≡ single block
 
 TEST(BlockedRoundTest, ContinuousStaticMatchesFlatOracle) {
   const Graph g = lb::graph::make_torus2d(12, 11);
@@ -198,7 +209,7 @@ TEST(BlockedRoundTest, MaskedDynamicMatchesFlatOracle) {
 TEST(BlockedRoundTest, WidthPolicyRoundsUpToChunkMultiples) {
   {
     BlockWidthGuard guard(0);
-    EXPECT_EQ(lb::core::blocked_round_width(), 0u);  // 0 disables blocking
+    EXPECT_EQ(lb::core::blocked_round_width(), 0u);  // 0 = a single block
   }
   {
     BlockWidthGuard guard(1);
@@ -211,6 +222,217 @@ TEST(BlockedRoundTest, WidthPolicyRoundsUpToChunkMultiples) {
   {
     BlockWidthGuard guard(16384);
     EXPECT_EQ(lb::core::blocked_round_width(), 16384u);
+  }
+}
+
+// ------------------------------------ cut edges on irregular graphs
+
+using lb::core::ApplyPath;
+
+/// Real-valued balancers, each checked against its kEdgeSweep
+/// configuration: the seed's sequential edge sweep on the materialized
+/// view.
+std::vector<Case<double>> real_sweep_cases() {
+  return {
+      {"diffusion-cont", [] { return lb::core::make_diffusion_continuous(); },
+       [] {
+         lb::core::DiffusionConfig cfg;
+         cfg.apply = ApplyPath::kEdgeSweep;
+         return std::make_unique<lb::core::ContinuousDiffusion>(cfg);
+       }},
+      {"fos", [] { return lb::core::make_fos_continuous(); },
+       [] { return std::make_unique<lb::core::FirstOrderScheme>(true, ApplyPath::kEdgeSweep); }},
+      {"sos", [] { return lb::core::make_sos(1.5); },
+       [] {
+         return std::make_unique<lb::core::SecondOrderScheme>(1.5, true, ApplyPath::kEdgeSweep);
+       }},
+  };
+}
+
+std::vector<Case<std::int64_t>> token_sweep_cases() {
+  return {
+      {"diffusion-disc", [] { return lb::core::make_diffusion_discrete(); },
+       [] {
+         lb::core::DiffusionConfig cfg;
+         cfg.apply = ApplyPath::kEdgeSweep;
+         return std::make_unique<lb::core::DiscreteDiffusion>(cfg);
+       }},
+      {"fos-disc", [] { return lb::core::make_fos_discrete(); },
+       [] {
+         lb::core::DiffusionConfig cfg;
+         cfg.rule = lb::core::DenominatorRule::kDegreePlusOne;
+         cfg.apply = ApplyPath::kEdgeSweep;
+         return std::make_unique<lb::core::DiscreteDiffusion>(cfg);
+       }},
+  };
+}
+
+/// Fraction of `g`'s edges whose endpoints lie in different blocks of
+/// `width` nodes — the edges the round applies through cut lists.
+double cut_fraction(const Graph& g, std::size_t width) {
+  std::size_t cut = 0;
+  for (const lb::graph::Edge& e : g.edges()) cut += e.u / width != e.v / width ? 1 : 0;
+  return static_cast<double>(cut) / static_cast<double>(g.num_edges());
+}
+
+/// Both scalars over one irregular graph, static and (when `masked`)
+/// under Bernoulli link failures, against the edge-sweep oracles.
+void sweep_irregular(const Graph& g, const std::string& label, bool masked,
+                     std::size_t rounds, const std::vector<long long>& widths) {
+  lb::util::Rng wrng(43);
+  const auto real0 = lb::workload::bimodal<double>(
+      g.num_nodes(), 1000.0 * static_cast<double>(g.num_nodes()), wrng);
+  const auto tokens0 = lb::workload::uniform_random<std::int64_t>(
+      g.num_nodes(), static_cast<std::int64_t>(1000 * g.num_nodes()), wrng);
+  const auto stat = [&] { return lb::graph::make_static_sequence(g); };
+  sweep_widths<double>(real_sweep_cases(), stat, real0, widths, {1, 4}, label, rounds);
+  sweep_widths<std::int64_t>(token_sweep_cases(), stat, tokens0, widths, {1, 4}, label,
+                             rounds);
+  if (!masked) return;
+  const auto bernoulli = [&] { return lb::graph::make_bernoulli_sequence(g, 0.7, 91); };
+  sweep_widths<double>(real_sweep_cases(), bernoulli, real0, widths, {4},
+                       label + "/bernoulli", rounds);
+  sweep_widths<std::int64_t>(token_sweep_cases(), bernoulli, tokens0, widths, {4},
+                             label + "/bernoulli", rounds);
+}
+
+TEST(BlockedRoundCutEdgeTest, RandomRegularMatchesEdgeSweep) {
+  lb::util::Rng rng(17);
+  const Graph g = lb::graph::make_random_regular(3000, 6, rng);
+  ASSERT_GT(cut_fraction(g, 1024), 0.5);  // most edges cross blocks
+  // 1024 plus one random width below n (rounded up to a chunk multiple).
+  const long long random_width = randomized_widths(53, 1).back() % 3000 + 1;
+  sweep_irregular(g, "regular(3000,6)", /*masked=*/true, 20, {1024, random_width});
+}
+
+TEST(BlockedRoundCutEdgeTest, ErdosRenyiMatchesEdgeSweep) {
+  lb::util::Rng rng(19);
+  const Graph g = lb::graph::make_erdos_renyi(2500, 0.004, rng);
+  ASSERT_GT(cut_fraction(g, 1024), 0.5);
+  sweep_irregular(g, "gnp(2500)", /*masked=*/false, 20, {1024, 2048});
+}
+
+TEST(BlockedRoundCutEdgeTest, BarbellMatchesEdgeSweep) {
+  // n = 1040: nodes 1024..1039 of the second clique take ~500 incoming
+  // cut edges each, interleaved in edge order with their own edges.
+  const Graph g = lb::graph::make_barbell(520);
+  sweep_irregular(g, "barbell(520)", /*masked=*/false, 8, {1024});
+}
+
+// --------------------------------------------- signed zeros and StepStats
+
+bool all_negative_zero(const std::vector<double>& load) {
+  for (const double v : load) {
+    if (v != 0.0 || !std::signbit(v)) return false;
+  }
+  return true;
+}
+
+TEST(BlockedRoundTest, NegativeZeroLoadsKeepTheirBits) {
+  // Every flow on an all −0.0 vector is zero, and a zero flow must leave
+  // its endpoints untouched — −0.0 must not turn into +0.0.
+  const Graph g = lb::graph::make_torus2d(48, 48);  // n = 2304: three chunks
+  EngineConfig cfg;
+  cfg.max_rounds = 5;
+  cfg.target_potential = -1.0;  // Φ = 0 must not end the run
+  cfg.stall_rounds = 0;
+  const std::vector<MakeBalancer<double>> balancers = {
+      [] { return lb::core::make_diffusion_continuous(); },
+      [] { return lb::core::make_fos_continuous(); },
+  };
+  for (const long long width : {0LL, 1024LL}) {
+    BlockWidthGuard guard(width);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+      lb::util::ThreadPool pool(threads);
+      cfg.pool = &pool;
+      for (const bool masked : {false, true}) {
+        for (const MakeBalancer<double>& make : balancers) {
+          auto alg = make();
+          auto seq = masked ? lb::graph::make_bernoulli_sequence(g, 0.8, 3)
+                            : lb::graph::make_static_sequence(g);
+          std::vector<double> load(g.num_nodes(), -0.0);
+          const RunResult run = lb::core::run(*alg, *seq, load, cfg);
+          SCOPED_TRACE(alg->name() + "/w" + std::to_string(width) + "/pool" +
+                       std::to_string(pool.size()) + (masked ? "/masked" : ""));
+          EXPECT_EQ(run.rounds, cfg.max_rounds);
+          EXPECT_TRUE(all_negative_zero(load));
+        }
+      }
+    }
+  }
+}
+
+/// StepStats::transferred under the fixed-chunk contract, computed by
+/// hand: Σ|f| per 1024-node chunk of each edge's lower endpoint, in edge
+/// order, then the chunk partials in chunk order.
+double fixed_chunk_fold(const Graph& g, const std::vector<double>& flows) {
+  std::vector<double> chunk(lb::core::summary_chunk_count(g.num_nodes()), 0.0);
+  for (std::size_t k = 0; k < flows.size(); ++k) {
+    chunk[g.edges()[k].u / lb::core::kSummaryChunkWidth] += std::fabs(flows[k]);
+  }
+  double total = 0.0;
+  for (const double c : chunk) total += c;
+  return total;
+}
+
+TEST(BlockedRoundTest, TransferredIsTheFixedChunkFold) {
+  lb::util::Rng rng(61);
+  const Graph g = lb::graph::make_random_regular(3000, 4, rng);
+  lb::util::Rng wrng(67);
+  const auto load0 = lb::workload::bimodal<double>(g.num_nodes(), 3.0e6, wrng);
+
+  // The hand oracle: the seed's flows and edge sweep, round by round.
+  constexpr std::size_t kRounds = 12;
+  std::vector<double> expected;
+  {
+    std::vector<double> load = load0;
+    std::vector<double> flows;
+    const lb::core::DiffusionConfig dcfg;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      lb::core::compute_edge_flows(
+          g, load, flows, nullptr,
+          [&g, &dcfg](std::size_t, const lb::graph::Edge& e, double lu, double lv) {
+            if (lu == lv) return 0.0;
+            const double w = lb::core::diffusion_edge_weight(g, e.u, e.v, lu, lv, dcfg);
+            return lu > lv ? w : -w;
+          });
+      expected.push_back(fixed_chunk_fold(g, flows));
+      lb::core::apply_edge_sweep(g, flows, load);
+    }
+  }
+
+  EngineConfig cfg;
+  cfg.max_rounds = kRounds;
+  cfg.target_potential = 0.0;
+  cfg.stall_rounds = 0;
+  const auto check = [&](const RunResult& run, const std::string& label) {
+    SCOPED_TRACE(label);
+    ASSERT_EQ(run.trace.size(), kRounds);
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      const double got = run.trace[r].transferred;
+      EXPECT_EQ(std::memcmp(&got, &expected[r], sizeof got), 0)
+          << "round " << r + 1 << ": " << got << " vs " << expected[r];
+    }
+  };
+  for (const long long width : {0LL, 1024LL, 2048LL}) {
+    BlockWidthGuard guard(width);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+      lb::util::ThreadPool pool(threads);
+      cfg.pool = &pool;
+      auto alg = lb::core::make_diffusion_continuous();
+      std::vector<double> load = load0;
+      check(lb::core::run_static(*alg, g, load, cfg),
+            "w" + std::to_string(width) + "/pool" + std::to_string(pool.size()));
+    }
+  }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4}}) {
+    lb::util::ThreadPool pool(2);
+    cfg.pool = &pool;
+    lb::shard::ShardConfig shard;
+    shard.domains = k;
+    auto alg = lb::core::make_diffusion_continuous();
+    std::vector<double> load = load0;
+    check(lb::shard::run_static(*alg, g, load, cfg, shard), "shardK" + std::to_string(k));
   }
 }
 
