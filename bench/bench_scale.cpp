@@ -20,6 +20,12 @@
 //                 by the extra rounds is the steady-state allocation
 //                 rate, which must be zero (the RunArena audit).
 //                 Nonzero fails the bench.
+//
+// µs/round is a whole run's wall time over its rounds, so it includes the
+// per-run setup a fresh balancer and arena pay in round 1 (the blocked
+// round's plan, the diffusion denominators, first-touch of the arena's
+// buffers).  The setup_ms column shows that share: the blocked pool-1
+// leg's round-1 step time minus the median step time of rounds 2..R.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -39,6 +45,7 @@
 #include "lb/core/flow_ledger.hpp"
 #include "lb/core/sos.hpp"
 #include "lb/graph/generators.hpp"
+#include "lb/util/stats.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/util/timer.hpp"
 #include "lb/workload/initial.hpp"
@@ -124,6 +131,7 @@ struct CellResult {
   double bytes_per_node = 0.0;
   double legacy_bytes = 0.0;
   double allocs_per_round = 0.0;
+  double setup_ms = 0.0;  // blocked pool-1 leg, best of reps
   std::size_t divergence = 0;
   lb::core::RunResult flat_run;     // kept for the ablation traces
   lb::core::RunResult blocked_run;
@@ -131,6 +139,16 @@ struct CellResult {
 
 template <class T>
 using MakeBalancer = std::function<std::unique_ptr<lb::core::Balancer<T>>()>;
+
+/// Per-run setup paid inside round 1, in ms: round 1's step time minus the
+/// median step time of rounds 2..R (0 when the run has no second round).
+double setup_ms(const lb::core::RunResult& run) {
+  const auto& records = run.trace.records();
+  if (records.size() < 2) return 0.0;
+  std::vector<double> steady;
+  for (std::size_t i = 1; i < records.size(); ++i) steady.push_back(records[i].step_us);
+  return (records[0].step_us - lb::util::quantile(std::move(steady), 0.5)) * 1e-3;
+}
 
 template <class T>
 CellResult run_cell(const lb::graph::Graph& g, const std::string& name,
@@ -195,6 +213,8 @@ CellResult run_cell(const lb::graph::Graph& g, const std::string& name,
       lb::util::ThreadPool pool(1);
       std::vector<T> load;
       cell.blocked_run = timed(pool, false, blocked_s, load);
+      const double setup = setup_ms(cell.blocked_run);
+      cell.setup_ms = rep == 0 ? setup : std::min(cell.setup_ms, setup);
       if (last) {
         cell.divergence +=
             count_divergence(cell.flat_run, cell.blocked_run, flat_load, load);
@@ -277,10 +297,11 @@ void write_json(const std::string& path, std::size_t rounds,
         "    {\"n\": %zu, \"edges\": %zu, \"balancer\": \"%s\", "
         "\"us_per_round_flat\": %.3f, \"us_per_round_blocked\": %.3f, "
         "\"us_per_round_pool2\": %.3f, \"us_per_round_poolhw\": %.3f, "
+        "\"setup_ms\": %.3f, "
         "\"bytes_per_node\": %.2f, \"legacy_bytes_per_node\": %.2f, "
         "\"allocs_per_round\": %.3f, \"identical\": %d}%s\n",
         c.n, c.edges, c.balancer.c_str(), c.us_flat, c.us_blocked, c.us_pool2,
-        c.us_poolhw, c.bytes_per_node, c.legacy_bytes, c.allocs_per_round,
+        c.us_poolhw, c.setup_ms, c.bytes_per_node, c.legacy_bytes, c.allocs_per_round,
         c.divergence == 0 ? 1 : 0, i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -391,8 +412,8 @@ int main(int argc, char** argv) {
   }
 
   lb::util::Table table({"n", "balancer", "us/rd flat", "us/rd blocked",
-                         "us/rd pool2", "us/rd poolhw", "B/node", "B/node legacy",
-                         "allocs/rd", "identical"});
+                         "us/rd pool2", "us/rd poolhw", "setup ms", "B/node",
+                         "B/node legacy", "allocs/rd", "identical"});
   for (const CellResult& c : cells) {
     table.row()
         .add(static_cast<std::int64_t>(c.n))
@@ -401,6 +422,7 @@ int main(int argc, char** argv) {
         .add(c.us_blocked, 3)
         .add(c.us_pool2, 3)
         .add(c.us_poolhw, 3)
+        .add(c.setup_ms, 3)
         .add(c.bytes_per_node, 2)
         .add(c.legacy_bytes, 2)
         .add(c.allocs_per_round, 3)

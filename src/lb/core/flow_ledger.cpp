@@ -1,5 +1,6 @@
 #include "lb/core/flow_ledger.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <limits>
@@ -33,6 +34,19 @@ std::size_t env_block_width() {
   return cached;
 }
 
+/// Calls fn(k, v) for every edge k = (u, v) whose endpoints lie in
+/// different blocks of `width` nodes, in ascending k, with no division per
+/// edge: edges ascend in u, so the end of u's block only moves forward,
+/// and the edge is cut exactly when v (> u) lies at or past it.
+template <class Fn>
+void for_each_cut_edge(const std::vector<graph::Edge>& edges, std::size_t width, Fn&& fn) {
+  const std::size_t m = edges.size();
+  for (std::size_t k = 0, end = width; k < m; ++k) {
+    while (edges[k].u >= end) end += width;
+    if (edges[k].v >= end) fn(k, edges[k].v);
+  }
+}
+
 }  // namespace
 
 std::size_t blocked_round_width() {
@@ -60,33 +74,38 @@ void BlockedRoundPlan::rebuild(const graph::Graph& base, std::size_t width) {
   width_ = width;
   chunks_ = summary_chunk_count(n);
   blocks_ = (n + width - 1) / width;
+  // Blocks are whole summary chunks, so a cut edge's receiving block is
+  // its v's chunk (a shift) over the chunks per block.
+  const std::size_t chunks_per_block = width / kSummaryChunkWidth;
+  const auto block_of = [chunks_per_block](graph::NodeId v) {
+    return (v / kSummaryChunkWidth) / chunks_per_block;
+  };
 
   std::size_t cuts = 0;
-  for (const graph::Edge& e : edges) cuts += e.u / width != e.v / width ? 1 : 0;
+  for_each_cut_edge(edges, width, [&](std::size_t, graph::NodeId) { ++cuts; });
   index_.assign(chunks_ + 1 + blocks_ + 1 + cuts, 0);
   std::uint32_t* chunk_begin = index_.data();
   std::uint32_t* cut_ptr = chunk_begin + chunks_ + 1;
   std::uint32_t* cut_ids = cut_ptr + blocks_ + 1;
 
-  // Chunk slices: chunk_begin[c] is the first edge with u ≥ c·1024, so the
-  // first edge of each chunk seeds every chunk boundary up to its own.
-  std::size_t c = 0;
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    for (; c <= edges[k].u / kSummaryChunkWidth; ++c) {
-      chunk_begin[c] = static_cast<std::uint32_t>(k);
-    }
-    const std::size_t b = edges[k].v / width;
-    if (edges[k].u / width != b) ++cut_ptr[b + 1];
+  // Chunk slices: chunk_begin[c] is the first edge with u ≥ c·1024, found
+  // by binary search in the sorted edge list.
+  for (std::size_t c = 0; c < chunks_; ++c) {
+    const graph::Edge first{static_cast<graph::NodeId>(c * kSummaryChunkWidth), 0};
+    chunk_begin[c] = static_cast<std::uint32_t>(
+        std::lower_bound(edges.begin(), edges.end(), first) - edges.begin());
   }
-  for (; c <= chunks_; ++c) chunk_begin[c] = static_cast<std::uint32_t>(edges.size());
+  chunk_begin[chunks_] = static_cast<std::uint32_t>(edges.size());
 
-  // Cut lists: prefix-sum the counts into starts, append ids in ascending
-  // edge order (each cursor ends at its block's end), then shift back.
+  // Cut lists: count per receiving block, prefix-sum the counts into
+  // starts, append ids in ascending edge order (each cursor ends at its
+  // block's end), then shift back.
+  for_each_cut_edge(edges, width,
+                    [&](std::size_t, graph::NodeId v) { ++cut_ptr[block_of(v) + 1]; });
   for (std::size_t b = 0; b < blocks_; ++b) cut_ptr[b + 1] += cut_ptr[b];
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const std::size_t b = edges[k].v / width;
-    if (edges[k].u / width != b) cut_ids[cut_ptr[b]++] = static_cast<std::uint32_t>(k);
-  }
+  for_each_cut_edge(edges, width, [&](std::size_t k, graph::NodeId v) {
+    cut_ids[cut_ptr[block_of(v)]++] = static_cast<std::uint32_t>(k);
+  });
   for (std::size_t b = blocks_; b > 0; --b) cut_ptr[b] = cut_ptr[b - 1];
   cut_ptr[0] = 0;
 }

@@ -120,7 +120,9 @@ class BlockedRoundPlan {
     return revision_ != 0 && revision_ == base.revision() && width_ == width;
   }
   /// Build for `base` cut into blocks of `width` nodes (a positive
-  /// kSummaryChunkWidth multiple).  O(n/1024 + m).
+  /// kSummaryChunkWidth multiple).  O(m + (n/1024)·log m), with no
+  /// division per edge.  Allocates once, and not at all when the index
+  /// fits the capacity an earlier build left.
   void rebuild(const graph::Graph& base, std::size_t width);
   void ensure(const graph::Graph& base, std::size_t width) {
     if (!valid_for(base, width)) rebuild(base, width);

@@ -22,11 +22,6 @@ std::span<const NodeId> Graph::neighbors(NodeId u) const {
   return {adjacency_.data() + begin, static_cast<std::size_t>(offsets_[u + 1]) - begin};
 }
 
-std::size_t Graph::degree(NodeId u) const {
-  LB_ASSERT_MSG(u < num_nodes(), "node id out of range");
-  return static_cast<std::size_t>(offsets_[u + 1] - offsets_[u]);
-}
-
 double Graph::average_degree() const {
   if (num_nodes() == 0) return 0.0;
   return 2.0 * static_cast<double>(num_edges()) / static_cast<double>(num_nodes());

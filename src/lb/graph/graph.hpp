@@ -50,7 +50,12 @@ class Graph {
   /// Neighbours of node u (sorted ascending).
   std::span<const NodeId> neighbors(NodeId u) const;
 
-  std::size_t degree(NodeId u) const;
+  /// Degree of node u.  Inline: the per-edge denominator fills and the
+  /// per-round flow rules call it once per endpoint.
+  std::size_t degree(NodeId u) const {
+    LB_ASSERT_MSG(u < num_nodes(), "node id out of range");
+    return static_cast<std::size_t>(offsets_[u + 1] - offsets_[u]);
+  }
   /// Maximum degree δ of the graph (0 for edgeless graphs).
   std::size_t max_degree() const { return max_degree_; }
   std::size_t min_degree() const { return min_degree_; }

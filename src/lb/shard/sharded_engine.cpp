@@ -188,8 +188,8 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx,
 
   // Phase C2: domain-local apply sweeps.  Each owned node's row walk is
   // the FlowLedger gather restricted to alive edges — ascending incident
-  // base edges, identical skip/cast/accumulate rules — so the loads land
-  // bit for bit on the oracle's.
+  // base edges, each share applied by add_flow — so the loads land bit for
+  // bit on the oracle's.
   for_each_domain(pool, K, [&](std::size_t d) {
     const DomainPlan& plan = rt.halo.plan(d);
     for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
@@ -200,13 +200,7 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx,
       for (std::size_t p = plan.row_ptr[i]; p < row_end; ++p) {
         const std::uint32_t k = plan.edge_idx[p];
         if (masked && !frame.alive(k)) continue;  // dead slot: may be stale
-        const double f = flows[k];
-        if (f == 0.0) continue;
-        if constexpr (std::is_integral_v<T>) {
-          value += static_cast<T>(plan.sign[p] * f);
-        } else {
-          value += static_cast<T>(plan.sign[p]) * static_cast<T>(f);
-        }
+        core::add_flow(value, plan.sign[p] * flows[k]);
       }
       load[u] = program.post ? program.post(u, value, before) : value;
     }

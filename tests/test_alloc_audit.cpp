@@ -3,7 +3,9 @@
 // new with a counting hook — which is why it is a binary of its own —
 // runs each balancer for R and for 2R rounds, and requires both runs to
 // allocate exactly as often: per-run setup cancels, so any difference is
-// an allocation made by the rounds themselves.
+// an allocation made by the rounds themselves.  Setup is pinned too: the
+// blocked round's plan is built with one allocation and rebuilt into
+// sufficient capacity with none.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,7 @@
 
 #include "lb/core/diffusion.hpp"
 #include "lb/core/engine.hpp"
+#include "lb/core/flow_ledger.hpp"
 #include "lb/core/fos.hpp"
 #include "lb/core/sos.hpp"
 #include "lb/graph/dynamic.hpp"
@@ -78,6 +81,16 @@ class FixedMaskSequence final : public lb::graph::GraphSequence {
 template <class T>
 using MakeBalancer = std::function<std::unique_ptr<lb::core::Balancer<T>>()>;
 
+/// Heap allocations made while `fn` runs.
+template <class Fn>
+long long count_allocations(Fn&& fn) {
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  fn();
+  g_counting.store(false, std::memory_order_relaxed);
+  return g_allocs.load(std::memory_order_relaxed);
+}
+
 /// Heap allocations of one pool-1 engine run of `rounds` rounds.  The
 /// pool, balancer and load copy are made before the hook is armed.
 template <class T>
@@ -92,12 +105,11 @@ long long count_run(const MakeBalancer<T>& make, lb::graph::GraphSequence& seq,
   cfg.pool = &pool;
   auto balancer = make();
   std::vector<T> load = load0;
-  g_allocs.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
-  const lb::core::RunResult result = lb::core::run(*balancer, seq, load, cfg);
-  g_counting.store(false, std::memory_order_relaxed);
+  lb::core::RunResult result;
+  const long long allocs =
+      count_allocations([&] { result = lb::core::run(*balancer, seq, load, cfg); });
   EXPECT_EQ(result.rounds, rounds);
-  return g_allocs.load(std::memory_order_relaxed);
+  return allocs;
 }
 
 /// Zero allocations per steady-state round, unmasked and masked.
@@ -152,6 +164,31 @@ TEST(AllocAuditTest, SosRoundsDoNotAllocate) {
   const Graph g = audit_graph();
   expect_round_allocation_free<double>([] { return lb::core::make_sos(1.5); },
                                        real_load(g.num_nodes()), g);
+}
+
+TEST(AllocAuditTest, RoundPlanBuildsWithOneAllocation) {
+  const Graph g = audit_graph();
+  lb::core::BlockedRoundPlan plan;
+  EXPECT_EQ(count_allocations([&] { plan.rebuild(g, 1024); }), 1);
+  EXPECT_TRUE(plan.valid_for(g, 1024));
+}
+
+TEST(AllocAuditTest, RoundPlanRebuildsIntoSufficientCapacityWithoutAllocating) {
+  // A campaign arena keeps its plan across cells: a rebuild for another
+  // base or width whose index fits what the plan already holds must not
+  // touch the heap.
+  const Graph g = audit_graph();
+  const Graph same_size = audit_graph();  // a fresh revision of the same shape
+  const Graph smaller = lb::graph::make_torus2d(32, 32);
+  lb::core::BlockedRoundPlan plan;
+  plan.rebuild(g, 1024);
+  EXPECT_EQ(count_allocations([&] { plan.rebuild(g, 1024); }), 0);
+  EXPECT_EQ(count_allocations([&] { plan.rebuild(same_size, 1024); }), 0);
+  EXPECT_TRUE(plan.valid_for(same_size, 1024));
+  EXPECT_EQ(count_allocations([&] { plan.rebuild(g, 2048); }), 0);
+  EXPECT_TRUE(plan.valid_for(g, 2048));
+  EXPECT_EQ(count_allocations([&] { plan.rebuild(smaller, 1024); }), 0);
+  EXPECT_TRUE(plan.valid_for(smaller, 1024));
 }
 
 }  // namespace

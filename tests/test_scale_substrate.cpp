@@ -2,12 +2,13 @@
 // blocked round must be bit-identical to its oracles — the single-block
 // round and the seed's edge sweep — at every block width, pool size, mask
 // state, and shard count, on regular graphs and on irregular ones where
-// most edges cross blocks; StepStats::transferred must follow the
-// fixed-chunk contract; the width-adaptive index storage must produce
-// identical graphs and runs in narrow (uint32) and forced-wide (uint64)
-// modes; the streaming generator builds must equal their add_edge
-// counterparts exactly; and the linalg scale guard must degrade
-// deterministically.
+// most edges cross blocks; the round's plan must hold exactly the chunk
+// slices and cut lists a brute-force pass derives; StepStats::transferred
+// must follow the fixed-chunk contract; the width-adaptive index storage
+// must produce identical graphs and runs in narrow (uint32) and
+// forced-wide (uint64) modes; the streaming generator builds must equal
+// their add_edge counterparts exactly; and the linalg scale guard must
+// degrade deterministically.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -166,6 +167,47 @@ std::vector<long long> randomized_widths(std::uint64_t seed, std::size_t count) 
   return widths;
 }
 
+/// BlockedRoundPlan's contents against a brute-force O(m) reference, at
+/// each of `widths` plus 1024, 3072, 5120 and a width past n: chunk c's
+/// slice starts after every edge whose lower endpoint lies in an earlier
+/// chunk, and block b's cut list is every edge whose v lies in b and whose
+/// u lies in an earlier block, in ascending order.
+void expect_plans_match_reference(const Graph& g, std::vector<long long> widths) {
+  const auto& edges = g.edges();
+  const std::size_t n = g.num_nodes();
+  const std::size_t chunks = lb::core::summary_chunk_count(n);
+  std::vector<std::uint32_t> chunk_begin(chunks + 1, 0);
+  for (const lb::graph::Edge& e : edges) {
+    ++chunk_begin[e.u / lb::core::kSummaryChunkWidth + 1];
+  }
+  for (std::size_t c = 0; c < chunks; ++c) chunk_begin[c + 1] += chunk_begin[c];
+
+  widths.insert(widths.end(), {1024, 3072, 5120, static_cast<long long>(n) + 1});
+  for (const long long requested : widths) {
+    BlockWidthGuard guard(requested);  // rounds the width as the round does
+    const std::size_t width = lb::core::blocked_round_width();
+    SCOPED_TRACE(g.name() + "/w" + std::to_string(width));
+    const std::size_t blocks = (n + width - 1) / width;
+    std::vector<std::vector<std::uint32_t>> cuts(blocks);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const std::size_t bu = edges[k].u / width;
+      const std::size_t bv = edges[k].v / width;
+      if (bu != bv) cuts[bv].push_back(static_cast<std::uint32_t>(k));
+    }
+    lb::core::BlockedRoundPlan plan;
+    plan.rebuild(g, width);
+    ASSERT_TRUE(plan.valid_for(g, width));
+    for (std::size_t c = 0; c <= chunks; ++c) {
+      EXPECT_EQ(plan.chunk_begin(c), chunk_begin[c]) << "chunk " << c;
+    }
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const auto got = plan.cut_edges(b);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), cuts[b])
+          << "block " << b;
+    }
+  }
+}
+
 // ------------------------------------------------ blocked ≡ single block
 
 TEST(BlockedRoundTest, ContinuousStaticMatchesFlatOracle) {
@@ -176,9 +218,11 @@ TEST(BlockedRoundTest, ContinuousStaticMatchesFlatOracle) {
       {"diffusion-cont", [] { return lb::core::make_diffusion_continuous(); }},
       {"sos", [] { return lb::core::make_sos(); }},
   };
+  const auto widths = randomized_widths(31, 3);
+  expect_plans_match_reference(g, widths);
   sweep_widths<double>(
-      cases, [&] { return lb::graph::make_static_sequence(g); }, load0,
-      randomized_widths(31, 3), {1, 4}, "static");
+      cases, [&] { return lb::graph::make_static_sequence(g); }, load0, widths, {1, 4},
+      "static");
 }
 
 TEST(BlockedRoundTest, DiscreteStaticMatchesFlatOracle) {
@@ -189,9 +233,11 @@ TEST(BlockedRoundTest, DiscreteStaticMatchesFlatOracle) {
   std::vector<Case<std::int64_t>> cases = {
       {"diffusion-disc", [] { return lb::core::make_diffusion_discrete(); }},
   };
+  const auto widths = randomized_widths(37, 3);
+  expect_plans_match_reference(g, widths);
   sweep_widths<std::int64_t>(
-      cases, [&] { return lb::graph::make_static_sequence(g); }, load0,
-      randomized_widths(37, 3), {1, 4}, "static");
+      cases, [&] { return lb::graph::make_static_sequence(g); }, load0, widths, {1, 4},
+      "static");
 }
 
 TEST(BlockedRoundTest, MaskedDynamicMatchesFlatOracle) {
@@ -201,9 +247,24 @@ TEST(BlockedRoundTest, MaskedDynamicMatchesFlatOracle) {
       {"diffusion-cont", [] { return lb::core::make_diffusion_continuous(); }},
       {"fos", [] { return lb::core::make_fos_continuous(); }},
   };
+  const auto widths = randomized_widths(41, 2);
+  expect_plans_match_reference(g, widths);
   sweep_widths<double>(
-      cases, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 77); },
-      load0, randomized_widths(41, 2), {4}, "bernoulli");
+      cases, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 77); }, load0,
+      widths, {4}, "bernoulli");
+}
+
+TEST(BlockedRoundTest, PlanMatchesReferenceWhereBlocksAreCut) {
+  // The sweeps above run graphs smaller than one block; these are several
+  // blocks wide at every width below n.
+  expect_plans_match_reference(lb::graph::make_torus2d(96, 80), randomized_widths(59, 3));
+  expect_plans_match_reference(lb::graph::make_hypercube(13), randomized_widths(61, 3));
+  // Nodes 100..3999 own no edges, so the lower endpoint jumps whole blocks.
+  lb::graph::GraphBuilder gapped(6000, "gapped");
+  for (lb::graph::NodeId u = 0; u < 99; ++u) gapped.add_edge(u, u + 1);
+  for (lb::graph::NodeId u = 4000; u < 4099; ++u) gapped.add_edge(u, u + 1);
+  gapped.add_edge(50, 5000).add_edge(4050, 5999);
+  expect_plans_match_reference(gapped.build(), randomized_widths(67, 3));
 }
 
 TEST(BlockedRoundTest, WidthPolicyRoundsUpToChunkMultiples) {
@@ -276,9 +337,11 @@ double cut_fraction(const Graph& g, std::size_t width) {
 }
 
 /// Both scalars over one irregular graph, static and (when `masked`)
-/// under Bernoulli link failures, against the edge-sweep oracles.
+/// under Bernoulli link failures, against the edge-sweep oracles, after
+/// checking the graph's round plans.
 void sweep_irregular(const Graph& g, const std::string& label, bool masked,
                      std::size_t rounds, const std::vector<long long>& widths) {
+  expect_plans_match_reference(g, widths);
   lb::util::Rng wrng(43);
   const auto real0 = lb::workload::bimodal<double>(
       g.num_nodes(), 1000.0 * static_cast<double>(g.num_nodes()), wrng);
@@ -300,6 +363,9 @@ TEST(BlockedRoundCutEdgeTest, RandomRegularMatchesEdgeSweep) {
   lb::util::Rng rng(17);
   const Graph g = lb::graph::make_random_regular(3000, 6, rng);
   ASSERT_GT(cut_fraction(g, 1024), 0.5);  // most edges cross blocks
+  bool skips_a_block = false;             // some cut edge jumps block 0 -> 2
+  for (const lb::graph::Edge& e : g.edges()) skips_a_block |= e.v / 1024 > e.u / 1024 + 1;
+  ASSERT_TRUE(skips_a_block);
   // 1024 plus one random width below n (rounded up to a chunk multiple).
   const long long random_width = randomized_widths(53, 1).back() % 3000 + 1;
   sweep_irregular(g, "regular(3000,6)", /*masked=*/true, 20, {1024, random_width});
