@@ -19,6 +19,18 @@ std::size_t hypercube_dimensions(const graph::Graph& g) {
   return d;
 }
 
+/// The matched-pair rule of [12] as a signed flow u → v: the richer
+/// endpoint sends half the difference, ⌊·⌋ for Tokens.
+template <class T>
+double matched_flow(double lu, double lv) {
+  const double diff = lu - lv;
+  if (diff == 0.0) return 0.0;
+  double amount = std::fabs(diff) / 2.0;
+  if constexpr (std::is_integral_v<T>) amount = std::floor(amount);
+  if (amount == 0.0) return 0.0;
+  return diff > 0.0 ? amount : -amount;
+}
+
 }  // namespace
 
 template <class T>
@@ -37,17 +49,17 @@ std::string DimensionExchange<T>::name() const {
 }
 
 template <class T>
-StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
+graph::Matching DimensionExchange<T>::draw_matching(RoundContext<T>& ctx) {
+  // step() and plan_round() both draw here: the same view (materialized
+  // on masked rounds), the same RNG stream, the same round-robin advance.
   const graph::Graph& g = ctx.graph();
-  util::Rng& rng = ctx.rng();
-  LB_ASSERT_MSG(load.size() == g.num_nodes(), "load vector does not match graph");
   graph::Matching m;
   switch (strategy_) {
     case MatchingStrategy::kGhoshMuthukrishnan:
-      m = graph::gm_random_matching(g, rng);
+      m = graph::gm_random_matching(g, ctx.rng());
       break;
     case MatchingStrategy::kRandomMaximal:
-      m = graph::random_maximal_matching(g, rng);
+      m = graph::random_maximal_matching(g, ctx.rng());
       break;
     case MatchingStrategy::kHypercubeRoundRobin: {
       const std::size_t d = hypercube_dimensions(g);
@@ -56,6 +68,14 @@ StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
     }
   }
   ++round_;
+  return m;
+}
+
+template <class T>
+StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
+  const graph::Graph& g = ctx.graph();
+  LB_ASSERT_MSG(load.size() == g.num_nodes(), "load vector does not match graph");
+  const graph::Matching m = draw_matching(ctx);
 
   // A matching touches each node at most once, so matched-pair transfers
   // are order-independent: the direct seed loop and the node-parallel
@@ -76,25 +96,19 @@ StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
     matched_.clear();
   }
   for (const graph::Edge& e : m) {
-    const double diff =
-        static_cast<double>(load[e.u]) - static_cast<double>(load[e.v]);
-    if (diff == 0.0) continue;
-    T amount;
-    if constexpr (std::is_integral_v<T>) {
-      amount = static_cast<T>(std::floor(std::fabs(diff) / 2.0));
-    } else {
-      amount = static_cast<T>(std::fabs(diff) / 2.0);
-    }
+    const double f =
+        matched_flow<T>(static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
+    if (f == 0.0) continue;
+    const T amount = static_cast<T>(std::fabs(f));
     if (amount == T{}) continue;
     stats.transferred += static_cast<double>(amount);
     ++stats.active_edges;
     if (use_gather) {
       const std::size_t k = g.edge_index(e.u, e.v);
       LB_DEBUG_ASSERT(k < g.num_edges());
-      flows_[k] = diff > 0.0 ? static_cast<double>(amount)
-                             : -static_cast<double>(amount);
+      flows_[k] = f;  // ±amount: f is already whole for Tokens
       matched_.push_back(static_cast<std::uint32_t>(k));
-    } else if (diff > 0.0) {
+    } else if (f > 0.0) {
       load[e.u] -= amount;
       load[e.v] += amount;
     } else {
@@ -114,25 +128,7 @@ StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
 template <class T>
 bool DimensionExchange<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
   if (apply_ != ApplyPath::kLedger) return false;
-  // Identical matching draw to step(): same view (materialized on masked
-  // rounds), same RNG stream, same round-robin counter advance.
-  const graph::Graph& g = ctx.graph();
-  util::Rng& rng = ctx.rng();
-  graph::Matching m;
-  switch (strategy_) {
-    case MatchingStrategy::kGhoshMuthukrishnan:
-      m = graph::gm_random_matching(g, rng);
-      break;
-    case MatchingStrategy::kRandomMaximal:
-      m = graph::random_maximal_matching(g, rng);
-      break;
-    case MatchingStrategy::kHypercubeRoundRobin: {
-      const std::size_t d = hypercube_dimensions(g);
-      m = graph::hypercube_dimension_matching(g, d, round_ % d);
-      break;
-    }
-  }
-  ++round_;
+  const graph::Matching m = draw_matching(ctx);
 
   // Export as BASE edge ids (a masked view's edges are a subset of the
   // base list with identical endpoints), preserving matching order so
@@ -150,16 +146,7 @@ bool DimensionExchange<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& prog
     program.matched.push_back(static_cast<std::uint32_t>(k));
   }
   program.flow = [](std::size_t, const graph::Edge&, double lu, double lv) {
-    const double diff = lu - lv;
-    if (diff == 0.0) return 0.0;
-    double amount;
-    if constexpr (std::is_integral_v<T>) {
-      amount = std::floor(std::fabs(diff) / 2.0);
-    } else {
-      amount = std::fabs(diff) / 2.0;
-    }
-    if (amount == 0.0) return 0.0;
-    return diff > 0.0 ? amount : -amount;
+    return matched_flow<T>(lu, lv);
   };
   return true;
 }

@@ -55,6 +55,9 @@ class DimensionExchange final : public Balancer<T> {
   void on_run_begin() override { round_ = 0; }
 
  private:
+  /// This round's matching; advances the round-robin counter.
+  graph::Matching draw_matching(RoundContext<T>& ctx);
+
   MatchingStrategy strategy_;
   ApplyPath apply_;
   std::size_t round_ = 0;  // for round-robin colour selection

@@ -4,6 +4,7 @@
 #include "lb/core/load.hpp"
 #include "lb/core/metrics.hpp"
 #include "lb/core/round_context.hpp"
+#include "lb/core/round_executor.hpp"
 #include "lb/util/assert.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/util/timer.hpp"
@@ -11,9 +12,29 @@
 
 namespace lb::core {
 
+namespace {
+
+/// The shared-memory executor: the balancer steps the whole load vector.
 template <class T>
-RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& load,
-              const EngineConfig& config, RunArena<T>& arena) {
+class SharedMemoryExecutor final : public RoundExecutor<T> {
+ public:
+  const char* name() const override { return "engine"; }
+  void apply_delta(const workload::StreamDelta<T>& delta,
+                   std::vector<T>& load) override {
+    workload::apply_stream_delta(delta, load);
+  }
+  StepStats step(Balancer<T>& balancer, RoundContext<T>& ctx, std::vector<T>& load,
+                 std::size_t /*round*/, bool /*checking*/) override {
+    return balancer.step(ctx, load);
+  }
+};
+
+}  // namespace
+
+template <class T>
+RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
+                     std::vector<T>& load, const EngineConfig& config,
+                     RunArena<T>& arena, RoundExecutor<T>& exec) {
   LB_ASSERT_MSG(load.size() == seq.num_nodes(), "load vector does not match network");
   util::Rng rng(config.seed);
   const util::Stopwatch run_watch;
@@ -71,6 +92,7 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
     result.reached_target = true;
     result.final_potential = result.initial_potential;
     result.final_discrepancy = initial.discrepancy;
+    exec.finish(result);
     result.total_seconds = run_watch.elapsed_seconds();
     return result;
   }
@@ -96,6 +118,7 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
               .discrepancy;
     }
     if (stream != nullptr) r.steady = steady.finalize();
+    exec.finish(r);
     r.total_seconds = run_watch.elapsed_seconds();
   };
 
@@ -120,6 +143,9 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
         check::check_mask(*frame.mask());
       }
     }
+    // Executor setup (the sharded owner map) precedes the stream delta,
+    // whose owner-filtered apply it feeds.
+    exec.begin_round(frame, checking);
 
     // The stream delta lands at a fixed point in the round: after the
     // frame/epoch bookkeeping, before the balancer plans any flow — the
@@ -130,7 +156,7 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
       const workload::StreamDelta<T>& delta = stream->delta_at(round);
       if (!delta.empty()) {
         applied = workload::tally_stream_delta(delta, load);
-        workload::apply_stream_delta(delta, load);
+        exec.apply_delta(delta, load);
         delta_applied = true;
         const T net = applied.net();
         if (net != T{}) {
@@ -151,7 +177,7 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
     if (fused) ctx.request_summary(mode, run_average);
 
     util::Stopwatch watch;
-    const StepStats stats = balancer.step(ctx, load);
+    const StepStats stats = exec.step(balancer, ctx, load, round, checking);
     const double step_us = watch.elapsed_seconds() * 1e6;
     ++result.rounds;
 
@@ -173,7 +199,7 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
     result.metrics_seconds += metrics_us * 1e-6;
 
     if (checking) {
-      check::check_conservation(baseline, load, round, stats.links, "engine",
+      check::check_conservation(baseline, load, round, stats.links, exec.name(),
                                 net_stream);
       // The shared ledger re-keys lazily inside balancers and its CSR
       // only moves on a base rebuild, so verify it on epoch-change
@@ -194,6 +220,7 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
       RoundRecord rec{round, summary.potential, summary.discrepancy,
                       stats.transferred, stats.active_edges, step_us,
                       metrics_us};
+      exec.record(rec);
       if (stream != nullptr) {
         rec.arrivals = static_cast<double>(applied.arrivals);
         rec.departures = static_cast<double>(applied.departures);
@@ -231,6 +258,13 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
 
 template <class T>
 RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& load,
+              const EngineConfig& config, RunArena<T>& arena) {
+  SharedMemoryExecutor<T> exec;
+  return run_rounds(balancer, seq, load, config, arena, exec);
+}
+
+template <class T>
+RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& load,
               const EngineConfig& config) {
   RunArena<T> arena;
   return run(balancer, seq, load, config, arena);
@@ -245,6 +279,9 @@ RunResult run_static(Balancer<T>& balancer, const graph::Graph& g, std::vector<T
 }
 
 #define LB_INSTANTIATE(T)                                                           \
+  template RunResult run_rounds<T>(Balancer<T>&, graph::GraphSequence&,             \
+                                   std::vector<T>&, const EngineConfig&,            \
+                                   RunArena<T>&, RoundExecutor<T>&);                \
   template RunResult run<T>(Balancer<T>&, graph::GraphSequence&, std::vector<T>&,   \
                             const EngineConfig&, RunArena<T>&);                     \
   template RunResult run<T>(Balancer<T>&, graph::GraphSequence&, std::vector<T>&,   \

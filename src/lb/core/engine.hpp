@@ -141,7 +141,7 @@ struct RunResult {
 };
 
 /// Run `balancer` on the dynamic network `seq`, mutating `load` in place.
-/// Calls balancer.on_run_begin() before round 1 (the run-isolation
+/// Calls Balancer::on_run_begin() before round 1 (the run-isolation
 /// contract: reused balancers behave exactly like fresh ones).
 template <class T>
 RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& load,

@@ -1,10 +1,10 @@
 // First-order scheme (FOS) of Cybenko [3] / Boillat [2]: L^{t+1} = M·L^t
 // with the uniform diffusion matrix M (α = 1/(δ+1)).
 //
-// Runs on the shared flow-ledger kernel (core/flow_ledger.hpp): the edge
-// flows α·(ℓ_u − ℓ_v) are computed edge-parallel from the round snapshot
-// and applied node-parallel via the cached CSR ledger — equivalent to the
-// matrix-vector form, and bit-identical across thread counts.  The
+// Runs on the blocked round (core/round_context.hpp, DESIGN.md §9.2):
+// the edge flows α·(ℓ_u − ℓ_v) come from the round-start loads and each
+// node block gathers its own — equivalent to the matrix-vector form, and
+// bit-identical across thread counts and block widths.  The
 // discrete first-order scheme of Muthukrishnan–Ghosh–Schultz [15]
 // (integer flows, floored per edge) is the flow-form DiffusionBalancer
 // with DenominatorRule::kDegreePlusOne over Tokens; make_fos_discrete()

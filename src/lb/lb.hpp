@@ -17,7 +17,6 @@
 // Substrate: linear algebra and spectral analysis.
 #include "lb/linalg/csr.hpp"
 #include "lb/linalg/dense.hpp"
-#include "lb/linalg/jacobi_eigen.hpp"
 #include "lb/linalg/lanczos.hpp"
 #include "lb/linalg/spectral.hpp"
 #include "lb/linalg/tridiag.hpp"
@@ -48,9 +47,6 @@
 #include "lb/core/sequential.hpp"
 #include "lb/core/sos.hpp"
 #include "lb/core/trace.hpp"
-
-// Message-passing simulation of the distributed protocol.
-#include "lb/sim/message_sim.hpp"
 
 // Workload generators.
 #include "lb/workload/initial.hpp"

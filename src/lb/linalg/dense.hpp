@@ -1,6 +1,6 @@
 // Dense row-major matrices and the vector kernels the eigensolvers need.
 //
-// This module (together with jacobi_eigen/tridiag/lanczos) replaces the
+// This module (together with tridiag/lanczos) replaces the
 // Eigen dependency the reproduction would otherwise need for spectral
 // analysis: the target environment has no Eigen, so we implement the
 // required solvers ourselves and validate them against closed-form graph

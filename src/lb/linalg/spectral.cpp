@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "lb/linalg/jacobi_eigen.hpp"
 #include "lb/linalg/lanczos.hpp"
 #include "lb/linalg/tridiag.hpp"
 #include "lb/util/assert.hpp"

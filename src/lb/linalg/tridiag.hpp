@@ -5,9 +5,18 @@
 #pragma once
 
 #include "lb/linalg/dense.hpp"
-#include "lb/linalg/jacobi_eigen.hpp"  // for EigenDecomposition
 
 namespace lb::linalg {
+
+struct EigenDecomposition {
+  /// Eigenvalues in ascending order.
+  Vector values;
+  /// Optional: column k of `vectors` is the unit eigenvector for values[k].
+  DenseMatrix vectors;
+  /// Number of sweeps performed (iterative solvers; 0 for QL).
+  std::size_t sweeps = 0;
+  bool converged = false;
+};
 
 struct TridiagOptions {
   std::size_t max_iterations_per_eigenvalue = 60;

@@ -7,13 +7,11 @@
 #include "lb/check/invariants.hpp"
 #include "lb/core/flow_ledger.hpp"
 #include "lb/core/flow_program.hpp"
-#include "lb/core/load.hpp"
-#include "lb/core/metrics.hpp"
 #include "lb/core/round_context.hpp"
+#include "lb/core/round_executor.hpp"
 #include "lb/shard/halo.hpp"
 #include "lb/util/assert.hpp"
 #include "lb/util/thread_pool.hpp"
-#include "lb/util/timer.hpp"
 #include "lb/workload/stream.hpp"
 
 namespace lb::shard {
@@ -326,273 +324,124 @@ core::StepStats step_matching(core::RoundContext<T>& ctx,
   return stats;
 }
 
+/// The domain executor (DESIGN.md §7): owns the ownership/halo tables
+/// and the comm engine, lands stream deltas owner by owner, and steps
+/// every round the balancer can plan through the halo protocol.
+template <class T>
+class DomainExecutor final : public core::RoundExecutor<T> {
+ public:
+  DomainExecutor(const ShardConfig& shard, util::ThreadPool* pool)
+      : shard_(shard), pool_(pool), rt_(shard.domains, shard) {}
+
+  const char* name() const override { return "shard"; }
+
+  void begin_round(const graph::TopologyFrame& frame, bool checking) override {
+    if (!rt_.ensure(frame.base(), shard_) || !checking) return;
+    // Fresh ownership/halo tables: prove the routing invariants once per
+    // base epoch, before any round executes against them.
+    check::check_halo_mirrors(rt_.halo);
+    for (std::size_t d = 0; d < shard_.domains; ++d) {
+      check::check_domain_plan(frame.base(), rt_.map.owners(), d, rt_.halo.plan(d));
+    }
+  }
+
+  /// Each domain applies exactly its owned slice of the (sorted,
+  /// duplicate-free) delta, which composes to one apply_stream_delta over
+  /// the whole vector — nodes are disjoint across domains and the
+  /// arithmetic is per-node.  The loop tallied the ledger totals before
+  /// this apply, so the running baseline matches the shared-memory run.
+  void apply_delta(const workload::StreamDelta<T>& delta,
+                   std::vector<T>& load) override {
+    const auto& owner = rt_.map.owners();
+    for_each_domain(pool_, shard_.domains, [&](std::size_t d) {
+      workload::apply_stream_delta_owned(delta, load, owner,
+                                         static_cast<std::uint32_t>(d));
+    });
+  }
+
+  core::StepStats step(core::Balancer<T>& balancer, core::RoundContext<T>& ctx,
+                       std::vector<T>& load, std::size_t round,
+                       bool checking) override {
+    program_.reset();
+    if (!balancer.plan_round(ctx, program_)) {
+      // Non-distributable round: shared-memory step() inside the sharded
+      // run (zero comm; not counted in sharded_rounds).
+      return balancer.step(ctx, load);
+    }
+    LB_ASSERT_MSG(program_.flow != nullptr, "planned round without a flow function");
+    const bool matching = program_.support == core::FlowProgram<T>::Support::kMatching;
+    std::vector<sim::CommTotals> before;
+    std::vector<check::RoundCommExpectation> expected;
+    if (checking) {
+      // Round-start loads are what the domains will exchange, so the
+      // antisymmetry probe sees exactly the values the protocol uses.
+      const graph::TopologyFrame& frame = ctx.frame();
+      check::check_flow_antisymmetry(program_, frame, load, round);
+      before = snapshot_totals();
+      expected = matching
+                     ? check::expected_matching_round_comm<T>(
+                           program_.matched, frame.base().edges(), rt_.map.owners(),
+                           shard_.domains)
+                     : check::expected_all_edges_round_comm<T>(rt_.halo.plans(), frame);
+    }
+    const core::StepStats stats = matching
+                                      ? step_matching(ctx, program_, load, rt_, pool_)
+                                      : step_all_edges(ctx, program_, load, rt_, pool_);
+    if (checking) check::check_comm_accounting(expected, before, snapshot_totals(), round);
+    ++sharded_rounds_;
+    return stats;
+  }
+
+  /// The round's comm: totals since the previous traced round.
+  void record(core::RoundRecord& rec) override {
+    for (std::size_t d = 0; d < shard_.domains; ++d) {
+      const sim::CommTotals& t = rt_.comm.totals(d);
+      rec.messages += t.messages - rt_.prev[d].messages;
+      rec.boundary_bytes += t.boundary_bytes - rt_.prev[d].boundary_bytes;
+      rec.halo_wait_us += t.wait_us - rt_.prev[d].wait_us;
+      rt_.prev[d] = t;
+    }
+  }
+
+  void finish(core::RunResult& r) override {
+    r.domains = shard_.domains;
+    r.sharded_rounds = sharded_rounds_;
+    r.domain_comm.resize(shard_.domains);
+    for (std::size_t d = 0; d < shard_.domains; ++d) {
+      const sim::CommTotals& t = rt_.comm.totals(d);
+      r.domain_comm[d] = core::DomainCommStats{t.messages, t.boundary_bytes, t.wait_us};
+      r.comm.messages += t.messages;
+      r.comm.boundary_bytes += t.boundary_bytes;
+      r.comm.halo_wait_us += t.wait_us;
+    }
+  }
+
+ private:
+  std::vector<sim::CommTotals> snapshot_totals() const {
+    std::vector<sim::CommTotals> totals(shard_.domains);
+    for (std::size_t d = 0; d < shard_.domains; ++d) totals[d] = rt_.comm.totals(d);
+    return totals;
+  }
+
+  const ShardConfig& shard_;
+  util::ThreadPool* pool_;
+  Runtime<T> rt_;
+  core::FlowProgram<T> program_;
+  std::size_t sharded_rounds_ = 0;
+};
+
 }  // namespace
 
 template <class T>
 core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
                     std::vector<T>& load, const core::EngineConfig& config,
                     const ShardConfig& shard) {
-  using core::LoadSummary;
-  using core::MetricsPath;
-  using core::RunResult;
-  using core::SummaryMode;
-
-  LB_ASSERT_MSG(load.size() == seq.num_nodes(), "load vector does not match network");
   LB_ASSERT_MSG(shard.domains >= 1, "need at least one ownership domain");
   LB_ASSERT_MSG(shard.domains <= seq.num_nodes(), "more domains than nodes");
-  util::Rng rng(config.seed);
-  const util::Stopwatch run_watch;
-
-  balancer.on_run_begin();
-
-  // Open-system traffic (DESIGN.md §11): same retyping and replay as
-  // core::run — the stream is re-derived per round from the seed chain,
-  // so shared-memory and sharded runs see identical deltas.
-  workload::Stream<T>* stream = nullptr;
-  if (config.stream != nullptr) {
-    stream = dynamic_cast<workload::Stream<T>*>(config.stream);
-    LB_ASSERT_MSG(stream != nullptr,
-                  "EngineConfig::stream scalar type does not match the run");
-    stream->reset();
-  }
-
-  const bool fused = config.metrics == MetricsPath::kFusedParallel;
-  util::ThreadPool* pool =
-      config.pool != nullptr ? config.pool : &util::ThreadPool::global();
-
-  Runtime<T> rt(shard.domains, shard);
+  DomainExecutor<T> exec(
+      shard, config.pool != nullptr ? config.pool : &util::ThreadPool::global());
   core::RunArena<T> arena;
-  core::FlowProgram<T> program;
-
-  // Invariant checking (DESIGN.md §8): the sharded engine carries the
-  // full catalog — conservation, halo mirrors, domain-plan CSR, flow
-  // antisymmetry, and comm accounting.  Checks only read engine state.
-  const bool checking = config.check_invariants || check::env_enabled();
-  check::ConservationBaseline<T> baseline;
-  if (checking) baseline = check::conservation_baseline(load);
-  const auto snapshot_totals = [&rt, &shard] {
-    std::vector<sim::CommTotals> totals(shard.domains);
-    for (std::size_t d = 0; d < shard.domains; ++d) totals[d] = rt.comm.totals(d);
-    return totals;
-  };
-
-  RunResult result;
-  result.domains = shard.domains;
-  result.open_system = stream != nullptr;
-
-  const auto fill_comm = [&](RunResult& r) {
-    r.domain_comm.resize(shard.domains);
-    for (std::size_t d = 0; d < shard.domains; ++d) {
-      const sim::CommTotals& t = rt.comm.totals(d);
-      r.domain_comm[d] = core::DomainCommStats{t.messages, t.boundary_bytes, t.wait_us};
-      r.comm.messages += t.messages;
-      r.comm.boundary_bytes += t.boundary_bytes;
-      r.comm.halo_wait_us += t.wait_us;
-    }
-  };
-
-  // Everything below mirrors core::run() round for round — the bit-
-  // identity contract is "same branches, same reductions, same order",
-  // with only the step body swapped for the domain protocol.
-  const LoadSummary<T> initial =
-      fused ? core::summarize_parallel(load, pool) : core::summarize(load);
-  double run_average = initial.average;
-  T running_total = initial.total;
-  T net_stream{};
-  result.initial_potential = initial.potential;
-
-  if (stream == nullptr && result.initial_potential <= config.target_potential) {
-    result.reached_target = true;
-    result.final_potential = result.initial_potential;
-    result.final_discrepancy = initial.discrepancy;
-    fill_comm(result);
-    result.total_seconds = run_watch.elapsed_seconds();
-    return result;
-  }
-
-  if (config.record_trace) {
-    result.trace.reserve(std::min<std::size_t>(config.max_rounds, 4096));
-    result.trace.set_open_system(stream != nullptr);
-  }
-  const SummaryMode mode = (config.record_trace || stream != nullptr)
-                               ? SummaryMode::kFull
-                               : SummaryMode::kPotentialOnly;
-
-  core::metrics::SteadyState steady;
-
-  const auto finish = [&](RunResult& r) {
-    if (fused && !config.record_trace && stream == nullptr) {
-      r.final_discrepancy =
-          core::summarize_deterministic(load, run_average, pool,
-                                        SummaryMode::kExtremaOnly,
-                                        arena.summary_parts())
-              .discrepancy;
-    }
-    if (stream != nullptr) r.steady = steady.finalize();
-    fill_comm(r);
-    r.total_seconds = run_watch.elapsed_seconds();
-  };
-
-  std::size_t consecutive_idle = 0;
-  std::uint64_t base_epoch = 0;
-  std::uint64_t mask_epoch = 0;
-  for (std::size_t round = 1; round <= config.max_rounds; ++round) {
-    const graph::TopologyFrame& frame = seq.frame_at(round);
-    if (frame.base_revision() != base_epoch || frame.mask_revision() != mask_epoch) {
-      balancer.on_topology_changed();
-      base_epoch = frame.base_revision();
-      mask_epoch = frame.mask_revision();
-      if (checking && frame.mask() != nullptr) {
-        check::check_mask(*frame.mask());
-      }
-    }
-    const bool rebuilt = rt.ensure(frame.base(), shard);
-    if (checking && rebuilt) {
-      // Fresh ownership/halo tables: prove the routing invariants once
-      // per base epoch, before any round executes against them.
-      check::check_halo_mirrors(rt.halo);
-      for (std::size_t d = 0; d < shard.domains; ++d) {
-        check::check_domain_plan(frame.base(), rt.map.owners(), d, rt.halo.plan(d));
-      }
-    }
-
-    // Stream delta, owner domains only: each domain applies exactly its
-    // owned slice of the (sorted, duplicate-free) delta, which composes
-    // to one apply_stream_delta over the whole vector — nodes are
-    // disjoint across domains and the arithmetic is per-node.  The
-    // ledger totals come from the central sequential tally *before* the
-    // apply, the same pass core::run uses, so the running baseline and
-    // the conservation ledger are bit-identical to the oracle.
-    workload::AppliedStream<T> applied{};
-    bool delta_applied = false;
-    if (stream != nullptr) {
-      const workload::StreamDelta<T>& delta = stream->delta_at(round);
-      if (!delta.empty()) {
-        applied = workload::tally_stream_delta(delta, load);
-        const auto& owner = rt.map.owners();
-        for_each_domain(pool, shard.domains, [&](std::size_t d) {
-          workload::apply_stream_delta_owned(delta, load, owner,
-                                             static_cast<std::uint32_t>(d));
-        });
-        delta_applied = true;
-        const T net = applied.net();
-        if (net != T{}) {
-          running_total += net;
-          run_average = static_cast<double>(running_total) /
-                        static_cast<double>(load.size());
-        }
-        net_stream += net;
-        result.stream_arrivals += static_cast<double>(applied.arrivals);
-        result.stream_departures += static_cast<double>(applied.departures);
-      }
-    }
-
-    core::RoundContext<T> ctx(frame, rng, pool, arena);
-    ctx.set_spectral_cache(config.spectral_cache);
-    if (fused) ctx.request_summary(mode, run_average);
-
-    util::Stopwatch watch;
-    program.reset();
-    core::StepStats stats;
-    bool planned = balancer.plan_round(ctx, program);
-    if (planned) {
-      LB_ASSERT_MSG(program.flow != nullptr, "planned round without a flow function");
-      const bool matching = program.support == core::FlowProgram<T>::Support::kMatching;
-      std::vector<sim::CommTotals> before;
-      std::vector<check::RoundCommExpectation> expected;
-      if (checking) {
-        // Round-start loads are what the domains will exchange, so the
-        // antisymmetry probe sees exactly the values the protocol uses.
-        check::check_flow_antisymmetry(program, frame, load, round);
-        before = snapshot_totals();
-        expected = matching
-                       ? check::expected_matching_round_comm<T>(
-                             program.matched, frame.base().edges(),
-                             rt.map.owners(), shard.domains)
-                       : check::expected_all_edges_round_comm<T>(rt.halo.plans(), frame);
-      }
-      stats = matching ? step_matching(ctx, program, load, rt, pool)
-                       : step_all_edges(ctx, program, load, rt, pool);
-      if (checking) {
-        const std::vector<sim::CommTotals> after = snapshot_totals();
-        check::check_comm_accounting(expected, before, after, round);
-      }
-      ++result.sharded_rounds;
-    } else {
-      // Non-distributable round: shared-memory step() inside the sharded
-      // loop (zero comm; not counted in sharded_rounds).
-      stats = balancer.step(ctx, load);
-    }
-    const double step_us = watch.elapsed_seconds() * 1e6;
-    ++result.rounds;
-
-    watch.reset();
-    LoadSummary<T> summary;
-    if (!fused) {
-      summary = core::summarize(load);
-    } else if (ctx.has_summary()) {
-      summary = ctx.summary();
-    } else {
-      summary = core::summarize_deterministic(load, run_average, pool, mode,
-                                              arena.summary_parts());
-    }
-    const double metrics_us = watch.elapsed_seconds() * 1e6;
-    result.step_seconds += step_us * 1e-6;
-    result.metrics_seconds += metrics_us * 1e-6;
-
-    if (checking) {
-      check::check_conservation(baseline, load, round, stats.links, "shard",
-                                net_stream);
-    }
-
-    if (stream != nullptr) {
-      steady.observe(round, summary.potential, summary.discrepancy,
-                     static_cast<double>(summary.max),
-                     static_cast<double>(applied.arrivals),
-                     static_cast<double>(applied.departures));
-    }
-
-    if (config.record_trace) {
-      core::RoundRecord rec{round, summary.potential, summary.discrepancy,
-                            stats.transferred, stats.active_edges, step_us,
-                            metrics_us};
-      for (std::size_t d = 0; d < shard.domains; ++d) {
-        const sim::CommTotals& t = rt.comm.totals(d);
-        rec.messages += t.messages - rt.prev[d].messages;
-        rec.boundary_bytes += t.boundary_bytes - rt.prev[d].boundary_bytes;
-        rec.halo_wait_us += t.wait_us - rt.prev[d].wait_us;
-        rt.prev[d] = t;
-      }
-      if (stream != nullptr) {
-        rec.arrivals = static_cast<double>(applied.arrivals);
-        rec.departures = static_cast<double>(applied.departures);
-        rec.net_load = static_cast<double>(net_stream);
-      }
-      result.trace.add(rec);
-      result.final_discrepancy = summary.discrepancy;
-    } else if (!fused || stream != nullptr) {
-      result.final_discrepancy = summary.discrepancy;
-    }
-    result.final_potential = summary.potential;
-
-    if (summary.potential <= config.target_potential) {
-      result.reached_target = true;
-      finish(result);
-      return result;
-    }
-    if (stats.transferred == 0.0 && !delta_applied) {
-      ++consecutive_idle;
-      if (config.stall_rounds > 0 && consecutive_idle >= config.stall_rounds) {
-        result.stalled = true;
-        finish(result);
-        return result;
-      }
-    } else {
-      consecutive_idle = 0;
-    }
-  }
-  finish(result);
-  return result;
+  return core::run_rounds(balancer, seq, load, config, arena, exec);
 }
 
 template <class T>

@@ -8,8 +8,9 @@
 // owned-edge flows from halo copies, exchange, apply domain-local gather
 // sweeps — reconciling at deterministic sim::CommEngine barriers.
 // Balancers that cannot be distributed (async, random-partner, ...) fall
-// back to their shared-memory step() for that round, still inside the
-// sharded run loop, so every balancer remains runnable at any K.
+// back to their shared-memory step() for that round, still through the
+// domain executor, so every balancer remains runnable at any K.  The
+// round loop itself is core::run's (core/round_executor.hpp).
 //
 // Why the results match bit for bit (DESIGN.md §7 has the full argument):
 // flows are pure functions of (edge, endpoint round-start loads) and halo

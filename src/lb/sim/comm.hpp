@@ -1,9 +1,9 @@
 // Inter-domain communication engine for the sharded execution layer
-// (lb/shard/).  Promotes the message-passing substrate that
-// sim::MessageSimulator models per *node* up to the granularity the
-// sharded engine needs: K ownership domains exchanging typed boundary
-// payloads over K×K point-to-point links in barrier-synchronous
-// supersteps.
+// (lb/shard/): K ownership domains exchanging typed boundary payloads
+// over K×K point-to-point links in barrier-synchronous supersteps.  At
+// K = n every node is a domain and this is the paper's per-node message
+// machine; the dense K×K channel matrix then costs O(n²) memory, which
+// keeps K = n a test-scale configuration.
 //
 // The engine is a staged mailbox.  Within a superstep every domain may
 // write to its outgoing links (channels (d, *)) and read from its

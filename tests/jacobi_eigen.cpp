@@ -1,4 +1,4 @@
-#include "lb/linalg/jacobi_eigen.hpp"
+#include "jacobi_eigen.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,13 +1,13 @@
 // Unit tests for the dense symmetric eigensolvers: cyclic Jacobi
-// (lb/linalg/jacobi_eigen.hpp) and Householder+QL (lb/linalg/tridiag.hpp),
+// (tests/jacobi_eigen.hpp) and Householder+QL (lb/linalg/tridiag.hpp),
 // cross-validated against each other, against closed-form spectra, and
 // against the defining residual ||A v − λ v||.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "jacobi_eigen.hpp"
 #include "lb/linalg/dense.hpp"
-#include "lb/linalg/jacobi_eigen.hpp"
 #include "lb/linalg/tridiag.hpp"
 #include "lb/util/rng.hpp"
 

@@ -1,7 +1,9 @@
 // Tests for the sharded ownership/communication layer (lb/shard/):
 // partitioner properties, halo-plan consistency, and the headline
 // contract — RunResults bit-identical to the shared-memory engine at
-// every (K, pool, balancer, sequence) combination.
+// every (K, pool, balancer, sequence) combination, up to K = n, where
+// every node is its own domain and the run is the paper's per-node
+// message-passing protocol.
 #include "lb/shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -173,8 +175,8 @@ void run_matrix(const std::vector<Case<T>>& cases,
       std::vector<T> oracle_load = load0;
       const RunResult oracle =
           lb::core::run(*oracle_alg, *oracle_seq, oracle_load, cfg);
-      for (const std::size_t k :
-           {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+      for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                  std::size_t{8}, load0.size()}) {
         ShardConfig shard;
         shard.domains = k;
         auto alg = c.make();
@@ -311,6 +313,107 @@ TEST(ShardEngineTest, UnplannableBalancerFallsBackAndStillMatches) {
   EXPECT_EQ(load, oracle_load);
   EXPECT_EQ(r.sharded_rounds, 0u);
   EXPECT_EQ(r.comm.messages, 0u);
+}
+
+// ------------------------------------------- per-node sharding (K = n)
+//
+// With one domain per node, every node sees its neighbours only through
+// halo messages: the distributed protocol the paper's machine runs.
+
+class ShardEnginePerNodeTest : public ::testing::TestWithParam<std::string> {};
+
+template <class B, class T>
+void expect_per_node_matches_core(const Graph& g, const std::vector<T>& load0) {
+  B oracle_alg, alg;
+  EngineConfig cfg;
+  cfg.max_rounds = 30;
+  cfg.target_potential = 0.0;
+  std::vector<T> oracle_load = load0;
+  const RunResult oracle = lb::core::run_static(oracle_alg, g, oracle_load, cfg);
+  ShardConfig shard;
+  shard.domains = g.num_nodes();
+  std::vector<T> load = load0;
+  const RunResult r = lb::shard::run_static(alg, g, load, cfg, shard);
+  expect_identical(oracle, r, "K = n");
+  EXPECT_EQ(load, oracle_load);
+  EXPECT_EQ(r.domains, g.num_nodes());
+  EXPECT_EQ(r.sharded_rounds, r.rounds);
+}
+
+TEST_P(ShardEnginePerNodeTest, DiscreteTrajectoryMatchesCentralizedBalancer) {
+  lb::util::Rng rng(17);
+  const Graph g = lb::graph::make_named(GetParam(), 48, rng);
+  const auto load0 = lb::workload::uniform_random<std::int64_t>(
+      g.num_nodes(), 1000 * static_cast<std::int64_t>(g.num_nodes()), rng);
+  expect_per_node_matches_core<lb::core::DiscreteDiffusion>(g, load0);
+}
+
+TEST_P(ShardEnginePerNodeTest, ContinuousTrajectoryMatchesCentralizedBalancer) {
+  lb::util::Rng rng(19);
+  const Graph g = lb::graph::make_named(GetParam(), 48, rng);
+  const auto load0 = lb::workload::spike<double>(
+      g.num_nodes(), 100.0 * static_cast<double>(g.num_nodes()));
+  expect_per_node_matches_core<lb::core::ContinuousDiffusion>(g, load0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, ShardEnginePerNodeTest,
+                         ::testing::Values("path", "cycle", "torus2d", "hypercube",
+                                           "star", "tree", "regular"));
+
+TEST(ShardEngineTest, PerNodeFiveCycleGolden) {
+  // A 5-cycle with one loaded node has a hand-computable trajectory.
+  // Round 1: node 0's round-start load 100 reaches both neighbours'
+  // domains, and the default rule moves ⌊100/(4·2)⌋ = 12 along each edge.
+  // Had the second edge seen the post-deduction 88, it would ship 11.
+  // Round 2, all from {76,12,0,0,12}: node 0 sends ⌊64/8⌋ = 8 to nodes 1
+  // and 4, which send ⌊12/8⌋ = 1 on to nodes 2 and 3.
+  const Graph g = lb::graph::make_cycle(5);
+  const std::vector<std::vector<std::int64_t>> expected = {
+      {76, 12, 0, 0, 12}, {60, 19, 1, 1, 19}};
+  const double transferred[] = {24.0, 18.0};
+  const std::size_t active[] = {2, 4};
+  for (std::size_t rounds = 1; rounds <= 2; ++rounds) {
+    EngineConfig cfg;
+    cfg.max_rounds = rounds;
+    cfg.target_potential = 0.0;
+    ShardConfig shard;
+    shard.domains = 5;
+    lb::core::DiscreteDiffusion alg;
+    std::vector<std::int64_t> load = {100, 0, 0, 0, 0};
+    const RunResult r = lb::shard::run_static(alg, g, load, cfg, shard);
+    ASSERT_EQ(r.rounds, rounds);
+    EXPECT_EQ(load, expected[rounds - 1]);
+    for (std::size_t i = 0; i < rounds; ++i) {
+      EXPECT_EQ(r.trace[i].transferred, transferred[i]) << "round " << i + 1;
+      EXPECT_EQ(r.trace[i].active_edges, active[i]) << "round " << i + 1;
+    }
+  }
+}
+
+TEST(ShardEngineTest, PerNodeStaticRoundShipsTwoMessagesPerEdge) {
+  // At K = n every edge is cut, so a static round ships exactly one load
+  // (owner(v) → owner(u)) and one flow (back) per edge — zero flows too.
+  lb::util::Rng rng(5);
+  for (const Graph& g : {lb::graph::make_cycle(10), lb::graph::make_torus2d(6, 6),
+                         lb::graph::make_random_regular(40, 4, rng)}) {
+    EngineConfig cfg;
+    cfg.max_rounds = 5;
+    cfg.target_potential = 0.0;
+    cfg.stall_rounds = 0;
+    ShardConfig shard;
+    shard.domains = g.num_nodes();
+    lb::core::DiscreteDiffusion alg;
+    auto load = lb::workload::spike<std::int64_t>(g.num_nodes(), 1000);
+    const RunResult r = lb::shard::run_static(alg, g, load, cfg, shard);
+    SCOPED_TRACE(g.name());
+    ASSERT_EQ(r.rounds, 5u);
+    const std::uint64_t m = g.num_edges();
+    for (const auto& rec : r.trace.records()) {
+      EXPECT_EQ(rec.messages, 2 * m);
+      EXPECT_EQ(rec.boundary_bytes, m * (sizeof(std::int64_t) + sizeof(double)));
+    }
+    EXPECT_EQ(r.comm.messages, 2 * m * r.rounds);
+  }
 }
 
 // -------------------------------------------------------- comm observability

@@ -6,10 +6,10 @@
 
 #include <cmath>
 
+#include "jacobi_eigen.hpp"
 #include "lb/graph/generators.hpp"
 #include "lb/graph/properties.hpp"
 #include "lb/linalg/dense.hpp"
-#include "lb/linalg/jacobi_eigen.hpp"
 #include "lb/util/rng.hpp"
 
 namespace {
