@@ -8,7 +8,6 @@
 
 #include "lb/core/diffusion.hpp"
 #include "lb/core/dimension_exchange.hpp"
-#include "lb/core/flow_ledger.hpp"
 #include "lb/core/load.hpp"
 #include "lb/core/metrics.hpp"
 #include "lb/core/random_partner.hpp"
@@ -29,89 +28,42 @@ lb::graph::Graph torus_of(std::size_t n) {
   return lb::graph::make_torus2d(side, side);
 }
 
-// Edge-list vs flow-ledger ablation (ISSUE 2): the same diffusion round
-// with the seed's sequential edge-sweep apply (range(1) == 0) versus the
-// node-parallel CSR ledger apply (range(1) == 1).  Phase 1 (flow
-// computation) is identical; only the apply substrate differs.
+// One diffusion round (the blocked round) on the global pool.
 void BM_DiffusionRoundContinuous(benchmark::State& state) {
   const auto g = torus_of(static_cast<std::size_t>(state.range(0)));
   lb::util::Rng rng(1);
   auto load = lb::workload::uniform_random<double>(
       g.num_nodes(), 1000.0 * static_cast<double>(g.num_nodes()), rng);
-  lb::core::DiffusionConfig cfg;
-  cfg.apply = state.range(1) == 0 ? lb::core::ApplyPath::kEdgeSweep
-                                  : lb::core::ApplyPath::kLedger;
-  lb::core::ContinuousDiffusion alg(cfg);
+  lb::core::ContinuousDiffusion alg;
   for (auto _ : state) {
     alg.step(g, load, rng);
     benchmark::DoNotOptimize(load.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_edges()));
-  state.SetLabel(state.range(1) == 0 ? "apply=edge-sweep" : "apply=ledger");
 }
-BENCHMARK(BM_DiffusionRoundContinuous)
-    ->ArgsProduct({{1024, 16384, 65536}, {0, 1}});
+BENCHMARK(BM_DiffusionRoundContinuous)->Arg(1024)->Arg(16384)->Arg(65536);
 
 void BM_DiffusionRoundDiscrete(benchmark::State& state) {
   const auto g = torus_of(static_cast<std::size_t>(state.range(0)));
   lb::util::Rng rng(2);
   auto load = lb::workload::uniform_random<std::int64_t>(
       g.num_nodes(), 1000 * static_cast<std::int64_t>(g.num_nodes()), rng);
-  lb::core::DiffusionConfig cfg;
-  cfg.apply = state.range(1) == 0 ? lb::core::ApplyPath::kEdgeSweep
-                                  : lb::core::ApplyPath::kLedger;
-  lb::core::DiscreteDiffusion alg(cfg);
+  lb::core::DiscreteDiffusion alg;
   for (auto _ : state) {
     alg.step(g, load, rng);
     benchmark::DoNotOptimize(load.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_edges()));
-  state.SetLabel(state.range(1) == 0 ? "apply=edge-sweep" : "apply=ledger");
 }
-BENCHMARK(BM_DiffusionRoundDiscrete)
-    ->ArgsProduct({{1024, 16384, 65536}, {0, 1}});
+BENCHMARK(BM_DiffusionRoundDiscrete)->Arg(1024)->Arg(16384)->Arg(65536);
 
-// Isolated apply-phase ablation on a fixed flow vector: the purest view of
-// the sequential-sweep vs parallel-ledger gap, without phase-1 noise.
-void BM_ApplyPhaseOnly(benchmark::State& state) {
-  const auto g = torus_of(static_cast<std::size_t>(state.range(0)));
-  lb::util::Rng rng(7);
-  auto load = lb::workload::uniform_random<double>(
-      g.num_nodes(), 1000.0 * static_cast<double>(g.num_nodes()), rng);
-  std::vector<double> flows;
-  lb::core::DiffusionConfig cfg;
-  lb::core::compute_edge_flows(
-      g, load, flows, nullptr,
-      [&g, &cfg](std::size_t, const lb::graph::Edge& e, double lu, double lv) {
-        if (lu == lv) return 0.0;
-        const double w = lb::core::diffusion_edge_weight(g, e.u, e.v, lu, lv, cfg);
-        return lu > lv ? w : -w;
-      });
-  lb::core::FlowLedger ledger;
-  ledger.rebuild(g);
-  const bool use_ledger = state.range(1) != 0;
-  for (auto _ : state) {
-    auto work = load;
-    if (use_ledger) {
-      ledger.apply(g, flows, work, &lb::util::ThreadPool::global());
-    } else {
-      lb::core::apply_edge_sweep(g, flows, work);
-    }
-    benchmark::DoNotOptimize(work.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_edges()));
-  state.SetLabel(use_ledger ? "apply=ledger" : "apply=edge-sweep");
-}
-BENCHMARK(BM_ApplyPhaseOnly)->ArgsProduct({{16384, 65536, 1048576}, {0, 1}});
-
-// Fused-metrics ablation (ISSUE 3): one observed engine round — step plus
-// the post-round Φ/discrepancy summary — down the PR-2 path (ledger apply,
-// then the sequential O(n) summarize()) versus the fused path (the
-// deterministic fixed-chunk reduction riding inside the ledger's
-// node-parallel apply).  range(1) == 0 is step+summarize, 1 is fused.
+// Fused-metrics ablation: one observed engine round — step plus the
+// post-round Φ/discrepancy summary — unfused (the round, then the
+// sequential O(n) summarize()) versus fused (the deterministic
+// fixed-chunk reduction folded inside the blocked round).  range(1) == 0
+// is step+summarize, 1 is fused.
 template <class T>
 void observed_round_body(benchmark::State& state, std::uint64_t seed) {
   const auto g = torus_of(static_cast<std::size_t>(state.range(0)));

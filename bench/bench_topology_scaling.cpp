@@ -7,7 +7,6 @@
 #include "bench_common.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "lb/core/bounds.hpp"
 #include "lb/core/diffusion.hpp"
@@ -24,44 +23,18 @@ int main(int argc, char** argv) {
       "rounds track 4*delta*ln(1/eps)/lambda2");
   opts.add_double("eps", 1e-4, "target potential fraction")
       .add_int("seed", 42, "RNG seed")
-      .add_string("apply", "ledger",
-                  "apply-phase substrate: 'ledger' (parallel node-centric) or "
-                  "'edge' (sequential edge sweep) — the ISSUE 2 ablation axis")
-      .add_string("metrics", "fused",
-                  "per-round observability: 'fused' (deterministic parallel "
-                  "reduction riding the apply) or 'serial' (the PR-2 sequential "
-                  "summarize) — the ISSUE 3 ablation axis")
       .add_flag("csv", "emit CSV instead of a table");
   opts.parse(argc, argv);
 
   const double eps = opts.get_double("eps");
   const std::uint64_t seed = static_cast<std::uint64_t>(opts.get_int("seed"));
-  const std::string& apply_name = opts.get_string("apply");
-  if (apply_name != "edge" && apply_name != "ledger") {
-    std::fprintf(stderr, "unknown --apply value '%s' (want 'edge' or 'ledger')\n",
-                 apply_name.c_str());
-    return 2;
-  }
-  const lb::core::ApplyPath apply = apply_name == "edge"
-                                        ? lb::core::ApplyPath::kEdgeSweep
-                                        : lb::core::ApplyPath::kLedger;
-  const std::string& metrics_name = opts.get_string("metrics");
-  if (metrics_name != "fused" && metrics_name != "serial") {
-    std::fprintf(stderr,
-                 "unknown --metrics value '%s' (want 'fused' or 'serial')\n",
-                 metrics_name.c_str());
-    return 2;
-  }
-  const lb::core::MetricsPath metrics = metrics_name == "serial"
-                                            ? lb::core::MetricsPath::kSequential
-                                            : lb::core::MetricsPath::kFusedParallel;
 
   lb::bench::banner("E13: topology scaling figure",
                     "measured rounds follow the spectral prediction: ~n^2 on "
                     "path/cycle, ~n on torus2d, ~const on hypercube/expander",
                     seed);
 
-  lb::util::Table table({"topology", "n", "apply", "metrics", "lambda2", "T bound",
+  lb::util::Table table({"topology", "n", "lambda2", "T bound",
                          "T measured", "meas/bound", "us/round", "step us/rd",
                          "metrics us/rd"});
 
@@ -93,15 +66,12 @@ int main(int argc, char** argv) {
       auto load = lb::workload::spike<double>(
           g.num_nodes(), 1000.0 * static_cast<double>(g.num_nodes()));
       const double phi0 = lb::core::potential(load);
-      lb::core::DiffusionConfig alg_cfg;
-      alg_cfg.apply = apply;
-      lb::core::ContinuousDiffusion alg(alg_cfg);
+      lb::core::ContinuousDiffusion alg;
       lb::core::EngineConfig cfg;
       cfg.max_rounds = static_cast<std::size_t>(std::ceil(bound)) + 10;
       cfg.target_potential = eps * phi0;
       cfg.record_trace = false;
       cfg.stall_rounds = 0;
-      cfg.metrics = metrics;
       const lb::util::Stopwatch watch;
       const auto result = lb::core::run_static(alg, g, load, cfg);
       const double rounds_d =
@@ -112,8 +82,6 @@ int main(int argc, char** argv) {
       table.row()
           .add(g.name())
           .add(static_cast<std::int64_t>(g.num_nodes()))
-          .add(apply_name)
-          .add(metrics_name)
           .add(l2, 4)
           .add(bound, 5)
           .add(static_cast<std::int64_t>(result.rounds))

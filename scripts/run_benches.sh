@@ -34,8 +34,6 @@ for name in "${benches[@]}"; do
   echo "== ${name}"
   if [[ ${name} == bench_kernels ]]; then
     # google-benchmark speaks its own CLI, not bench_common's --csv.
-    # Its BM_DiffusionRound*/BM_ApplyPhaseOnly rows carry the
-    # edge-sweep-vs-ledger apply ablation as the second argument.
     "${bin}" --benchmark_format=csv > "${out_dir}/${name}.csv"
   elif [[ ${name} == bench_campaign ]]; then
     # The campaign ablation runs the same spectral-profiled grid cold
@@ -98,37 +96,5 @@ for name in "${benches[@]}"; do
     "${bin}" --csv > "${out_dir}/${name}.csv"
   fi
 done
-
-# Edge-list vs flow-ledger apply ablation artifact: the full scaling bench
-# run down both apply substrates, one CSV per path (same seed, same eps, so
-# the rounds columns must match and only us/round moves).  The main sweep
-# already runs the default (ledger) configuration — reuse its CSV instead
-# of paying for the slowest bench a third time.
-ablation_bin="${build_dir}/bench/bench_topology_scaling"
-if [[ -x ${ablation_bin} ]]; then
-  echo "== apply-path ablation (edge sweep vs flow ledger)"
-  "${ablation_bin}" --csv --apply edge > "${out_dir}/ablation_apply_edge.csv"
-  if [[ -f "${out_dir}/bench_topology_scaling.csv" ]]; then
-    cp "${out_dir}/bench_topology_scaling.csv" "${out_dir}/ablation_apply_ledger.csv"
-  else
-    "${ablation_bin}" --csv --apply ledger > "${out_dir}/ablation_apply_ledger.csv"
-  fi
-
-  # Metrics-path ablation artifact (ISSUE 3): the same scaling sweep with
-  # the PR-2 sequential per-round summarize versus the fused deterministic
-  # parallel reduction.  Same seed and eps; the per-round Φ of the two
-  # paths agrees to the last bits (the fused path measures against the
-  # run-start average with chunked summation), so rounds columns match in
-  # practice but may legitimately differ by a round where Φ grazes the
-  # eps threshold — compare the us/round + step/metrics split, not exact
-  # round counts.  The default (fused) leg is the main sweep's CSV.
-  echo "== metrics-path ablation (sequential summarize vs fused reduction)"
-  "${ablation_bin}" --csv --metrics serial > "${out_dir}/ablation_metrics_serial.csv"
-  if [[ -f "${out_dir}/bench_topology_scaling.csv" ]]; then
-    cp "${out_dir}/bench_topology_scaling.csv" "${out_dir}/ablation_metrics_fused.csv"
-  else
-    "${ablation_bin}" --csv --metrics fused > "${out_dir}/ablation_metrics_fused.csv"
-  fi
-fi
 
 echo "CSV written to ${out_dir}/ (plus BENCH_dynamic.json when bench_thm7_dynamic ran)"

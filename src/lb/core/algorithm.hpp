@@ -12,7 +12,7 @@
 //   * Randomized algorithms draw exclusively from the context's Rng so
 //     runs are reproducible.
 //   * Parallel kernels run on the context's pool and must be bit-identical
-//     to their sequential fallback at every pool size (the flow-ledger /
+//     to their sequential fallback at every pool size (the blocked-round /
 //     fixed-chunk determinism contract, DESIGN.md §2).
 #pragma once
 
@@ -50,7 +50,7 @@ class Balancer {
   virtual std::string name() const = 0;
 
   /// Execute one synchronous round on `load` within `ctx` (graph view,
-  /// rng, thread pool, shared scratch arena and flow-ledger epoch — see
+  /// rng, thread pool, shared scratch arena and blocked-round plan — see
   /// round_context.hpp).  Implementations whose apply phase sweeps every
   /// node should honour a requested fused summary via
   /// ctx.publish_summary(); the engine falls back to a standalone
@@ -87,7 +87,7 @@ class Balancer {
   }
 
   /// The network's topology epoch changed (dynamic sequences): drop any
-  /// cached per-graph views.  The context's shared flow ledger re-keys
+  /// cached per-graph views.  The arena's blocked-round plan re-keys
   /// itself on graph::Graph::revision(), so most implementations no
   /// longer need this; it remains for balancers with private per-graph
   /// caches.

@@ -4,7 +4,6 @@
 
 #include "lb/core/round_context.hpp"
 #include "lb/util/assert.hpp"
-#include "lb/util/thread_pool.hpp"
 
 namespace lb::core {
 
@@ -27,7 +26,6 @@ template <class T>
 StepStats AsyncDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
   const graph::TopologyFrame& frame = ctx.frame();
   LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
-  util::ThreadPool* pool = cfg_.parallel ? ctx.pool() : nullptr;
 
   // Draw this round's active set (sequential: the RNG is a shared
   // stream) — before any topology access, so masked and materialized
@@ -54,7 +52,7 @@ StepStats AsyncDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
         li - lj, masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
     return active[sender] != 0 ? f : 0.0;
   };
-  StepStats stats = run_blocked_round(ctx, pool, load, flow_fn);
+  StepStats stats = run_blocked_round(ctx, ctx.pool(), load, flow_fn);
   stats.links = frame.num_edges();
   return stats;
 }

@@ -63,7 +63,7 @@ decltype(auto) DiffusionBalancer<T>::with_round_flow(RoundContext<T>& ctx, Use&&
     });
   }
   // The cached denominator is the same double the seed computes inline.
-  ensure_denominators(frame.base(), cfg_.parallel ? ctx.pool() : nullptr);
+  ensure_denominators(frame.base(), ctx.pool());
   return use([this](std::size_t k, const graph::Edge&, double lu, double lv) {
     return diffusion_share<T>(lu - lv, denoms_[k]);
   });
@@ -72,30 +72,8 @@ decltype(auto) DiffusionBalancer<T>::with_round_flow(RoundContext<T>& ctx, Use&&
 template <class T>
 StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
   LB_ASSERT_MSG(load.size() == ctx.frame().num_nodes(), "load vector does not match graph");
-  util::ThreadPool* pool = cfg_.parallel ? ctx.pool() : nullptr;
-  StepStats stats;
-  if (cfg_.apply == ApplyPath::kEdgeSweep) {
-    // The seed path, verbatim, on the materialized view: recompute the
-    // denominator per edge, then apply sequentially.  Kept as the
-    // ablation baseline and the bit-identity oracle.
-    const graph::Graph& g = ctx.graph();
-    std::vector<double>& flows = ctx.arena().flows();
-    compute_edge_flows(g, load, flows, pool,
-                       [this, &g](std::size_t, const graph::Edge& e, double li,
-                                  double lj) {
-                         if (li == lj) return 0.0;
-                         double w = diffusion_edge_weight(g, e.u, e.v, li, lj, cfg_);
-                         if constexpr (std::is_integral_v<T>) {
-                           w = std::floor(w);
-                         }
-                         return li > lj ? w : -w;
-                       });
-    accumulate_flow_totals<T>(graph::TopologyFrame(g), flows, stats);
-    apply_edge_sweep(g, flows, load);
-  } else {
-    stats = with_round_flow(
-        ctx, [&](const auto& flow) { return run_blocked_round(ctx, pool, load, flow); });
-  }
+  StepStats stats = with_round_flow(
+      ctx, [&](const auto& flow) { return run_blocked_round(ctx, ctx.pool(), load, flow); });
   stats.links = ctx.frame().num_edges();
   return stats;
 }
@@ -130,9 +108,6 @@ void DiffusionBalancer<T>::ensure_denominators(const graph::Graph& g,
 
 template <class T>
 bool DiffusionBalancer<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
-  // The kEdgeSweep configuration is the seed-verbatim ablation oracle;
-  // it keeps its bespoke step() shape and is never distributed.
-  if (cfg_.apply != ApplyPath::kLedger) return false;
   program.links = ctx.frame().num_edges();
   with_round_flow(ctx, [&program](const auto& flow) { program.flow = flow; });
   return true;

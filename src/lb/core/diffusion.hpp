@@ -39,11 +39,6 @@ struct DiffusionConfig {
   DenominatorRule rule = DenominatorRule::kFactorTimesMaxDegree;
   /// The safety factor in front of max(d_i, d_j); the paper uses 4.
   double factor = 4.0;
-  /// Run the round on the context's thread pool (false: inline).
-  bool parallel = true;
-  /// Apply phase implementation: the parallel node-centric ledger
-  /// (default) or the seed's sequential edge sweep (ablation/oracle).
-  ApplyPath apply = ApplyPath::kLedger;
 };
 
 /// Per-edge flow magnitude |ℓ_i − ℓ_j| / denom with the configured rule
@@ -97,8 +92,7 @@ class DiffusionBalancer final : public Balancer<T> {
 
   /// Sharded replay (flow_program.hpp): the identical flow function
   /// step() runs — cached per-epoch denominators unmasked, inline
-  /// alive-degree denominators masked.  The kEdgeSweep ablation oracle
-  /// keeps its bespoke step() shape and is not planned.
+  /// alive-degree denominators masked.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
 
   const DiffusionConfig& config() const { return cfg_; }

@@ -2,10 +2,10 @@
 
 #include <cmath>
 
+#include "lb/core/flow_ledger.hpp"
 #include "lb/core/flow_program.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/util/assert.hpp"
-#include "lb/util/thread_pool.hpp"
 
 namespace lb::core {
 
@@ -34,8 +34,7 @@ double matched_flow(double lu, double lv) {
 }  // namespace
 
 template <class T>
-DimensionExchange<T>::DimensionExchange(MatchingStrategy strategy, ApplyPath apply)
-    : strategy_(strategy), apply_(apply) {}
+DimensionExchange<T>::DimensionExchange(MatchingStrategy strategy) : strategy_(strategy) {}
 
 template <class T>
 std::string DimensionExchange<T>::name() const {
@@ -73,61 +72,26 @@ graph::Matching DimensionExchange<T>::draw_matching(RoundContext<T>& ctx) {
 
 template <class T>
 StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
-  const graph::Graph& g = ctx.graph();
-  LB_ASSERT_MSG(load.size() == g.num_nodes(), "load vector does not match graph");
+  LB_ASSERT_MSG(load.size() == ctx.frame().num_nodes(), "load vector does not match graph");
   const graph::Matching m = draw_matching(ctx);
 
-  // A matching touches each node at most once, so matched-pair transfers
-  // are order-independent: the direct seed loop and the node-parallel
-  // ledger gather land on identical loads.  The gather walks every node
-  // row (O(n + 2m)) to apply an O(|matching|) sparse update, so it is
-  // only engaged when the matching actually covers a large fraction of
-  // the edge list AND multiple workers can share the walk; sparse
-  // matchings (hypercube round-robin: |M|/m = 1/d) stay on the direct
-  // O(|matching|) loop at any thread count.  Stats accumulate in matching
-  // order on every path, so StepStats is identical too.
-  util::ThreadPool* pool = ctx.pool();
-  const bool use_gather = apply_ == ApplyPath::kLedger && pool != nullptr &&
-                          pool->size() > 1 && 2 * m.size() >= g.num_edges();
+  // A matching touches each node at most once, so the pairs' transfers
+  // are independent: each endpoint takes its one ±share, and the stats
+  // accumulate in matching order.
   StepStats stats;
   stats.links = m.size();
-  if (use_gather) {
-    if (flows_.size() != g.num_edges()) flows_.assign(g.num_edges(), 0.0);
-    matched_.clear();
-  }
   for (const graph::Edge& e : m) {
     const double f =
         matched_flow<T>(static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-    if (use_gather) {
-      const std::size_t k = g.edge_index(e.u, e.v);
-      LB_DEBUG_ASSERT(k < g.num_edges());
-      flows_[k] = f;  // ±amount: f is already whole for Tokens
-      matched_.push_back(static_cast<std::uint32_t>(k));
-    } else if (f > 0.0) {
-      load[e.u] -= amount;
-      load[e.v] += amount;
-    } else {
-      load[e.v] -= amount;
-      load[e.u] += amount;
-    }
-  }
-  if (use_gather) {
-    apply_flows_observed(ctx, ctx.ledger(), flows_, load, pool);
-    // Re-zero only the matched entries so the next round starts from an
-    // all-zero vector without an O(m) refill.
-    for (const std::uint32_t k : matched_) flows_[k] = 0.0;
+    count_flow<T>(stats, f);
+    add_flow(load[e.u], -f);
+    add_flow(load[e.v], f);
   }
   return stats;
 }
 
 template <class T>
 bool DimensionExchange<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
-  if (apply_ != ApplyPath::kLedger) return false;
   const graph::Matching m = draw_matching(ctx);
 
   // Export as BASE edge ids (a masked view's edges are a subset of the

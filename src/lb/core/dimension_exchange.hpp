@@ -5,15 +5,16 @@
 //
 // Each round a matching of the network is selected; every matched pair
 // balances completely: the richer endpoint sends (ℓ_i − ℓ_j)/2
-// (⌊·⌋ for the discrete variant, as in §4 of [12]).  The matching is
-// expressed as a sparse flow vector and applied through the shared
-// flow-ledger kernel (core/flow_ledger.hpp).
+// (⌊·⌋ for the discrete variant, as in §4 of [12]).  A matching touches
+// each node at most once, so the round applies its pairs directly, in
+// matching order, with the per-edge update every round shares
+// (add_flow/count_flow, core/flow_ledger.hpp) — O(|matching|) work at
+// any pool size.
 #pragma once
 
 #include <memory>
 
 #include "lb/core/algorithm.hpp"
-#include "lb/core/flow_ledger.hpp"
 #include "lb/graph/matching.hpp"
 
 namespace lb::core {
@@ -33,8 +34,7 @@ template <class T>
 class DimensionExchange final : public Balancer<T> {
  public:
   explicit DimensionExchange(
-      MatchingStrategy strategy = MatchingStrategy::kGhoshMuthukrishnan,
-      ApplyPath apply = ApplyPath::kLedger);
+      MatchingStrategy strategy = MatchingStrategy::kGhoshMuthukrishnan);
 
   std::string name() const override;
   using Balancer<T>::step;
@@ -43,8 +43,7 @@ class DimensionExchange final : public Balancer<T> {
   /// Sharded replay (flow_program.hpp): draws the round's matching from
   /// ctx.rng() exactly as step() would (same stream position), exports
   /// it as base edge ids in matching order, and describes the matched
-  /// transfer ±⌊|ℓ_u − ℓ_v|/2⌋ as the flow function.  The kEdgeSweep
-  /// ablation configuration is not planned.
+  /// transfer ±⌊|ℓ_u − ℓ_v|/2⌋ as the flow function.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
 
   MatchingStrategy strategy() const { return strategy_; }
@@ -59,13 +58,7 @@ class DimensionExchange final : public Balancer<T> {
   graph::Matching draw_matching(RoundContext<T>& ctx);
 
   MatchingStrategy strategy_;
-  ApplyPath apply_;
   std::size_t round_ = 0;  // for round-robin colour selection
-  // Private flow buffer (not the arena's): the gather path relies on the
-  // all-zero-between-rounds invariant, which a shared buffer written by
-  // compute_edge_flows would break.
-  std::vector<double> flows_;
-  std::vector<std::uint32_t> matched_; // edge ids to re-zero after a gather
 };
 
 using ContinuousDimensionExchange = DimensionExchange<double>;

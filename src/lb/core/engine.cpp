@@ -56,7 +56,6 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
     stream->reset();
   }
 
-  const bool fused = config.metrics == MetricsPath::kFusedParallel;
   util::ThreadPool* pool =
       config.pool != nullptr ? config.pool : &util::ThreadPool::global();
 
@@ -70,15 +69,14 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
   RunResult result;
   result.open_system = stream != nullptr;
 
-  // Run-start summary.  The fused path measures every later Φ against a
-  // running average: with no stream the total is invariant under every
-  // balancer (exactly for Tokens, up to float drift for Real), the
-  // paper's Φ is stated against that fixed ℓ̄, and `run_average` never
-  // moves; with a stream attached it is re-derived from the applied
-  // ledger whenever the total changes.  For n <= kSummaryChunkWidth the
-  // parallel summary is bit-identical to the sequential one.
-  const LoadSummary<T> initial =
-      fused ? summarize_parallel(load, pool) : summarize(load);
+  // Run-start summary.  Every later Φ is measured against a running
+  // average: with no stream the total is invariant under every balancer
+  // (exactly for Tokens, up to float drift for Real), the paper's Φ is
+  // stated against that fixed ℓ̄, and `run_average` never moves; with a
+  // stream attached it is re-derived from the applied ledger whenever the
+  // total changes.  For n <= kSummaryChunkWidth the parallel summary is
+  // bit-identical to the sequential one.
+  const LoadSummary<T> initial = summarize_parallel(load, pool);
   double run_average = initial.average;
   // Open-system ledger: the running total behind the Φ baseline and the
   // cumulative applied net for the ledgered conservation check.  Both
@@ -111,7 +109,7 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
   metrics::SteadyState steady;
 
   const auto finish = [&](RunResult& r) {
-    if (fused && !config.record_trace && stream == nullptr) {
+    if (!config.record_trace && stream == nullptr) {
       r.final_discrepancy =
           summarize_deterministic(load, run_average, pool, SummaryMode::kExtremaOnly,
                                   arena.summary_parts())
@@ -130,14 +128,12 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
   std::uint64_t mask_epoch = 0;
   for (std::size_t round = 1; round <= config.max_rounds; ++round) {
     const graph::TopologyFrame& frame = seq.frame_at(round);
-    // The context's shared flow ledger re-keys itself on the base
-    // revision; the balancer hook remains for private per-graph caches.
-    bool epoch_changed = false;
+    // The arena's round plan re-keys itself on the base revision; the
+    // balancer hook remains for private per-graph caches.
     if (frame.base_revision() != base_epoch || frame.mask_revision() != mask_epoch) {
       balancer.on_topology_changed();
       base_epoch = frame.base_revision();
       mask_epoch = frame.mask_revision();
-      epoch_changed = true;
       if (checking && frame.mask() != nullptr) {
         // Mask commit: recount alive bitmap vs the incremental summaries.
         check::check_mask(*frame.mask());
@@ -174,7 +170,7 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
 
     RoundContext<T> ctx(frame, rng, pool, arena);
     ctx.set_spectral_cache(config.spectral_cache);
-    if (fused) ctx.request_summary(mode, run_average);
+    ctx.request_summary(mode, run_average);
 
     util::Stopwatch watch;
     const StepStats stats = exec.step(balancer, ctx, load, round, checking);
@@ -183,17 +179,12 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
 
     // Post-round observability: the balancer's fused summary when it
     // published one, the standalone deterministic reduction otherwise
-    // (bit-identical either way), or the sequential oracle.
+    // (bit-identical either way).
     watch.reset();
-    LoadSummary<T> summary;
-    if (!fused) {
-      summary = summarize(load);
-    } else if (ctx.has_summary()) {
-      summary = ctx.summary();
-    } else {
-      summary = summarize_deterministic(load, run_average, pool, mode,
-                                        arena.summary_parts());
-    }
+    const LoadSummary<T> summary =
+        ctx.has_summary() ? ctx.summary()
+                          : summarize_deterministic(load, run_average, pool, mode,
+                                                    arena.summary_parts());
     const double metrics_us = watch.elapsed_seconds() * 1e6;
     result.step_seconds += step_us * 1e-6;
     result.metrics_seconds += metrics_us * 1e-6;
@@ -201,12 +192,6 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
     if (checking) {
       check::check_conservation(baseline, load, round, stats.links, exec.name(),
                                 net_stream);
-      // The shared ledger re-keys lazily inside balancers and its CSR
-      // only moves on a base rebuild, so verify it on epoch-change
-      // rounds (round 1 included) rather than every round.
-      if ((epoch_changed || round == 1) && arena.ledger().valid_for(frame.base())) {
-        check::check_ledger(arena.ledger(), frame.base());
-      }
     }
 
     if (stream != nullptr) {
@@ -228,7 +213,7 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
       }
       result.trace.add(rec);
       result.final_discrepancy = summary.discrepancy;
-    } else if (!fused || stream != nullptr) {
+    } else if (stream != nullptr) {
       result.final_discrepancy = summary.discrepancy;
     }
     result.final_potential = summary.potential;

@@ -41,12 +41,9 @@ enum class MetricsPath : std::uint8_t {
   /// from the stream ledger whenever open-system traffic changes the
   /// total (DESIGN.md §11).  With no stream attached this reduces to the
   /// historical fixed run-start baseline bit for bit.  Bit-identical
-  /// results at every pool size.
+  /// results at every pool size.  The only path: a pool of one worker is
+  /// the sequential run.
   kFusedParallel,
-  /// The pre-RoundContext oracle: a strictly sequential summarize(load)
-  /// after every step(), with the average recomputed each round.  Kept for
-  /// the ablation benches and as the regression baseline.
-  kSequential,
 };
 
 struct EngineConfig {
@@ -67,11 +64,12 @@ struct EngineConfig {
   /// RunResults for any pool size here, LB_THREADS included.
   util::ThreadPool* pool = nullptr;
   /// Run the lb::check invariant layer (DESIGN.md §8): per-round
-  /// conservation, mask/CSR well-formedness after epoch changes; the
-  /// sharded engine adds halo-mirror equality, flow antisymmetry, and
-  /// comm accounting.  ORed with the LB_CHECK environment variable.
-  /// Violations throw check::InvariantViolation; results are unchanged
-  /// when no violation fires (checks only read engine state).
+  /// conservation, mask well-formedness after epoch changes; the sharded
+  /// engine adds halo-mirror equality, domain-plan CSR well-formedness,
+  /// flow antisymmetry, and comm accounting.  ORed with the LB_CHECK
+  /// environment variable.  Violations throw check::InvariantViolation;
+  /// results are unchanged when no violation fires (checks only read
+  /// engine state).
   bool check_invariants = false;
   /// Shared spectral cache (DESIGN.md §10), exposed to balancers through
   /// RoundContext::spectral_cache().  Consumers that bind schedules to
@@ -148,11 +146,11 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
               const EngineConfig& config = {});
 
 /// As above, but executing against a caller-owned RunArena instead of a
-/// run-local one.  The arena's scratch buffers and flow-ledger CSR (keyed
-/// on the graph revision) survive across runs, so back-to-back runs on
-/// the same base graph skip the CSR rebuild — the campaign layer's
-/// per-cell amortization (lb/exp/).  Results are bit-identical to the
-/// run-local-arena overload.
+/// run-local one.  The arena's scratch buffers and blocked-round plan
+/// (keyed on the graph revision) survive across runs, so back-to-back
+/// runs on the same base graph skip the plan rebuild — the campaign
+/// layer's per-cell amortization (lb/exp/).  Results are bit-identical to
+/// the run-local-arena overload.
 template <class T>
 RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& load,
               const EngineConfig& config, RunArena<T>& arena);

@@ -148,16 +148,13 @@ void FlowLedger::apply(const graph::Graph& g, const std::vector<double>& flows,
   LB_ASSERT_MSG(valid_for(g), "apply with a ledger built for another topology");
   LB_ASSERT_MSG(flows.size() == num_edges_, "flow vector does not match ledger");
   LB_ASSERT_MSG(load.size() == num_nodes_, "load vector does not match ledger");
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for(0, num_nodes_, 256, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t u = lo; u < hi; ++u) load[u] = gather_node(u, flows, load);
-    });
+  const auto gather = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t u = lo; u < hi; ++u) load[u] = gather_node(u, flows, load);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(0, num_nodes_, 256, gather);
   } else {
-    // One worker gains nothing from the CSR gather (it touches every edge
-    // twice through an indirection); the linear edge sweep performs the
-    // exact same per-node operation sequence, so the result is
-    // bit-identical either way.
-    apply_edge_sweep(g, flows, load);
+    gather(0, num_nodes_);
   }
 }
 
@@ -177,27 +174,6 @@ void FlowLedger::apply_with_summary(const graph::Graph& g,
                                       load[u] = value;
                                       return value;
                                     });
-}
-
-template <class T>
-void apply_edge_sweep(const graph::Graph& g, const std::vector<double>& flows,
-                      std::vector<T>& load) {
-  const auto& edges = g.edges();
-  LB_ASSERT_MSG(flows.size() == edges.size(), "flow vector does not match graph");
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const double f = flows[k];
-    if (f == 0.0) continue;
-    const graph::Edge& e = edges[k];
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    if (f > 0.0) {
-      load[e.u] -= amount;
-      load[e.v] += amount;
-    } else {
-      load[e.v] -= amount;
-      load[e.u] += amount;
-    }
-  }
 }
 
 template <class T>
@@ -233,9 +209,6 @@ void accumulate_flow_totals(const std::vector<double>& flows, StepStats& stats) 
       const graph::Graph&, const std::vector<double>&, std::vector<T>&,        \
       util::ThreadPool*, double, SummaryMode, std::vector<SummaryPartial<T>>&, \
       LoadSummary<T>&) const;                                                  \
-  template void apply_edge_sweep<T>(const graph::Graph&,                       \
-                                    const std::vector<double>&,                \
-                                    std::vector<T>&);                          \
   template void accumulate_flow_totals<T>(const graph::TopologyFrame&,         \
                                           const std::vector<double>&,          \
                                           StepStats&);                         \

@@ -1,6 +1,5 @@
 // Edge-flow kernels: the blocked round's per-topology index, the shared
-// per-edge update and StepStats rules, the node-centric CSR ledger
-// (matching rounds), and the seed's edge-sweep oracle.
+// per-edge update and StepStats rules, and the node-centric CSR ledger.
 //
 // A synchronous round in the paper is "compute every edge flow from the
 // round-start snapshot, then apply all of them".  Because every flow is
@@ -8,15 +7,17 @@
 // ±flows in ascending edge order — the sequentialization the library's
 // bit-identity contract rests on.  Every all-edges round runs as the one
 // blocked round of round_context.hpp (DESIGN.md §9.2), indexed by the
-// BlockedRoundPlan below; the seed's sequential edge-list sweep
-// (compute_edge_flows + apply_edge_sweep) stays as the equivalence oracle.
+// BlockedRoundPlan below; the seed's sequential edge sweep is the tests'
+// oracle (tests/seed_oracle.hpp).
 //
 // The FlowLedger is a CSR view (row_ptr over nodes, column array of
 // incident edge ids, ascending per row) whose gather applies a flow
 // vector node-parallel with no atomics, bit-identical to the edge sweep.
-// Dimension exchange still uses it for dense matchings.  Both indexes are
-// keyed on graph::Graph::revision(), a process-unique id minted per
-// build, so they rebuild exactly when the topology changes.
+// No round runs on it: it is the standalone gather the repository
+// benchmark probes, and the layout the sharded domain plans and
+// check::check_csr_slice share.  Both indexes are keyed on
+// graph::Graph::revision(), a process-unique id minted per build, so they
+// rebuild exactly when the topology changes.
 #pragma once
 
 #include <cmath>
@@ -49,18 +50,8 @@ std::size_t blocked_round_width();
 /// multiple and used as the block width.
 void set_blocked_width_override(long long width);
 
-/// Which apply implementation a ported balancer uses.  kEdgeSweep is the
-/// seed's sequential edge-list path, kept as the equivalence oracle for
-/// tests and the ablation benches; kLedger is the production default (the
-/// blocked round for all-edges balancers, the CSR gather for dimension
-/// exchange).
-enum class ApplyPath {
-  kLedger,
-  kEdgeSweep,
-};
-
 /// Apply one signed flow share `g` to a node's value — the per-node
-/// update of every all-edges path (e.u receives −f, e.v receives +f).
+/// update of every round (e.u receives −f, e.v receives +f).
 /// Bit-identical to the seed's edge sweep, with no branch: for g ≠ 0,
 /// x − (−g) is x + g exactly (IEEE subtraction adds the negation), which
 /// is the sweep's x ∓ |f|.  A zero share must leave x untouched, a −0.0
@@ -185,10 +176,9 @@ class FlowLedger {
   }
 
   /// Apply signed per-edge flows (positive moves load e.u -> e.v) to
-  /// `load`, node-parallel on `pool` (nullptr or a single-worker pool
-  /// falls back to the sequential edge sweep over `g`).  `g` must be the
-  /// graph the ledger was built for.  Bit-identical to apply_edge_sweep
-  /// on the same flows for any pool size.
+  /// `load`, node-parallel on `pool` (nullptr runs inline).  `g` must be
+  /// the graph the ledger was built for.  Bit-identical to the seed's
+  /// edge sweep on the same flows for any pool size.
   template <class T>
   void apply(const graph::Graph& g, const std::vector<double>& flows,
              std::vector<T>& load, util::ThreadPool* pool) const;
@@ -231,17 +221,11 @@ class FlowLedger {
   std::vector<std::int8_t> sign_;        // -1 if the row's node is the edge's u
 };
 
-/// The seed's sequential edge-list apply: the oracle every all-edges path
-/// is tested against, and the kEdgeSweep configurations' apply.
-template <class T>
-void apply_edge_sweep(const graph::Graph& g, const std::vector<double>& flows,
-                      std::vector<T>& load);
-
 /// StepStats of a flow vector under the fixed-chunk contract
 /// (fold_chunk_stats): `flows` is indexed by the frame's *base* edge id,
-/// and dead edges of a masked frame are skipped.  The kEdgeSweep oracles
-/// and the sharded engine's central totals use this, so every path
-/// reports identical StepStats.  `stats.links` is left to the caller.
+/// and dead edges of a masked frame are skipped.  The sharded engine's
+/// central totals use this, so both engines report identical StepStats.
+/// `stats.links` is left to the caller.
 template <class T>
 void accumulate_flow_totals(const graph::TopologyFrame& frame,
                             const std::vector<double>& flows, StepStats& stats);

@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "lb/core/algorithm.hpp"
-#include "lb/core/flow_ledger.hpp"
+#include "lb/graph/edge_mask.hpp"
 
 namespace lb::core {
 
@@ -30,22 +30,14 @@ inline auto fos_flow(const graph::TopologyFrame& frame) {
 
 class FirstOrderScheme final : public Balancer<double> {
  public:
-  explicit FirstOrderScheme(bool parallel = true,
-                            ApplyPath apply = ApplyPath::kLedger)
-      : parallel_(parallel), apply_(apply) {}
-
   std::string name() const override { return "fos"; }
   using Balancer<double>::step;
   StepStats step(RoundContext<double>& ctx, std::vector<double>& load) override;
 
   /// Sharded replay (flow_program.hpp): fos_flow, the identical closure
-  /// step() runs.  The kEdgeSweep oracle is not planned.
+  /// step() runs.
   bool plan_round(RoundContext<double>& ctx,
                   FlowProgram<double>& program) override;
-
- private:
-  bool parallel_;
-  ApplyPath apply_;
 };
 
 std::unique_ptr<ContinuousBalancer> make_fos_continuous();

@@ -178,11 +178,10 @@ LoadSummary<T> combine_summary_partials(const std::vector<SummaryPartial<T>>& pa
                                         std::size_t n, double average,
                                         SummaryMode mode);
 
-/// The fused-sweep template the observed dense sweeps run on (the ledger
-/// gather, SOS β-combine, random-partner delta apply, the simulator's
-/// credit superstep, the standalone reduction; the blocked round folds
-/// its chunks with the same summary_begin/summary_accumulate sequence):
-/// call
+/// The fused-sweep template the observed dense sweeps run on (the SOS
+/// β-combine, the random-partner delta apply, FlowLedger's fused gather,
+/// the standalone reduction; the blocked round folds its chunks with the
+/// same summary_begin/summary_accumulate sequence): call
 /// `value_fn(i)` exactly once for every i in [0, n), chunk-by-chunk on
 /// `pool`, accumulating each returned value into the deterministic
 /// reduction as it is produced.  value_fn performs the sweep's own store

@@ -4,12 +4,12 @@
 // access to the thread pool or reusable scratch, so each balancer
 // re-plumbed its own (flow buffers, snapshots, CSR ledgers).  The context
 // bundles the per-round view (graph + rng + pool) with the per-run
-// resources (scratch arena + the blocked round's plan and the flow ledger,
-// keyed on the graph's topology epoch), and carries the engine's
-// fused-summary request so the metrics sweep can ride inside the apply
-// phase instead of being a second sequential O(n) pass.  See DESIGN.md §3
-// for the contract.  The file ends with the one all-edges round every
-// edge-flow balancer runs (run_blocked_round, DESIGN.md §9.2).
+// resources (scratch arena + the blocked round's plan, keyed on the
+// graph's topology epoch), and carries the engine's fused-summary request
+// so the metrics sweep can ride inside the apply phase instead of being a
+// second O(n) pass.  See DESIGN.md §3 for the contract.  The file ends
+// with the one all-edges round every edge-flow balancer runs
+// (run_blocked_round, DESIGN.md §9.2).
 //
 // Ownership model:
 //   * RunArena<T> lives for a whole run (the engine owns one per run; the
@@ -39,10 +39,9 @@ class SpectralCache;
 namespace lb::core {
 
 /// Per-run reusable state shared by every round: scratch buffers sized
-/// lazily by the balancers that use them, plus the blocked round's plan
-/// and the flow-ledger CSR view, both re-keyed on graph::Graph::revision()
-/// (the topology epoch) so dynamic sequences rebuild them exactly when
-/// the topology changes.
+/// lazily by the balancers that use them, plus the blocked round's plan,
+/// re-keyed on graph::Graph::revision() (the topology epoch) so dynamic
+/// sequences rebuild it exactly when the topology changes.
 ///
 /// An arena may also outlive a run: Engine::run's caller-owned-arena
 /// overload lets back-to-back runs share one, in which case the
@@ -68,9 +67,6 @@ class RunArena {
   std::vector<StepStats>& chunk_stats() { return chunk_stats_; }
   /// The blocked round's (base revision, width)-keyed index.
   BlockedRoundPlan& round_plan() { return round_plan_; }
-  /// The shared CSR incident-edge view; callers go through
-  /// RoundContext::ledger(), which ensure()s it against the round's graph.
-  FlowLedger& ledger() { return ledger_; }
 
   /// No-op.  Rounds once cached the load vector across calls and callers
   /// had to drop that cache after mutating loads; the blocked round reads
@@ -84,7 +80,6 @@ class RunArena {
   std::vector<SummaryPartial<T>> summary_parts_;
   std::vector<StepStats> chunk_stats_;
   BlockedRoundPlan round_plan_;
-  FlowLedger ledger_;
 };
 
 template <class T>
@@ -117,9 +112,8 @@ class RoundContext {
   const graph::Graph& graph() const { return frame_->view(); }
   util::Rng& rng() { return *rng_; }
 
-  /// The pool rounds should parallelize on; nullptr means run sequential.
-  /// Balancers configured sequential (e.g. DiffusionConfig::parallel ==
-  /// false) ignore it.
+  /// The pool rounds parallelize on; nullptr (or a one-worker pool)
+  /// runs the round sequentially, with the same bits.
   util::ThreadPool* pool() const { return pool_; }
 
   RunArena<T>& arena() { return *arena_; }
@@ -132,23 +126,15 @@ class RoundContext {
   linalg::SpectralCache* spectral_cache() const { return spectral_cache_; }
   void set_spectral_cache(linalg::SpectralCache* cache) { spectral_cache_ = cache; }
 
-  /// The shared flow ledger, rebuilt iff its epoch differs from the
-  /// round's graph.  Returns a view valid for graph() — on masked rounds
-  /// this materializes.
-  FlowLedger& ledger() {
-    arena_->ledger().ensure(frame_->view());
-    return arena_->ledger();
-  }
-
   // --- Fused-summary protocol (engine -> balancer) ---------------------
   //
   // The engine requests a post-round LoadSummary with Φ measured against
   // `average` (the run-start average; see metrics.hpp).  A balancer whose
   // apply phase sweeps every node SHOULD compute the summary during that
-  // sweep (FlowLedger::apply_with_summary, or a fixed-chunk fused loop)
-  // and publish it; the engine falls back to a standalone deterministic
-  // reduction otherwise.  Either way the bits are identical — publishing
-  // just saves the second pass over the load vector.
+  // sweep (the blocked round, or a fixed-chunk fused loop) and publish it;
+  // the engine falls back to a standalone deterministic reduction
+  // otherwise.  Either way the bits are identical — publishing just saves
+  // the second pass over the load vector.
 
   void request_summary(SummaryMode mode, double average) {
     summary_requested_ = true;
@@ -180,25 +166,6 @@ class RoundContext {
   bool has_summary_ = false;
   LoadSummary<T> summary_{};
 };
-
-/// Dimension exchange's dense-matching tail: apply `flows` through
-/// `ledger`, riding the fused deterministic summary inside the gather
-/// when the engine requested one (and publishing it), plain apply
-/// otherwise.  `ledger` must already be valid for ctx.graph().
-template <class T>
-inline void apply_flows_observed(RoundContext<T>& ctx, FlowLedger& ledger,
-                                 const std::vector<double>& flows,
-                                 std::vector<T>& load, util::ThreadPool* pool) {
-  if (ctx.summary_requested()) {
-    LoadSummary<T> summary;
-    ledger.apply_with_summary(ctx.graph(), flows, load, pool,
-                              ctx.summary_average(), ctx.summary_mode(),
-                              ctx.arena().summary_parts(), summary);
-    ctx.publish_summary(summary);
-  } else {
-    ledger.apply(ctx.graph(), flows, load, pool);
-  }
-}
 
 namespace detail {
 

@@ -10,17 +10,17 @@
 // load but produces fractional (and possibly transiently negative)
 // intermediate loads, exactly as in [15].
 //
-// The M·L product runs on the shared flow-ledger kernel
-// (core/flow_ledger.hpp), so every phase of a round — flow computation,
-// apply, and the β-combination — is parallel and deterministic across
-// thread counts.
+// The M·L product is the FOS blocked round (core/round_context.hpp) into
+// SOS's own buffer, and the β-combination one fixed-chunk per-node sweep,
+// so every phase of a round is parallel and bit-identical across thread
+// counts.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "lb/core/algorithm.hpp"
-#include "lb/core/flow_ledger.hpp"
 
 namespace lb::core {
 
@@ -28,19 +28,16 @@ class SecondOrderScheme final : public Balancer<double> {
  public:
   /// If `beta` is nullopt it is computed on first use from the graph's
   /// spectrum via diffusion_gamma (dense path; intended for n <= 4096).
-  explicit SecondOrderScheme(std::optional<double> beta = std::nullopt,
-                             bool parallel = true,
-                             ApplyPath apply = ApplyPath::kLedger);
+  explicit SecondOrderScheme(std::optional<double> beta = std::nullopt);
 
   std::string name() const override { return "sos"; }
   using Balancer<double>::step;
   StepStats step(RoundContext<double>& ctx, std::vector<double>& load) override;
 
-  /// Sharded replay (flow_program.hpp): the FOS edge flow plus a per-node
-  /// post combine carrying the β-recurrence — plain FOS on the first
-  /// round (recording L^{t-1}), β·(M·L)_u + (1−β)·prev otherwise, with
-  /// the exact per-node expression step() evaluates.  prev_ is per-node
-  /// state, so the post closure is safe to run from any domain.
+  /// Sharded replay (flow_program.hpp): the FOS edge flow plus
+  /// next_load() as the per-node post combine — the one statement of the
+  /// β-recurrence step() also runs.  prev_ is per-node state, so the post
+  /// closure is safe to run from any domain.
   bool plan_round(RoundContext<double>& ctx,
                   FlowProgram<double>& program) override;
 
@@ -59,10 +56,18 @@ class SecondOrderScheme final : public Balancer<double> {
   static double optimal_beta(double gamma);
 
  private:
+  /// Per-round setup shared by step() and plan_round(): derives the
+  /// auto-β on first use, sizes prev_, and returns true on the run's
+  /// first round (a plain FOS step), after which L^{t-1} is recorded.
+  bool begin_round(RoundContext<double>& ctx);
+
+  /// Node u's next load from `applied` = (M·L^t)_u and `before` = L^t_u:
+  /// `applied` itself on the first round, β·applied + (1−β)·L^{t-1}_u
+  /// otherwise; then L^{t-1}_u <- `before`.
+  double next_load(std::size_t u, double applied, double before, bool first);
+
   std::optional<double> configured_beta_;  // constructor argument, verbatim
   std::optional<double> beta_;             // in effect (auto-filled on first step)
-  bool parallel_;
-  ApplyPath apply_;
   std::vector<double> prev_;     // L^{t-1} — algorithm state, not scratch
   std::vector<double> scratch_;  // M·L^t
   bool have_prev_ = false;

@@ -227,8 +227,8 @@ CellResult run_cell_fresh_typed(const ExperimentPlan& plan, const Cell& cell,
   return result;
 }
 
-/// One shard's reusable state (kCached): arenas whose flow-ledger CSR is
-/// keyed on the base revision, and balancer instances keyed on
+/// One shard's reusable state (kCached): arenas whose blocked-round plan
+/// is keyed on the base revision, and balancer instances keyed on
 /// (balancer, graph, scenario) so spectral schedules survive across the
 /// workload/scalar/seed axes while on_run_begin() wipes trajectory state.
 struct ShardState {

@@ -6,7 +6,7 @@
 //
 //   kCold    every cell rebuilds everything from the plan: graph base,
 //            balancer (spectral schedules recomputed inside the run),
-//            scratch arena, flow-ledger CSR.  This is the fresh-engine
+//            scratch arena, blocked-round plan.  This is the fresh-engine
 //            oracle — run_cell_fresh executes exactly one such cell —
 //            and the baseline leg of the bench_campaign ablation.
 //
@@ -15,8 +15,8 @@
 //            the Graph itself (built once per GraphSpec), the spectral
 //            profile (λ2/γ → SOS's optimal β), OPS's eigenvalue schedule
 //            (cached inside the reused balancer instance, keyed on the
-//            graph revision), and the RunArena's flow-ledger CSR (keyed
-//            on the same revision).  Trajectory state cannot leak
+//            graph revision), and the RunArena's blocked-round plan
+//            (keyed on the same revision).  Trajectory state cannot leak
 //            between cells: Engine::run calls Balancer::on_run_begin()
 //            (the run-isolation protocol, DESIGN.md §6).
 //

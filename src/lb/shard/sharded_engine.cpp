@@ -1,7 +1,6 @@
 #include "lb/shard/sharded_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 #include "lb/check/invariants.hpp"
@@ -228,13 +227,8 @@ core::StepStats step_matching(core::RoundContext<T>& ctx,
   // below; this pass only fixes the summation order of the double total.
   for (const std::uint32_t k : program.matched) {
     const graph::Edge& e = edges[k];
-    const double f = program.flow(k, e, static_cast<double>(load[e.u]),
-                                  static_cast<double>(load[e.v]));
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
+    core::count_flow<T>(stats, program.flow(k, e, static_cast<double>(load[e.u]),
+                                            static_cast<double>(load[e.v])));
   }
 
   // Per-round work lists, in matching order.  Each (sender, receiver)
@@ -269,7 +263,8 @@ core::StepStats step_matching(core::RoundContext<T>& ctx,
   // Phase B: owners compute each matched flow, apply u's side, and ship
   // the flow back (every matched cut edge ships, zero or not, keeping
   // message counts a function of the matching alone).  Local pairs apply
-  // both sides at once, exactly like the oracle's direct loop.
+  // both sides at once, exactly like step()'s direct loop; every side
+  // takes add_flow's per-edge update.
   for_each_domain(pool, K, [&](std::size_t d) {
     for (const std::uint32_t k : rt.remote_out[d]) {
       const graph::Edge& e = edges[k];
@@ -278,29 +273,14 @@ core::StepStats step_matching(core::RoundContext<T>& ctx,
       const double f = program.flow(k, e, static_cast<double>(load[e.u]),
                                     static_cast<double>(lv));
       rt.comm.send(d, owner[e.v], &f, 1);
-      if (f == 0.0) continue;
-      const T amount = static_cast<T>(std::fabs(f));
-      if (amount == T{}) continue;
-      if (f > 0.0) {
-        load[e.u] -= amount;
-      } else {
-        load[e.u] += amount;
-      }
+      core::add_flow(load[e.u], -f);
     }
     for (const std::uint32_t k : rt.local_pairs[d]) {
       const graph::Edge& e = edges[k];
       const double f = program.flow(k, e, static_cast<double>(load[e.u]),
                                     static_cast<double>(load[e.v]));
-      if (f == 0.0) continue;
-      const T amount = static_cast<T>(std::fabs(f));
-      if (amount == T{}) continue;
-      if (f > 0.0) {
-        load[e.u] -= amount;
-        load[e.v] += amount;
-      } else {
-        load[e.v] -= amount;
-        load[e.u] += amount;
-      }
+      core::add_flow(load[e.u], -f);
+      core::add_flow(load[e.v], f);
     }
   });
   rt.comm.deliver();
@@ -311,14 +291,7 @@ core::StepStats step_matching(core::RoundContext<T>& ctx,
       const graph::Edge& e = edges[k];
       double f = 0.0;
       rt.comm.recv(owner[e.u], d, &f, 1);
-      if (f == 0.0) continue;
-      const T amount = static_cast<T>(std::fabs(f));
-      if (amount == T{}) continue;
-      if (f > 0.0) {
-        load[e.v] += amount;
-      } else {
-        load[e.v] -= amount;
-      }
+      core::add_flow(load[e.v], f);
     }
   });
   return stats;

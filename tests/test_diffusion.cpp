@@ -202,21 +202,6 @@ TEST(DiffusionConfigTest, SmallerFactorConvergesFasterOnCycleSpike) {
   EXPECT_LT(lb::core::potential(fast_load), lb::core::potential(slow_load));
 }
 
-TEST(DiffusionConfigTest, SequentialAndParallelFlowsAgree) {
-  lb::util::Rng rng(14);
-  const Graph g = lb::graph::make_random_regular(64, 4, rng);
-  std::vector<double> a = lb::workload::uniform_random<double>(64, 6400.0, rng);
-  std::vector<double> b = a;
-  DiffusionConfig seq_cfg;
-  seq_cfg.parallel = false;
-  ContinuousDiffusion seq(seq_cfg), par;
-  for (int round = 0; round < 10; ++round) {
-    seq.step(g, a, rng);
-    par.step(g, b, rng);
-    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
-  }
-}
-
 TEST(DiffusionNamesTest, DescriptiveNames) {
   EXPECT_EQ(ContinuousDiffusion().name(), "diffusion-cont");
   EXPECT_EQ(DiscreteDiffusion().name(), "diffusion-disc");

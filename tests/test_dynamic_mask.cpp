@@ -20,6 +20,7 @@
 #include "lb/graph/generators.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
+#include "seed_oracle.hpp"
 
 namespace {
 
@@ -219,15 +220,13 @@ TEST(DynamicMaskTest, DimensionExchangeMaterializingViewMatchesOracle) {
 }
 
 TEST(DynamicMaskTest, EdgeSweepConfigStillRunsOnMaterializedPath) {
-  // The kEdgeSweep ablation configuration must keep its seed-verbatim
-  // behavior on masked sequences (it materializes via the context's
-  // graph() view) and still match the kLedger masked fast path.
+  // The seed's edge sweep (seed_oracle.hpp) runs on masked sequences
+  // through the context's materializing graph() view; the production
+  // masked fast path must match it bit for bit.
   const Graph base = lb::graph::make_torus2d(6, 6);
   ThreadPool pool(2);
   auto masked_seq = lb::graph::make_bernoulli_sequence(base, 0.7, 21);
-  lb::core::DiffusionConfig sweep_cfg;
-  sweep_cfg.apply = lb::core::ApplyPath::kEdgeSweep;
-  lb::core::DiscreteDiffusion sweep_alg(sweep_cfg);
+  seed::Diffusion<std::int64_t> sweep_alg;
   const auto sweep =
       run_over<std::int64_t>(sweep_alg, *masked_seq, token_spike(), 50, &pool);
 

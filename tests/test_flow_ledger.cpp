@@ -1,13 +1,14 @@
-// Kernel-equivalence tests for the flow-ledger substrate
-// (lb/core/flow_ledger.hpp): the node-parallel ledger apply must produce
-// BIT-identical load vectors to the seed's sequential edge-list sweep for
-// every ported balancer, discrete and continuous, on random/torus/
-// hypercube graphs, at every thread-pool size.
+// Kernel-equivalence tests for the edge-flow substrate
+// (lb/core/flow_ledger.hpp): every balancer's production round must
+// produce BIT-identical load vectors and StepStats to the seed's
+// sequential round (tests/seed_oracle.hpp), discrete and continuous, on
+// random/torus/hypercube graphs and dynamic sequences; the node-parallel
+// FlowLedger gather must equal the seed's edge sweep at every thread-pool
+// size.
 #include "lb/core/flow_ledger.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -24,10 +25,10 @@
 #include "lb/graph/generators.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
+#include "seed_oracle.hpp"
 
 namespace {
 
-using lb::core::ApplyPath;
 using lb::core::FlowLedger;
 using lb::graph::Graph;
 
@@ -69,26 +70,25 @@ std::vector<T> initial_load(const Graph& g, std::uint64_t seed) {
       g.num_nodes(), static_cast<T>(1000 * g.num_nodes()), rng);
 }
 
-// Run `rounds` steps of identically-configured balancers down both apply
-// paths (same RNG seed) and require bit-identical loads after every round.
-template <class T, class MakeBalancer>
-void expect_paths_identical(const Graph& g, MakeBalancer&& make, int rounds) {
-  auto ledger_alg = make(ApplyPath::kLedger);
-  auto sweep_alg = make(ApplyPath::kEdgeSweep);
-  std::vector<T> ledger_load = initial_load<T>(g, 99);
-  std::vector<T> sweep_load = ledger_load;
-  lb::util::Rng ledger_rng(5), sweep_rng(5);
-  const T total = std::accumulate(ledger_load.begin(), ledger_load.end(), T{});
+// Step a production balancer and its seed oracle `rounds` times from the
+// same loads (same RNG seed) and require bit-identical loads and
+// StepStats after every round.
+template <class T>
+void expect_matches_seed(const Graph& g, lb::core::Balancer<T>& alg,
+                         lb::core::Balancer<T>& oracle, int rounds) {
+  std::vector<T> load = initial_load<T>(g, 99);
+  std::vector<T> oracle_load = load;
+  lb::util::Rng rng(5), oracle_rng(5);
+  const T total = std::accumulate(load.begin(), load.end(), T{});
   for (int r = 0; r < rounds; ++r) {
-    const auto ls = ledger_alg->step(g, ledger_load, ledger_rng);
-    const auto ss = sweep_alg->step(g, sweep_load, sweep_rng);
-    ASSERT_TRUE(bits_equal(ledger_load, sweep_load))
-        << g.name() << " round " << r;
-    EXPECT_EQ(ls.active_edges, ss.active_edges);
-    EXPECT_EQ(ls.transferred, ss.transferred);
+    const auto stats = alg.step(g, load, rng);
+    const auto oracle_stats = oracle.step(g, oracle_load, oracle_rng);
+    ASSERT_TRUE(bits_equal(load, oracle_load)) << g.name() << " round " << r;
+    EXPECT_EQ(stats.active_edges, oracle_stats.active_edges);
+    EXPECT_EQ(stats.transferred, oracle_stats.transferred);
+    EXPECT_EQ(stats.links, oracle_stats.links);
   }
-  const T final_total =
-      std::accumulate(ledger_load.begin(), ledger_load.end(), T{});
+  const T final_total = std::accumulate(load.begin(), load.end(), T{});
   if constexpr (std::is_integral_v<T>) {
     EXPECT_EQ(final_total, total);  // tokens conserve exactly
   } else {
@@ -99,89 +99,61 @@ void expect_paths_identical(const Graph& g, MakeBalancer&& make, int rounds) {
 
 TEST(FlowLedgerEquivalenceTest, DiffusionContinuous) {
   for (const Graph& g : test_graphs()) {
-    expect_paths_identical<double>(
-        g,
-        [](ApplyPath apply) {
-          lb::core::DiffusionConfig cfg;
-          cfg.apply = apply;
-          return std::make_unique<lb::core::ContinuousDiffusion>(cfg);
-        },
-        25);
+    lb::core::ContinuousDiffusion alg;
+    seed::Diffusion<double> oracle;
+    expect_matches_seed<double>(g, alg, oracle, 25);
   }
 }
 
 TEST(FlowLedgerEquivalenceTest, DiffusionDiscrete) {
   for (const Graph& g : test_graphs()) {
-    expect_paths_identical<std::int64_t>(
-        g,
-        [](ApplyPath apply) {
-          lb::core::DiffusionConfig cfg;
-          cfg.apply = apply;
-          return std::make_unique<lb::core::DiscreteDiffusion>(cfg);
-        },
-        25);
+    lb::core::DiscreteDiffusion alg;
+    seed::Diffusion<std::int64_t> oracle;
+    expect_matches_seed<std::int64_t>(g, alg, oracle, 25);
   }
 }
 
 TEST(FlowLedgerEquivalenceTest, FosFlowFormDiscrete) {
+  lb::core::DiffusionConfig cfg;
+  cfg.rule = lb::core::DenominatorRule::kDegreePlusOne;
   for (const Graph& g : test_graphs()) {
-    expect_paths_identical<std::int64_t>(
-        g,
-        [](ApplyPath apply) {
-          lb::core::DiffusionConfig cfg;
-          cfg.rule = lb::core::DenominatorRule::kDegreePlusOne;
-          cfg.apply = apply;
-          return std::make_unique<lb::core::DiscreteDiffusion>(cfg);
-        },
-        25);
+    lb::core::DiscreteDiffusion alg(cfg);
+    seed::Diffusion<std::int64_t> oracle(cfg);
+    expect_matches_seed<std::int64_t>(g, alg, oracle, 25);
   }
 }
 
 TEST(FlowLedgerEquivalenceTest, FirstOrderScheme) {
   for (const Graph& g : test_graphs()) {
-    expect_paths_identical<double>(
-        g,
-        [](ApplyPath apply) {
-          return std::make_unique<lb::core::FirstOrderScheme>(/*parallel=*/true,
-                                                              apply);
-        },
-        25);
+    lb::core::FirstOrderScheme alg;
+    seed::SecondOrder oracle;  // β unset: FOS
+    expect_matches_seed<double>(g, alg, oracle, 25);
   }
 }
 
 TEST(FlowLedgerEquivalenceTest, SecondOrderScheme) {
   for (const Graph& g : test_graphs()) {
-    expect_paths_identical<double>(
-        g,
-        [](ApplyPath apply) {
-          return std::make_unique<lb::core::SecondOrderScheme>(
-              /*beta=*/1.5, /*parallel=*/true, apply);
-        },
-        25);
+    lb::core::SecondOrderScheme alg(/*beta=*/1.5);
+    seed::SecondOrder oracle(/*beta=*/1.5);
+    expect_matches_seed<double>(g, alg, oracle, 25);
   }
 }
 
 TEST(FlowLedgerEquivalenceTest, DimensionExchangeContinuous) {
+  constexpr auto kStrategy = lb::core::MatchingStrategy::kGhoshMuthukrishnan;
   for (const Graph& g : test_graphs()) {
-    expect_paths_identical<double>(
-        g,
-        [](ApplyPath apply) {
-          return std::make_unique<lb::core::ContinuousDimensionExchange>(
-              lb::core::MatchingStrategy::kGhoshMuthukrishnan, apply);
-        },
-        25);
+    lb::core::ContinuousDimensionExchange alg(kStrategy);
+    seed::DimensionExchange<double> oracle(kStrategy);
+    expect_matches_seed<double>(g, alg, oracle, 25);
   }
 }
 
 TEST(FlowLedgerEquivalenceTest, DimensionExchangeDiscrete) {
+  constexpr auto kStrategy = lb::core::MatchingStrategy::kRandomMaximal;
   for (const Graph& g : test_graphs()) {
-    expect_paths_identical<std::int64_t>(
-        g,
-        [](ApplyPath apply) {
-          return std::make_unique<lb::core::DiscreteDimensionExchange>(
-              lb::core::MatchingStrategy::kRandomMaximal, apply);
-        },
-        25);
+    lb::core::DiscreteDimensionExchange alg(kStrategy);
+    seed::DimensionExchange<std::int64_t> oracle(kStrategy);
+    expect_matches_seed<std::int64_t>(g, alg, oracle, 25);
   }
 }
 
@@ -192,18 +164,10 @@ void expect_apply_identical_across_pools(const Graph& g) {
   // Flows from a real diffusion round so magnitudes/signs are realistic.
   std::vector<T> snapshot = initial_load<T>(g, 31);
   std::vector<double> flows;
-  lb::core::DiffusionConfig cfg;
-  lb::core::compute_edge_flows(
-      g, snapshot, flows, nullptr,
-      [&g, &cfg](std::size_t, const lb::graph::Edge& e, double lu, double lv) {
-        if (lu == lv) return 0.0;
-        double w = lb::core::diffusion_edge_weight(g, e.u, e.v, lu, lv, cfg);
-        if constexpr (std::is_integral_v<T>) w = std::floor(w);
-        return lu > lv ? w : -w;
-      });
+  seed::diffusion_flows(g, snapshot, {}, flows);
 
   std::vector<T> oracle = snapshot;
-  lb::core::apply_edge_sweep(g, flows, oracle);
+  seed::apply_edge_sweep(g, flows, oracle);
 
   FlowLedger ledger;
   ledger.rebuild(g);
@@ -266,15 +230,13 @@ TEST(FlowLedgerEpochTest, SubgraphRebuildChangesRevision) {
   EXPECT_NE(sub.revision(), base.revision());
 }
 
-// Dynamic networks: the sequence rebuilds its graph each round (often in
-// place), so the ledger must re-key per epoch.  Both apply paths must stay
-// bit-identical through a full engine run over a changing topology.
+// Dynamic networks: the topology changes every round, so the round's
+// per-epoch indexes must re-key per epoch.  The production round must
+// stay bit-identical to the seed's sweep on the materialized view through
+// a full engine run over a changing topology.
 TEST(FlowLedgerDynamicTest, LedgerTracksBernoulliSequence) {
   const Graph base = lb::graph::make_torus2d(8, 8);
-  auto run_with = [&](ApplyPath apply) {
-    lb::core::DiffusionConfig cfg;
-    cfg.apply = apply;
-    lb::core::ContinuousDiffusion alg(cfg);
+  auto run_with = [&](lb::core::Balancer<double>& alg) {
     auto seq = lb::graph::make_bernoulli_sequence(base, 0.7, /*seed=*/11);
     std::vector<double> load = initial_load<double>(base, 3);
     lb::core::EngineConfig ecfg;
@@ -285,17 +247,14 @@ TEST(FlowLedgerDynamicTest, LedgerTracksBernoulliSequence) {
     lb::core::run(alg, *seq, load, ecfg);
     return load;
   };
-  const auto ledger_load = run_with(ApplyPath::kLedger);
-  const auto sweep_load = run_with(ApplyPath::kEdgeSweep);
-  EXPECT_TRUE(bits_equal(ledger_load, sweep_load));
+  lb::core::ContinuousDiffusion alg;
+  seed::Diffusion<double> oracle;
+  EXPECT_TRUE(bits_equal(run_with(alg), run_with(oracle)));
 }
 
 TEST(FlowLedgerDynamicTest, LedgerTracksMarkovSequence) {
   const Graph base = lb::graph::make_hypercube(6);
-  auto run_with = [&](ApplyPath apply) {
-    lb::core::DiffusionConfig cfg;
-    cfg.apply = apply;
-    lb::core::DiscreteDiffusion alg(cfg);
+  auto run_with = [&](lb::core::Balancer<std::int64_t>& alg) {
     auto seq =
         lb::graph::make_markov_failure_sequence(base, 0.2, 0.5, /*seed=*/23);
     std::vector<std::int64_t> load = initial_load<std::int64_t>(base, 17);
@@ -307,9 +266,9 @@ TEST(FlowLedgerDynamicTest, LedgerTracksMarkovSequence) {
     lb::core::run(alg, *seq, load, ecfg);
     return load;
   };
-  const auto ledger_load = run_with(ApplyPath::kLedger);
-  const auto sweep_load = run_with(ApplyPath::kEdgeSweep);
-  EXPECT_TRUE(bits_equal(ledger_load, sweep_load));
+  lb::core::DiscreteDiffusion alg;
+  seed::Diffusion<std::int64_t> oracle;
+  EXPECT_TRUE(bits_equal(run_with(alg), run_with(oracle)));
 }
 
 TEST(FlowLedgerStructureTest, CsrRowsCoverEveryEdgeTwice) {

@@ -27,12 +27,12 @@
 #include "lb/util/rng.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
+#include "seed_oracle.hpp"
 
 namespace {
 
 using lb::core::EngineConfig;
 using lb::core::LoadSummary;
-using lb::core::MetricsPath;
 using lb::core::RunResult;
 using lb::core::SummaryMode;
 using lb::util::ThreadPool;
@@ -175,22 +175,15 @@ TEST(MetricsParallelTest, FusedLedgerApplyMatchesStandaloneReduction) {
   const double avg = lb::core::summarize_parallel(start, nullptr).average;
 
   std::vector<double> flows;
-  lb::core::DiffusionConfig cfg;
-  lb::core::compute_edge_flows(
-      g, start, flows, nullptr,
-      [&g, &cfg](std::size_t, const lb::graph::Edge& e, double lu, double lv) {
-        if (lu == lv) return 0.0;
-        const double w = lb::core::diffusion_edge_weight(g, e.u, e.v, lu, lv, cfg);
-        return lu > lv ? w : -w;
-      });
+  seed::diffusion_flows(g, start, {}, flows);
 
-  lb::core::FlowLedger ledger;
-  ledger.rebuild(g);
   std::vector<double> oracle_load = start;
-  ledger.apply(g, flows, oracle_load, nullptr);
+  seed::apply_edge_sweep(g, flows, oracle_load);
   const LoadSummary<double> oracle_summary = lb::core::summarize_deterministic(
       oracle_load, avg, nullptr, SummaryMode::kFull);
 
+  lb::core::FlowLedger ledger;
+  ledger.rebuild(g);
   for (const std::size_t threads : pool_sizes()) {
     ThreadPool pool(threads);
     std::vector<double> load = start;
@@ -302,10 +295,10 @@ TEST(EngineDeterminismTest, RandomPartnerBitIdenticalAcrossPools) {
 }
 
 TEST(EngineDeterminismTest, DimensionExchangeBitIdenticalAcrossPools) {
-  // A cycle makes random-maximal matchings cover ~half the edge list, so
-  // the ledger gather (and its fused summary) actually engages on the
-  // multi-worker pools while the single-worker leg stays on the direct
-  // sparse loop — the cross-path case the determinism contract must hold.
+  // A cycle makes random-maximal matchings cover ~half the edge list and
+  // spans three summary chunks, so the engine's standalone fixed-chunk
+  // summary of the direct pair loop's loads runs chunk-parallel on the
+  // multi-worker pools and inline on the single-worker leg.
   const auto g = lb::graph::make_cycle(2 * lb::core::kSummaryChunkWidth + 64);
   expect_engine_identical_across_pools<std::int64_t>(
       g,
@@ -324,34 +317,38 @@ TEST(EngineDeterminismTest, AsyncDiffusionBitIdenticalAcrossPools) {
 }
 
 TEST(EngineDeterminismTest, FusedMatchesSequentialOracleForTokens) {
-  // Tokens conserve totals exactly and n fits one chunk, so the fused
-  // path (run-start average) and the sequential oracle (average
-  // recomputed per round) must agree bit for bit, trace included.
+  // Tokens conserve totals exactly and n fits one chunk, so the engine's
+  // fused Φ/K (run-start average) must equal the sequential summarize()
+  // (average recomputed per round) of the same trajectory stepped by
+  // hand, bit for bit, trace included.
   const auto g = lb::graph::make_torus2d(20, 20);
   lb::util::Rng rng(3);
   const auto start = lb::workload::uniform_random<std::int64_t>(
       g.num_nodes(), 400000, rng);
-  auto run_with = [&](MetricsPath metrics) {
-    lb::core::DiscreteDiffusion alg;
-    std::vector<std::int64_t> load = start;
-    EngineConfig cfg;
-    cfg.max_rounds = 50;
-    cfg.target_potential = 0.0;
-    cfg.stall_rounds = 0;
-    cfg.metrics = metrics;
-    return lb::core::run_static(alg, g, load, cfg);
-  };
-  const RunResult fused = run_with(MetricsPath::kFusedParallel);
-  const RunResult serial = run_with(MetricsPath::kSequential);
-  EXPECT_TRUE(bits_equal(fused.initial_potential, serial.initial_potential));
-  EXPECT_TRUE(bits_equal(fused.final_potential, serial.final_potential));
-  EXPECT_TRUE(bits_equal(fused.final_discrepancy, serial.final_discrepancy));
-  ASSERT_EQ(fused.trace.size(), serial.trace.size());
+  EngineConfig cfg;
+  cfg.max_rounds = 50;
+  cfg.target_potential = 0.0;
+  cfg.stall_rounds = 0;
+  lb::core::DiscreteDiffusion alg;
+  std::vector<std::int64_t> engine_load = start;
+  const RunResult fused = lb::core::run_static(alg, g, engine_load, cfg);
+
+  lb::core::DiscreteDiffusion by_hand;
+  lb::util::Rng step_rng(cfg.seed);
+  std::vector<std::int64_t> load = start;
+  EXPECT_TRUE(bits_equal(fused.initial_potential, lb::core::summarize(load).potential));
+  ASSERT_FALSE(fused.trace.empty());
   for (std::size_t r = 0; r < fused.trace.size(); ++r) {
-    ASSERT_TRUE(bits_equal(fused.trace[r].potential, serial.trace[r].potential));
-    ASSERT_TRUE(
-        bits_equal(fused.trace[r].discrepancy, serial.trace[r].discrepancy));
+    by_hand.step(g, load, step_rng);
+    const LoadSummary<std::int64_t> serial = lb::core::summarize(load);
+    ASSERT_TRUE(bits_equal(fused.trace[r].potential, serial.potential)) << "round " << r + 1;
+    ASSERT_TRUE(bits_equal(fused.trace[r].discrepancy, serial.discrepancy))
+        << "round " << r + 1;
   }
+  EXPECT_TRUE(vectors_bits_equal(engine_load, load));
+  const LoadSummary<std::int64_t> last = lb::core::summarize(load);
+  EXPECT_TRUE(bits_equal(fused.final_potential, last.potential));
+  EXPECT_TRUE(bits_equal(fused.final_discrepancy, last.discrepancy));
 }
 
 TEST(EngineDeterminismTest, NoTraceRunMatchesTracedTerminals) {

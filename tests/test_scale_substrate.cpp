@@ -1,14 +1,14 @@
 // Property tests for the million-node substrate (DESIGN.md §9): the
 // blocked round must be bit-identical to its oracles — the single-block
-// round and the seed's edge sweep — at every block width, pool size, mask
-// state, and shard count, on regular graphs and on irregular ones where
-// most edges cross blocks; the round's plan must hold exactly the chunk
-// slices and cut lists a brute-force pass derives; StepStats::transferred
-// must follow the fixed-chunk contract; the width-adaptive index storage
-// must produce identical graphs and runs in narrow (uint32) and
-// forced-wide (uint64) modes; the streaming generator builds must equal
-// their add_edge counterparts exactly; and the linalg scale guard must
-// degrade deterministically.
+// round and the seed's sequential rounds (seed_oracle.hpp) — at every
+// block width, pool size, mask state, and shard count, on regular graphs
+// and on irregular ones where most edges cross blocks; the round's plan
+// must hold exactly the chunk slices and cut lists a brute-force pass
+// derives; StepStats::transferred must follow the fixed-chunk contract;
+// the width-adaptive index storage must produce identical graphs and runs
+// in narrow (uint32) and forced-wide (uint64) modes; the streaming
+// generator builds must equal their add_edge counterparts exactly; and
+// the linalg scale guard must degrade deterministically.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -33,6 +33,7 @@
 #include "lb/util/rng.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
+#include "seed_oracle.hpp"
 
 namespace {
 
@@ -288,42 +289,28 @@ TEST(BlockedRoundTest, WidthPolicyRoundsUpToChunkMultiples) {
 
 // ------------------------------------ cut edges on irregular graphs
 
-using lb::core::ApplyPath;
-
-/// Real-valued balancers, each checked against its kEdgeSweep
-/// configuration: the seed's sequential edge sweep on the materialized
-/// view.
+/// Real-valued balancers, each checked against its seed oracle: the
+/// seed's sequential edge sweep on the materialized view.
 std::vector<Case<double>> real_sweep_cases() {
   return {
       {"diffusion-cont", [] { return lb::core::make_diffusion_continuous(); },
-       [] {
-         lb::core::DiffusionConfig cfg;
-         cfg.apply = ApplyPath::kEdgeSweep;
-         return std::make_unique<lb::core::ContinuousDiffusion>(cfg);
-       }},
+       [] { return std::make_unique<seed::Diffusion<double>>(); }},
       {"fos", [] { return lb::core::make_fos_continuous(); },
-       [] { return std::make_unique<lb::core::FirstOrderScheme>(true, ApplyPath::kEdgeSweep); }},
+       [] { return std::make_unique<seed::SecondOrder>(); }},
       {"sos", [] { return lb::core::make_sos(1.5); },
-       [] {
-         return std::make_unique<lb::core::SecondOrderScheme>(1.5, true, ApplyPath::kEdgeSweep);
-       }},
+       [] { return std::make_unique<seed::SecondOrder>(1.5); }},
   };
 }
 
 std::vector<Case<std::int64_t>> token_sweep_cases() {
   return {
       {"diffusion-disc", [] { return lb::core::make_diffusion_discrete(); },
-       [] {
-         lb::core::DiffusionConfig cfg;
-         cfg.apply = ApplyPath::kEdgeSweep;
-         return std::make_unique<lb::core::DiscreteDiffusion>(cfg);
-       }},
+       [] { return std::make_unique<seed::Diffusion<std::int64_t>>(); }},
       {"fos-disc", [] { return lb::core::make_fos_discrete(); },
        [] {
          lb::core::DiffusionConfig cfg;
          cfg.rule = lb::core::DenominatorRule::kDegreePlusOne;
-         cfg.apply = ApplyPath::kEdgeSweep;
-         return std::make_unique<lb::core::DiscreteDiffusion>(cfg);
+         return std::make_unique<seed::Diffusion<std::int64_t>>(cfg);
        }},
   };
 }
@@ -453,17 +440,10 @@ TEST(BlockedRoundTest, TransferredIsTheFixedChunkFold) {
   {
     std::vector<double> load = load0;
     std::vector<double> flows;
-    const lb::core::DiffusionConfig dcfg;
     for (std::size_t r = 0; r < kRounds; ++r) {
-      lb::core::compute_edge_flows(
-          g, load, flows, nullptr,
-          [&g, &dcfg](std::size_t, const lb::graph::Edge& e, double lu, double lv) {
-            if (lu == lv) return 0.0;
-            const double w = lb::core::diffusion_edge_weight(g, e.u, e.v, lu, lv, dcfg);
-            return lu > lv ? w : -w;
-          });
+      seed::diffusion_flows(g, load, {}, flows);
       expected.push_back(fixed_chunk_fold(g, flows));
-      lb::core::apply_edge_sweep(g, flows, load);
+      seed::apply_edge_sweep(g, flows, load);
     }
   }
 
