@@ -14,6 +14,47 @@ OptimalPolynomialScheme::OptimalPolynomialScheme(double eigenvalue_tolerance)
   LB_ASSERT_MSG(tol_ > 0.0, "eigenvalue tolerance must be positive");
 }
 
+std::vector<double> leja_schedule(const std::vector<double>& spectrum, double tol) {
+  std::vector<double> distinct;
+  for (double lambda : spectrum) {
+    if (lambda <= tol) continue;  // skip the kernel (and numerical zeros)
+    if (!distinct.empty() && std::fabs(lambda - distinct.back()) <= tol) continue;
+    distinct.push_back(lambda);
+  }
+  LB_ASSERT_MSG(!distinct.empty(), "graph has no nonzero Laplacian eigenvalues");
+
+  // Leja ordering: applying the factors (1 − λ/λ_k) in ascending λ_k
+  // order amplifies the high modes catastrophically on spectra with
+  // many eigenvalues (path graphs overflow double).  Greedily ordering
+  // each next λ_k to maximize Π|λ_k − chosen| keeps the intermediate
+  // polynomial bounded — the standard stabilization for polynomial
+  // iterations.  The product is scored as Σ log|λ_k − chosen| (no
+  // overflow), and each candidate keeps its running sum, adding one term
+  // per choice — O(D²) logs.  That adds the same terms in the same order
+  // from 0.0 as re-summing the whole chosen set at every step, so the
+  // scores and the argmax (first index on ties) are exactly those of the
+  // O(D³) textbook loop, which tests/test_spectral_pins.cpp keeps as the
+  // oracle.
+  const std::size_t d = distinct.size();
+  std::vector<double> schedule;
+  schedule.reserve(d);
+  std::vector<double> score(d, 0.0);
+  std::vector<bool> used(d, false);
+  std::size_t pick = d - 1;  // start from the largest eigenvalue
+  for (;;) {
+    used[pick] = true;
+    schedule.push_back(distinct[pick]);
+    if (schedule.size() == d) return schedule;
+    const double chosen = distinct[pick];
+    pick = d;
+    for (std::size_t i = 0; i < d; ++i) {
+      if (used[i]) continue;
+      score[i] += std::log(std::fabs(distinct[i] - chosen));
+      if (pick == d || score[i] > score[pick]) pick = i;
+    }
+  }
+}
+
 StepStats OptimalPolynomialScheme::step(RoundContext<double>& ctx,
                                         std::vector<double>& load) {
   const graph::Graph& g = ctx.graph();
@@ -27,52 +68,13 @@ StepStats OptimalPolynomialScheme::step(RoundContext<double>& ctx,
     // serve.  Note this is stricter than the old node/edge-count check,
     // which silently accepted a different graph of identical shape.
     LB_ASSERT_MSG(position_ == 0, "OPS graph changed mid-run");
-    schedule_.clear();
     // Schedule binding: through the run's spectral cache when present
     // (Tier-1 exact — a miss computes the identical cold spectrum, so
     // the schedule is bit-identical either way), cold otherwise.
     linalg::SpectralCache* cache = ctx.spectral_cache();
-    const linalg::Vector spectrum = cache != nullptr
-                                        ? cache->spectrum(g)
-                                        : linalg::laplacian_spectrum(g);
-    std::vector<double> distinct;
-    for (double lambda : spectrum) {
-      if (lambda <= tol_) continue;  // skip the kernel (and numerical zeros)
-      if (!distinct.empty() && std::fabs(lambda - distinct.back()) <= tol_) continue;
-      distinct.push_back(lambda);
-    }
-    LB_ASSERT_MSG(!distinct.empty(), "graph has no nonzero Laplacian eigenvalues");
-
-    // Leja ordering: applying the factors (1 − λ/λ_k) in ascending λ_k
-    // order amplifies the high modes catastrophically on spectra with
-    // many eigenvalues (path graphs overflow double).  Greedily ordering
-    // each next λ_k to maximize Π|λ_k − chosen| keeps the intermediate
-    // polynomial bounded — the standard stabilization for polynomial
-    // iterations.
-    std::vector<bool> used(distinct.size(), false);
-    // Start from the largest eigenvalue.
-    std::size_t first = distinct.size() - 1;
-    used[first] = true;
-    schedule_.push_back(distinct[first]);
-    while (schedule_.size() < distinct.size()) {
-      std::size_t best = distinct.size();
-      double best_score = -1.0;
-      for (std::size_t i = 0; i < distinct.size(); ++i) {
-        if (used[i]) continue;
-        // Product of log-distances to the chosen set (log to avoid
-        // overflow in the score itself).
-        double score = 0.0;
-        for (double chosen : schedule_) {
-          score += std::log(std::fabs(distinct[i] - chosen));
-        }
-        if (best == distinct.size() || score > best_score) {
-          best = i;
-          best_score = score;
-        }
-      }
-      used[best] = true;
-      schedule_.push_back(distinct[best]);
-    }
+    schedule_ = leja_schedule(cache != nullptr ? cache->spectrum(g)
+                                               : linalg::laplacian_spectrum(g),
+                              tol_);
     bound_revision_ = g.revision();
   }
 

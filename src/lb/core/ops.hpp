@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "lb/core/algorithm.hpp"
 
@@ -56,6 +57,12 @@ class OptimalPolynomialScheme final : public Balancer<double> {
   std::uint64_t bound_revision_ = 0;  // topology the schedule was computed for
   std::vector<double> lx_;        // scratch: Laplacian * load
 };
+
+/// OPS's schedule for an ascending Laplacian spectrum: the distinct
+/// eigenvalues above `tol` (a value within `tol` of the last kept one
+/// merges into it) in Leja order — the largest first, then greedily the
+/// one maximizing Π|λ − chosen| over the values already chosen.
+std::vector<double> leja_schedule(const std::vector<double>& spectrum, double tol);
 
 std::unique_ptr<ContinuousBalancer> make_ops();
 

@@ -15,10 +15,10 @@ namespace lb::core {
 namespace {
 
 /// γ for the auto-β derivation: through the run's spectral cache when
-/// the engine carries one (Tier-1 exact — summary() computes through the
-/// identical lambda2/lambda_max path on a miss, so the value is
-/// bit-identical to the cold call and the trajectory cannot move), cold
-/// otherwise.
+/// the engine carries one (Tier-1 exact — summary() reads the one
+/// values-only decomposition the cold diffusion_gamma also runs, so the
+/// value is bit-identical to the cold call and the trajectory cannot
+/// move), cold otherwise.
 double round_gamma(RoundContext<double>& ctx) {
   const graph::Graph& g = ctx.graph();
   linalg::SpectralCache* cache = ctx.spectral_cache();

@@ -127,7 +127,7 @@ class ArtifactCache {
   }
 
   /// The base's SpectralCache — summary()/spectrum() are Tier-1 exact
-  /// (misses compute through the identical cold linalg functions), so
+  /// and share one decomposition (its solve is the cold linalg one), so
   /// every cell on the base shares one set of spectral artifacts and the
   /// trajectories still match the fresh oracle bit for bit.  Masked
   /// cells of the same base additionally share per-frame λ2 entries.
@@ -137,6 +137,7 @@ class ArtifactCache {
     return spectral_[gi].summary(base(plan, gi));
   }
 
+  /// λ2 per base from whichever of summary()/spectrum() filled its entry.
   std::vector<double> lambda2s() const {
     std::vector<double> out(spectral_.size(), 0.0);
     for (std::size_t i = 0; i < spectral_.size(); ++i) {
@@ -269,9 +270,10 @@ CellResult run_cell_cached(const ExperimentPlan& plan, const Cell& cell,
   auto it = instances.find(key);
   if (it == instances.end()) {
     // SOS on a static scenario takes its optimal β from the cached
-    // spectral profile; spectral_summary derives γ through the identical
-    // lambda2/lambda_max path diffusion_gamma uses, so the value — and
-    // therefore the trajectory — matches the cold path's bit for bit.
+    // spectral profile; summary() reads γ off the base's one shared
+    // decomposition, the solve the cold diffusion_gamma runs, so the
+    // value — and therefore the trajectory — matches the cold path's bit
+    // for bit.
     std::optional<double> sos_beta;
     if constexpr (std::is_same_v<T, double>) {
       if (spec.kind == BalancerKind::kSos && spec.param <= 0.0) {

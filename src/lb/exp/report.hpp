@@ -50,8 +50,9 @@ struct AggregateRow {
   double phi_q75_med = 0.0;  ///< ... at 75%
   double phi_q50_p10 = 0.0;  ///< 10th percentile of Φ at 50%
   double phi_q50_p90 = 0.0;  ///< 90th percentile of Φ at 50%
-  /// λ2 of the base graph when the campaign's artifact cache computed a
-  /// spectral profile for it (cached mode); 0 otherwise.
+  /// λ2 of the base graph when the campaign's artifact cache computed its
+  /// spectrum or summary — an OPS or an auto-β SOS cell ran on it (cached
+  /// mode); 0 otherwise.
   double lambda2 = 0.0;
 };
 
@@ -62,8 +63,9 @@ class CampaignReport {
   /// mode's one-time work is amortized into us_per_cell, keeping the
   /// cold-vs-cached comparison honest).
   double wall_seconds = 0.0;
-  /// λ2 per graph axis index where the artifact cache holds a spectral
-  /// profile; empty in cold mode.
+  /// λ2 per graph axis index where the artifact cache holds a spectrum
+  /// or a summary, whichever consumer filled it (0 where it holds
+  /// neither); empty in cold mode.
   std::vector<double> lambda2_per_graph;
 
   double us_per_cell() const {

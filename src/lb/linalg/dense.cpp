@@ -15,16 +15,6 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
   return m;
 }
 
-double& DenseMatrix::operator()(std::size_t r, std::size_t c) {
-  LB_DEBUG_ASSERT(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double DenseMatrix::operator()(std::size_t r, std::size_t c) const {
-  LB_DEBUG_ASSERT(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
 Vector DenseMatrix::multiply(const Vector& x) const {
   LB_ASSERT_MSG(x.size() == cols_, "matrix-vector shape mismatch");
   Vector y(rows_, 0.0);
@@ -76,15 +66,6 @@ bool DenseMatrix::is_symmetric(double tol) const {
     for (std::size_t c = r + 1; c < cols_; ++c)
       if (std::fabs((*this)(r, c) - (*this)(c, r)) > tol) return false;
   return true;
-}
-
-double DenseMatrix::off_diagonal_norm() const {
-  LB_ASSERT_MSG(rows_ == cols_, "off_diagonal_norm requires a square matrix");
-  double acc = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c)
-      if (r != c) acc += (*this)(r, c) * (*this)(r, c);
-  return std::sqrt(acc);
 }
 
 double dot(const Vector& a, const Vector& b) {

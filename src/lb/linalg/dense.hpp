@@ -10,6 +10,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "lb/util/assert.hpp"
+
 namespace lb::linalg {
 
 using Vector = std::vector<double>;
@@ -25,8 +27,15 @@ class DenseMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  // Inline: the O(n³) eigensolver loops index through these.
+  double& operator()(std::size_t r, std::size_t c) {
+    LB_DEBUG_ASSERT(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    LB_DEBUG_ASSERT(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
 
   const double* data() const { return data_.data(); }
   double* data() { return data_.data(); }
@@ -44,9 +53,6 @@ class DenseMatrix {
 
   /// True if |a_ij - a_ji| <= tol for all i, j (square matrices only).
   bool is_symmetric(double tol = 1e-12) const;
-
-  /// Frobenius norm of the off-diagonal part (Jacobi convergence measure).
-  double off_diagonal_norm() const;
 
  private:
   std::size_t rows_ = 0, cols_ = 0;

@@ -18,15 +18,21 @@ constexpr double kPi = 3.14159265358979323846;
 
 Vector ones_vector(std::size_t n) { return Vector(n, 1.0); }
 
-/// Dense Laplacian spectrum via tridiagonal QL.
-Vector dense_spectrum(const graph::Graph& g, bool need_vectors, DenseMatrix* vectors) {
-  const DenseMatrix l = laplacian_dense(g);
-  TridiagOptions opts;
-  opts.compute_vectors = need_vectors;
-  EigenDecomposition d = symmetric_eigen(l, opts);
+/// Ascending Laplacian spectrum: one values-only tridiagonal-QL solve.
+Vector dense_spectrum(const graph::Graph& g) {
+  EigenDecomposition d = symmetric_eigen(laplacian_dense(g));
   LB_ASSERT_MSG(d.converged, "tridiagonal QL failed to converge on a Laplacian");
-  if (need_vectors && vectors) *vectors = std::move(d.vectors);
-  return d.values;
+  return std::move(d.values);
+}
+
+/// Largest Laplacian eigenvalue by Lanczos: spectral_summary's sparse arm.
+double lambda_max(const graph::Graph& g) {
+  const CsrMatrix l = laplacian_csr(g);
+  LanczosOptions opts;
+  opts.max_dim = std::min<std::size_t>(g.num_nodes(), 600);
+  const LanczosResult r = lanczos_largest(l, opts);
+  LB_ASSERT_MSG(r.converged, "Lanczos failed to converge for lambda_max");
+  return r.eigenvalue;
 }
 
 }  // namespace
@@ -198,10 +204,7 @@ double lambda2(const graph::TopologyFrame& frame, std::size_t dense_cutoff) {
     return 0.0;  // deterministic degraded value
   }
   if (n <= dense_cutoff) {
-    const DenseMatrix l = laplacian_dense(frame);
-    TridiagOptions opts;
-    opts.compute_vectors = false;
-    EigenDecomposition d = symmetric_eigen(l, opts);
+    const EigenDecomposition d = symmetric_eigen(laplacian_dense(frame));
     LB_ASSERT_MSG(d.converged, "tridiagonal QL failed to converge on a Laplacian");
     return d.values[1];
   }
@@ -216,76 +219,45 @@ double lambda2(const graph::TopologyFrame& frame, std::size_t dense_cutoff) {
   return std::max(r.eigenvalue, 0.0);
 }
 
-double lambda_max(const graph::Graph& g, std::size_t dense_cutoff) {
-  const std::size_t n = g.num_nodes();
-  LB_ASSERT_MSG(n >= 2, "lambda_max needs at least two nodes");
-  if (spectral_guard(n, dense_cutoff) != SpectralGuard::kNone) {
-    return 0.0;  // deterministic degraded value
-  }
-  if (n <= dense_cutoff) {
-    const Vector spec = dense_spectrum(g, false, nullptr);
-    return spec.back();
-  }
-  const CsrMatrix l = laplacian_csr(g);
-  LanczosOptions opts;
-  opts.max_dim = std::min<std::size_t>(n, 600);
-  const LanczosResult r = lanczos_largest(l, opts);
-  LB_ASSERT_MSG(r.converged, "Lanczos failed to converge for lambda_max");
-  return r.eigenvalue;
-}
-
-double diffusion_gamma(const graph::Graph& g, std::size_t dense_cutoff) {
-  // Guarded directly — NOT composed from the guarded λ2/λmax, whose 0.0
-  // degradations would compose to γ = 1 here and trip the optimal_beta
-  // domain assert.  γ = 0 degrades SOS's auto-β to 1 (a plain FOS step).
-  if (spectral_guard(g.num_nodes(), dense_cutoff) != SpectralGuard::kNone) return 0.0;
-  // With uniform alpha = 1/(δ+1), M = I − L/(δ+1) exactly, so the
-  // spectrum of M is {1 − λ_i/(δ+1)} and γ follows from λ2 and λ_max.
-  const double dp1 = static_cast<double>(g.max_degree()) + 1.0;
-  const double l2 = lambda2(g, dense_cutoff);
-  const double lmax = lambda_max(g, dense_cutoff);
-  return std::max(std::fabs(1.0 - l2 / dp1), std::fabs(1.0 - lmax / dp1));
-}
-
-SpectralSummary spectral_summary(const graph::Graph& g, std::size_t dense_cutoff) {
+SpectralSummary summarize_spectrum(const graph::Graph& g, double l2, double lmax) {
   SpectralSummary s;
   s.n = g.num_nodes();
   s.max_degree = g.max_degree();
-  if (spectral_guard(s.n, dense_cutoff) != SpectralGuard::kNone) {
-    // Degraded summary: zero eigenvalues, γ = 0, unit gap — the same
-    // values the guarded scalar entry points return.
-    s.eigen_gap = 1.0;
-    return s;
-  }
-  s.lambda2 = lambda2(g, dense_cutoff);
-  s.lambda_max = lambda_max(g, dense_cutoff);
-  const double dp1 = static_cast<double>(g.max_degree()) + 1.0;
-  s.gamma = std::max(std::fabs(1.0 - s.lambda2 / dp1), std::fabs(1.0 - s.lambda_max / dp1));
+  s.lambda2 = l2;
+  s.lambda_max = lmax;
+  const double dp1 = static_cast<double>(s.max_degree) + 1.0;
+  s.gamma = std::max(std::fabs(1.0 - l2 / dp1), std::fabs(1.0 - lmax / dp1));
   s.eigen_gap = 1.0 - s.gamma;
   return s;
 }
 
-Vector fiedler_vector(const graph::Graph& g, std::size_t dense_cutoff) {
+SpectralSummary spectral_summary(const graph::Graph& g, std::size_t dense_cutoff) {
   const std::size_t n = g.num_nodes();
-  if (n <= dense_cutoff) {
-    DenseMatrix vectors;
-    (void)dense_spectrum(g, true, &vectors);
-    Vector f(n);
-    for (std::size_t i = 0; i < n; ++i) f[i] = vectors(i, 1);
-    return f;
+  LB_ASSERT_MSG(n >= 2, "spectral_summary needs at least two nodes");
+  if (spectral_guard(n, dense_cutoff) != SpectralGuard::kNone) {
+    // Degraded summary: zero eigenvalues and γ = 0 (not the γ = 1 the
+    // zeros would compose to, which would trip the optimal_beta domain
+    // assert; γ = 0 degrades SOS's auto-β to 1, a plain FOS step), unit gap.
+    SpectralSummary s;
+    s.n = n;
+    s.max_degree = g.max_degree();
+    s.eigen_gap = 1.0;
+    return s;
   }
-  const CsrMatrix l = laplacian_csr(g);
-  LanczosOptions opts;
-  opts.deflate = {ones_vector(n)};
-  opts.max_dim = std::min<std::size_t>(n - 1, 600);
-  const LanczosResult r = lanczos_smallest(l, opts);
-  LB_ASSERT_MSG(r.converged, "Lanczos failed to converge for the Fiedler vector");
-  return r.eigenvector;
+  if (n <= dense_cutoff) {
+    const Vector spectrum = dense_spectrum(g);
+    return summarize_spectrum(g, spectrum[1], spectrum.back());
+  }
+  return summarize_spectrum(g, lambda2(g, dense_cutoff), lambda_max(g));
+}
+
+double diffusion_gamma(const graph::Graph& g, std::size_t dense_cutoff) {
+  return spectral_summary(g, dense_cutoff).gamma;
 }
 
 Vector laplacian_spectrum(const graph::Graph& g) {
   LB_ASSERT_MSG(g.num_nodes() <= 2048, "full spectrum restricted to n <= 2048");
-  return dense_spectrum(g, false, nullptr);
+  return dense_spectrum(g);
 }
 
 std::optional<double> lambda2_closed_form(const graph::Graph& g) {

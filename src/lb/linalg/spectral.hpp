@@ -111,19 +111,21 @@ double lambda2(const graph::Graph& g, std::size_t dense_cutoff = 512);
 /// λ2 of a topology frame (masked rounds profiled with no Graph build).
 double lambda2(const graph::TopologyFrame& frame, std::size_t dense_cutoff = 512);
 
-/// Largest Laplacian eigenvalue.
-double lambda_max(const graph::Graph& g, std::size_t dense_cutoff = 512);
+/// The summary of g given its Laplacian's λ2 (`l2`) and λ_max (`lmax`).
+/// γ uses the exact relation μ = 1 − λ/(δ+1) for the uniform-α matrix M, so
+/// γ = max(|1 − λ2/(δ+1)|, |1 − λ_max/(δ+1)|) and the gap is 1 − γ.  The
+/// one copy of that formula: spectral_summary, diffusion_gamma and
+/// SpectralCache all read through it.
+SpectralSummary summarize_spectrum(const graph::Graph& g, double l2, double lmax);
 
-/// γ = max_{μ_i ≠ 1} |μ_i| over eigenvalues of the diffusion matrix M.
-/// Uses the exact relation μ = 1 − λ/(δ+1) for the uniform-α matrix, so it
-/// reduces to the Laplacian's λ2 and λ_max.
-double diffusion_gamma(const graph::Graph& g, std::size_t dense_cutoff = 512);
-
-/// Everything at once (λ2, λmax, γ).
+/// Everything at once (λ2, λmax, γ).  Dense path (n <= dense_cutoff): one
+/// values-only solve, read at both ends.  Sparse path: one Lanczos solve
+/// per end.
 SpectralSummary spectral_summary(const graph::Graph& g, std::size_t dense_cutoff = 512);
 
-/// Fiedler vector (unit eigenvector of λ2); dense path only (n <= cutoff).
-Vector fiedler_vector(const graph::Graph& g, std::size_t dense_cutoff = 512);
+/// γ = max_{μ_i ≠ 1} |μ_i| over eigenvalues of the diffusion matrix M:
+/// spectral_summary(g, dense_cutoff).gamma.
+double diffusion_gamma(const graph::Graph& g, std::size_t dense_cutoff = 512);
 
 /// Full Laplacian spectrum, ascending (dense path; n <= 2048 asserted).
 Vector laplacian_spectrum(const graph::Graph& g);

@@ -84,10 +84,9 @@ Lambda2Answer SpectralCache::lambda2(const graph::TopologyFrame& frame,
       query.bound_skip_tol > 0.0 || (query.warm_start && n > query.dense_cutoff);
   Vector fiedler;
   if (n <= query.dense_cutoff) {
-    const DenseMatrix l = laplacian_dense(frame);
     TridiagOptions topts;
     topts.compute_vectors = want_anchor;
-    EigenDecomposition d = symmetric_eigen(l, topts);
+    const EigenDecomposition d = symmetric_eigen(laplacian_dense(frame), topts);
     LB_ASSERT_MSG(d.converged, "tridiagonal QL failed to converge on a Laplacian");
     // The QL value recurrence never reads the accumulated vectors, so
     // d.values[1] is bit-identical with compute_vectors on or off — the
@@ -137,31 +136,49 @@ Lambda2Answer SpectralCache::lambda2(const graph::TopologyFrame& frame,
 
 SpectralSummary SpectralCache::summary(const graph::Graph& g,
                                        std::size_t dense_cutoff) {
-  if (spectral_guard(g.num_nodes(), dense_cutoff) != SpectralGuard::kNone) {
+  const std::size_t n = g.num_nodes();
+  LB_ASSERT_MSG(n >= 2, "spectral_summary needs at least two nodes");
+  if (spectral_guard(n, dense_cutoff) != SpectralGuard::kNone) {
     // Degraded, and NOT cached: the revision key would otherwise serve a
     // stale degraded summary after a test/bench lifts the guard.
     ++stats_.guard_skips;
     return spectral_summary(g, dense_cutoff);
   }
-  if (const auto it = summary_by_revision_.find(g.revision());
-      it != summary_by_revision_.end()) {
+  if (n <= dense_cutoff) return *decomposition(g, stats_.summary_solves).summary;
+  if (const auto it = lanczos_summary_by_revision_.find(g.revision());
+      it != lanczos_summary_by_revision_.end()) {
     ++stats_.exact_hits;
     return it->second;
   }
   ++stats_.summary_solves;
-  return summary_by_revision_
+  return lanczos_summary_by_revision_
       .emplace(g.revision(), spectral_summary(g, dense_cutoff))
       .first->second;
 }
 
 const Vector& SpectralCache::spectrum(const graph::Graph& g) {
-  if (const auto it = spectrum_by_revision_.find(g.revision());
-      it != spectrum_by_revision_.end()) {
+  LB_ASSERT_MSG(g.num_nodes() <= 2048, "full spectrum restricted to n <= 2048");
+  return decomposition(g, stats_.spectrum_solves).spectrum;
+}
+
+const SpectralCache::Decomposition& SpectralCache::decomposition(const graph::Graph& g,
+                                                                 std::size_t& solves) {
+  if (const auto it = decomposition_by_revision_.find(g.revision());
+      it != decomposition_by_revision_.end()) {
     ++stats_.exact_hits;
     return it->second;
   }
-  ++stats_.spectrum_solves;
-  return spectrum_by_revision_.emplace(g.revision(), laplacian_spectrum(g))
+  ++solves;
+  // The values-only solve spectral_summary's dense arm and
+  // laplacian_spectrum run, so both readers get the cold bits.
+  EigenDecomposition d = symmetric_eigen(laplacian_dense(g));
+  LB_ASSERT_MSG(d.converged, "tridiagonal QL failed to converge on a Laplacian");
+  Decomposition entry;
+  entry.spectrum = std::move(d.values);
+  if (entry.spectrum.size() >= 2) {
+    entry.summary = summarize_spectrum(g, entry.spectrum[1], entry.spectrum.back());
+  }
+  return decomposition_by_revision_.emplace(g.revision(), std::move(entry))
       .first->second;
 }
 
@@ -173,9 +190,13 @@ std::optional<double> SpectralCache::cached_lambda2(std::uint64_t fingerprint) c
 
 std::optional<SpectralSummary> SpectralCache::cached_summary(
     std::uint64_t revision) const {
-  const auto it = summary_by_revision_.find(revision);
-  if (it == summary_by_revision_.end()) return std::nullopt;
-  return it->second;
+  if (const auto it = lanczos_summary_by_revision_.find(revision);
+      it != lanczos_summary_by_revision_.end()) {
+    return it->second;
+  }
+  const auto it = decomposition_by_revision_.find(revision);
+  if (it == decomposition_by_revision_.end()) return std::nullopt;
+  return it->second.summary;
 }
 
 std::optional<Lambda2Bounds> SpectralCache::probe_bounds(
@@ -187,8 +208,8 @@ std::optional<Lambda2Bounds> SpectralCache::probe_bounds(
 
 void SpectralCache::clear() {
   lambda2_by_fingerprint_.clear();
-  summary_by_revision_.clear();
-  spectrum_by_revision_.clear();
+  decomposition_by_revision_.clear();
+  lanczos_summary_by_revision_.clear();
   anchor_by_base_.clear();
   stats_ = SpectralCacheStats{};
 }

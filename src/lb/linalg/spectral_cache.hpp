@@ -29,11 +29,14 @@
 //     count when the topology moved by a few edges.
 //
 // Exactness contract: summary()/spectrum() (the schedule-feeding SOS
-// auto-β and OPS paths) are Tier 1 ONLY — on a miss they call the exact
-// cold linalg functions, so every value they ever return is bit-identical
-// to a cold computation and engine trajectories cannot move.  lambda2()
-// is the profile-grade query: Tier 1 hits are bit-identical, Tier 2/3
-// answers are within the caller's documented tolerance of cold.
+// auto-β and OPS paths) are Tier 1 ONLY.  Both read one values-only dense
+// decomposition per Graph::revision() — whichever is asked first runs
+// it, the other reads it — and that solve is the one the cold
+// spectral_summary/laplacian_spectrum run, so every value they ever
+// return is bit-identical to a cold computation and engine trajectories
+// cannot move.  lambda2() is the profile-grade query: Tier 1 hits are
+// bit-identical, Tier 2/3 answers are within the caller's documented
+// tolerance of cold.
 //
 // Threading: a cache is single-owner (no internal locks).  The campaign
 // runner keeps one per graph index — cells are sharded by graph index,
@@ -63,14 +66,21 @@ enum class SpectralTier : std::uint8_t {
 };
 
 struct SpectralCacheStats {
-  std::size_t exact_hits = 0;      ///< Tier-1 hits (lambda2 + summary + spectrum)
+  /// Tier-1 hits: lambda2() fingerprint hits, plus summary()/spectrum()
+  /// calls served from the revision's existing entry — including the
+  /// first call of one kind after the other kind solved it.
+  std::size_t exact_hits = 0;
   std::size_t bound_skips = 0;     ///< Tier-2 skips
   std::size_t dense_solves = 0;    ///< fresh dense λ2 solves
   std::size_t cold_solves = 0;     ///< fresh cold-start Lanczos λ2 solves
   std::size_t warm_solves = 0;     ///< fresh warm-started Lanczos λ2 solves
   std::size_t guard_skips = 0;     ///< scale-guard suppressions
-  std::size_t summary_solves = 0;  ///< summary() misses (exact cold computes)
-  std::size_t spectrum_solves = 0; ///< spectrum() misses (exact cold computes)
+  /// summary() misses: the revision's dense decomposition (n <=
+  /// dense_cutoff) when no spectrum() call ran it first, or its Lanczos pair.
+  std::size_t summary_solves = 0;
+  /// spectrum() misses: the revision's dense decomposition when no
+  /// dense-path summary() call ran it first.
+  std::size_t spectrum_solves = 0;
   std::size_t cold_iterations = 0; ///< Σ Lanczos iterations over cold solves
   std::size_t warm_iterations = 0; ///< Σ Lanczos iterations over warm solves
 
@@ -119,22 +129,30 @@ class SpectralCache {
   Lambda2Answer lambda2(const graph::TopologyFrame& frame,
                         const SpectralQuery& query = {});
 
-  /// Exact full summary, keyed on Graph::revision().  Misses call the
-  /// cold linalg::spectral_summary — bit-identical to a fresh compute,
-  /// always, so schedule-feeding consumers (SOS auto-β) can use it.
-  /// Guarded queries return the degraded summary WITHOUT caching it, so
-  /// lifting the guard later cannot serve a stale degraded entry.
+  /// Exact full summary, keyed on Graph::revision(), bit-identical to
+  /// the cold linalg::spectral_summary(g, dense_cutoff), always, so
+  /// schedule-feeding consumers (SOS auto-β) can use it.  Dense path
+  /// (n <= dense_cutoff): read off both ends of the revision's
+  /// decomposition, shared with spectrum().  Sparse path: the Lanczos
+  /// pair, cached on its own.  Guarded queries return the degraded
+  /// summary WITHOUT caching it, so lifting the guard later cannot serve
+  /// a stale degraded entry.
   SpectralSummary summary(const graph::Graph& g, std::size_t dense_cutoff = 512);
 
   /// Exact full Laplacian spectrum (ascending), keyed on
-  /// Graph::revision().  Misses call the cold linalg::laplacian_spectrum
-  /// (n <= 2048 asserted there) — the OPS schedule-binding path.
+  /// Graph::revision(): the revision's decomposition, shared with a
+  /// dense-path summary() and bit-identical to the cold
+  /// linalg::laplacian_spectrum (n <= 2048 asserted, as there) — the OPS
+  /// schedule-binding path.
   const Vector& spectrum(const graph::Graph& g);
 
   /// Cached λ2 for a fingerprint, if present (diagnostics/tests).
   std::optional<double> cached_lambda2(std::uint64_t fingerprint) const;
 
-  /// Cached summary for a graph revision, if present (campaign report).
+  /// Cached summary for a graph revision, if present, whichever of
+  /// summary()/spectrum() filled the entry (campaign report).  A sparse
+  /// summary wins over the dense decomposition when both exist, since it
+  /// is the one summary() serves.
   std::optional<SpectralSummary> cached_summary(std::uint64_t revision) const;
 
   /// The Tier-2 bracket the cache would use for this frame, or nullopt
@@ -159,6 +177,15 @@ class SpectralCache {
     std::vector<std::uint8_t> alive;  ///< anchor's alive bitmap over base edges
   };
 
+  /// A revision's values-only dense decomposition.
+  struct Decomposition {
+    Vector spectrum;                         ///< ascending Laplacian eigenvalues
+    std::optional<SpectralSummary> summary;  ///< read off its ends (n >= 2)
+  };
+
+  /// The revision's decomposition: an exact hit, or a solve counted in
+  /// `solves` (the asking consumer's stats counter).
+  const Decomposition& decomposition(const graph::Graph& g, std::size_t& solves);
   const Anchor* find_anchor(const graph::TopologyFrame& frame) const;
   static Lambda2Bounds bounds_against(const Anchor& anchor,
                                       const graph::TopologyFrame& frame);
@@ -166,8 +193,8 @@ class SpectralCache {
                       double lambda2_value, Vector fiedler);
 
   std::map<std::uint64_t, double> lambda2_by_fingerprint_;
-  std::map<std::uint64_t, SpectralSummary> summary_by_revision_;
-  std::map<std::uint64_t, Vector> spectrum_by_revision_;
+  std::map<std::uint64_t, Decomposition> decomposition_by_revision_;
+  std::map<std::uint64_t, SpectralSummary> lanczos_summary_by_revision_;
   std::map<std::uint64_t, Anchor> anchor_by_base_;
   SpectralCacheStats stats_;
 };

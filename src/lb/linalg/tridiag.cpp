@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "lb/util/assert.hpp"
 
@@ -25,12 +26,11 @@ double pythag(double a, double b) {
 
 }  // namespace
 
-void householder_tridiagonalize(const DenseMatrix& input, Vector& diag, Vector& off,
+void householder_tridiagonalize(DenseMatrix a, Vector& diag, Vector& off,
                                 DenseMatrix* accumulate) {
-  LB_ASSERT_MSG(input.rows() == input.cols(), "tridiagonalize requires a square matrix");
-  LB_ASSERT_MSG(input.is_symmetric(1e-9), "tridiagonalize requires a symmetric matrix");
-  const std::size_t n = input.rows();
-  DenseMatrix a = input;
+  LB_ASSERT_MSG(a.rows() == a.cols(), "tridiagonalize requires a square matrix");
+  LB_ASSERT_MSG(a.is_symmetric(1e-9), "tridiagonalize requires a symmetric matrix");
+  const std::size_t n = a.rows();
   diag.assign(n, 0.0);
   off.assign(n, 0.0);
 
@@ -100,7 +100,7 @@ void householder_tridiagonalize(const DenseMatrix& input, Vector& diag, Vector& 
         a(i, j) = 0.0;
       }
     }
-    *accumulate = a;
+    *accumulate = std::move(a);
   } else {
     for (std::size_t i = 0; i < n; ++i) diag[i] = a(i, i);
   }
@@ -168,7 +168,7 @@ bool tridiagonal_ql(Vector& diag, Vector& off, DenseMatrix* z, std::size_t max_i
   return true;
 }
 
-EigenDecomposition symmetric_eigen(const DenseMatrix& a, const TridiagOptions& opts) {
+EigenDecomposition symmetric_eigen(DenseMatrix a, const TridiagOptions& opts) {
   const std::size_t n = a.rows();
   EigenDecomposition out;
   Vector diag, off;
@@ -177,7 +177,7 @@ EigenDecomposition symmetric_eigen(const DenseMatrix& a, const TridiagOptions& o
   if (opts.compute_vectors) {
     qp = &q;
   }
-  householder_tridiagonalize(a, diag, off, qp);
+  householder_tridiagonalize(std::move(a), diag, off, qp);
   out.converged = tridiagonal_ql(diag, off, qp, opts.max_iterations_per_eigenvalue);
 
   std::vector<std::size_t> order(n);

@@ -23,11 +23,12 @@ struct TridiagOptions {
   bool compute_vectors = false;
 };
 
-/// Householder-reduce a symmetric matrix to tridiagonal form.
-/// On return `diag` has the diagonal, `off` the sub-diagonal (off[0] unused),
-/// and if `accumulate` is non-null it holds the orthogonal transform Q such
-/// that Q^T A Q = T.
-void householder_tridiagonalize(const DenseMatrix& a, Vector& diag, Vector& off,
+/// Householder-reduce a symmetric matrix to tridiagonal form, reading
+/// only its lower triangle.  `a` is the working copy (callers done with
+/// their matrix move it in).  On return `diag` has the diagonal, `off`
+/// the sub-diagonal (off[0] unused), and if `accumulate` is non-null it
+/// holds the orthogonal transform Q such that Q^T A Q = T.
+void householder_tridiagonalize(DenseMatrix a, Vector& diag, Vector& off,
                                 DenseMatrix* accumulate);
 
 /// Eigenvalues (ascending) of a symmetric tridiagonal matrix; if `z` is
@@ -36,7 +37,9 @@ void householder_tridiagonalize(const DenseMatrix& a, Vector& diag, Vector& off,
 bool tridiagonal_ql(Vector& diag, Vector& off, DenseMatrix* z,
                     std::size_t max_iter = 60);
 
-/// Full symmetric eigendecomposition (tridiagonalize + QL).
-EigenDecomposition symmetric_eigen(const DenseMatrix& a, const TridiagOptions& opts = {});
+/// Full symmetric eigendecomposition (tridiagonalize + QL); takes `a` by
+/// value like householder_tridiagonalize, so a moved-in matrix is the
+/// solve's only n² buffer on the values-only path.
+EigenDecomposition symmetric_eigen(DenseMatrix a, const TridiagOptions& opts = {});
 
 }  // namespace lb::linalg

@@ -8,6 +8,15 @@
 
 namespace lb::linalg {
 
+double off_diagonal_norm(const DenseMatrix& a) {
+  LB_ASSERT_MSG(a.rows() == a.cols(), "off_diagonal_norm requires a square matrix");
+  double acc = 0.0;
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c)
+      if (r != c) acc += a(r, c) * a(r, c);
+  return std::sqrt(acc);
+}
+
 EigenDecomposition jacobi_eigen(const DenseMatrix& input, const JacobiOptions& opts) {
   LB_ASSERT_MSG(input.rows() == input.cols(), "jacobi_eigen requires a square matrix");
   LB_ASSERT_MSG(input.is_symmetric(1e-9), "jacobi_eigen requires a symmetric matrix");
@@ -24,7 +33,7 @@ EigenDecomposition jacobi_eigen(const DenseMatrix& input, const JacobiOptions& o
 
   EigenDecomposition out;
   for (out.sweeps = 0; out.sweeps < opts.max_sweeps; ++out.sweeps) {
-    if (a.off_diagonal_norm() <= threshold) {
+    if (off_diagonal_norm(a) <= threshold) {
       out.converged = true;
       break;
     }
@@ -66,7 +75,7 @@ EigenDecomposition jacobi_eigen(const DenseMatrix& input, const JacobiOptions& o
       }
     }
   }
-  if (!out.converged && a.off_diagonal_norm() <= threshold) out.converged = true;
+  if (!out.converged && off_diagonal_norm(a) <= threshold) out.converged = true;
 
   // Extract eigenvalues and sort ascending, permuting the vectors along.
   Vector values(n);

@@ -18,4 +18,8 @@ struct JacobiOptions {
 /// Full eigendecomposition of a symmetric matrix (asserts symmetry).
 EigenDecomposition jacobi_eigen(const DenseMatrix& a, const JacobiOptions& opts = {});
 
+/// Frobenius norm of the off-diagonal part (Jacobi convergence measure;
+/// square matrices only).
+double off_diagonal_norm(const DenseMatrix& a);
+
 }  // namespace lb::linalg

@@ -5,6 +5,8 @@
 
 #include <cmath>
 
+#include "jacobi_eigen.hpp"  // off_diagonal_norm
+
 namespace {
 
 using lb::linalg::DenseMatrix;
@@ -82,7 +84,7 @@ TEST(DenseMatrixTest, OffDiagonalNorm) {
   m(0, 0) = 100.0;
   m(0, 1) = 3.0;
   m(1, 0) = 4.0;
-  EXPECT_DOUBLE_EQ(m.off_diagonal_norm(), 5.0);
+  EXPECT_DOUBLE_EQ(lb::linalg::off_diagonal_norm(m), 5.0);
 }
 
 TEST(VectorKernelsTest, DotAndNorm) {

@@ -626,11 +626,12 @@ TEST(SpectralGuardTest, GuardedQuantitiesDegradeDeterministically) {
   EXPECT_FALSE(lb::linalg::spectral_guard_active(16));
 
   EXPECT_EQ(lb::linalg::lambda2(g), 0.0);
-  EXPECT_EQ(lb::linalg::lambda_max(g), 0.0);
   EXPECT_EQ(lb::linalg::diffusion_gamma(g), 0.0);
   const lb::linalg::SpectralSummary s = lb::linalg::spectral_summary(g);
   EXPECT_EQ(s.lambda2, 0.0);
   EXPECT_EQ(s.lambda_max, 0.0);
+  EXPECT_EQ(s.gamma, 0.0);
+  EXPECT_EQ(s.eigen_gap, 1.0);
   EXPECT_EQ(s.n, g.num_nodes());
 }
 

@@ -25,6 +25,7 @@
 #include "lb/graph/generators.hpp"
 #include "lb/linalg/lanczos.hpp"
 #include "lb/linalg/spectral.hpp"
+#include "lb/util/rng.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
 
@@ -163,6 +164,64 @@ TEST(SpectralCacheTest, SpectrumExactHitMatchesColdBits) {
   cache.spectrum(g);
   EXPECT_EQ(cache.stats().spectrum_solves, 1u);
   EXPECT_EQ(cache.stats().exact_hits, 1u);
+}
+
+/// Bit-level equality of the four summary fields.
+::testing::AssertionResult summaries_bits_equal(const lb::linalg::SpectralSummary& a,
+                                                const lb::linalg::SpectralSummary& b) {
+  if (a.lambda2 == b.lambda2 && a.lambda_max == b.lambda_max && a.gamma == b.gamma &&
+      a.eigen_gap == b.eigen_gap && a.n == b.n && a.max_degree == b.max_degree) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "lambda2 " << a.lambda2 << " vs " << b.lambda2 << ", lambda_max "
+         << a.lambda_max << " vs " << b.lambda_max << ", gamma " << a.gamma << " vs "
+         << b.gamma;
+}
+
+TEST(SpectralCacheTest, SummaryAndSpectrumShareOneDenseSolve) {
+  // Either order runs exactly one values-only solve per revision: the
+  // first call solves (and counts it), the second reads the same entry.
+  const Graph g = lb::graph::make_torus2d(6, 6);
+  const lb::linalg::SpectralSummary cold_summary = lb::linalg::spectral_summary(g);
+  const lb::linalg::Vector cold_spectrum = lb::linalg::laplacian_spectrum(g);
+  for (const bool summary_first : {true, false}) {
+    SCOPED_TRACE(summary_first ? "summary first" : "spectrum first");
+    SpectralCache cache;
+    lb::linalg::SpectralSummary s;
+    if (summary_first) s = cache.summary(g);
+    const lb::linalg::Vector spectrum = cache.spectrum(g);
+    if (!summary_first) s = cache.summary(g);
+    EXPECT_EQ(cache.stats().summary_solves + cache.stats().spectrum_solves, 1u);
+    EXPECT_EQ(cache.stats().summary_solves, summary_first ? 1u : 0u);
+    EXPECT_EQ(cache.stats().exact_hits, 1u);
+    EXPECT_TRUE(summaries_bits_equal(s, cold_summary));
+    EXPECT_EQ(spectrum, cold_spectrum);
+    ASSERT_TRUE(cache.cached_summary(g.revision()).has_value());
+    EXPECT_TRUE(summaries_bits_equal(*cache.cached_summary(g.revision()), cold_summary));
+    // A second revision is a second solve.
+    const Graph other = lb::graph::make_torus2d(6, 6);
+    cache.spectrum(other);
+    cache.summary(other);
+    EXPECT_EQ(cache.stats().summary_solves + cache.stats().spectrum_solves, 2u);
+  }
+}
+
+TEST(SpectralCacheTest, SparseSummaryStillTakesLanczos) {
+  // n > dense_cutoff: summary() keeps the cold Lanczos pair, even when
+  // spectrum() already holds the revision's dense decomposition.
+  const Graph g = lb::graph::make_torus2d(6, 6);
+  const std::size_t cutoff = 16;
+  const lb::linalg::SpectralSummary cold = lb::linalg::spectral_summary(g, cutoff);
+  SpectralCache cache;
+  cache.spectrum(g);
+  EXPECT_TRUE(summaries_bits_equal(cache.summary(g, cutoff), cold));
+  EXPECT_TRUE(summaries_bits_equal(cache.summary(g, cutoff), cold));
+  EXPECT_EQ(cache.stats().spectrum_solves, 1u);
+  EXPECT_EQ(cache.stats().summary_solves, 1u);
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  // The report reads the summary summary() served.
+  EXPECT_TRUE(summaries_bits_equal(*cache.cached_summary(g.revision()), cold));
 }
 
 // --- Tier 2: delta brackets ------------------------------------------------
@@ -555,9 +614,32 @@ TEST(SpectralCampaignTest, CachedCellsMatchFreshOracleAcrossPools) {
           << plan.cell_label(cells[i]) << " threads=" << threads;
     }
     // The report's per-graph λ2 is recovered from the SpectralCache's
-    // revision-keyed summaries (the SOS auto-β static cells fill them).
+    // revision-keyed entries (the SOS auto-β and OPS static cells fill them).
     ASSERT_EQ(report.lambda2_per_graph.size(), plan.graphs.size());
     for (const double l2 : report.lambda2_per_graph) EXPECT_GT(l2, 0.0);
+  }
+}
+
+TEST(SpectralCampaignTest, OpsOnlyPlanReportsLambda2) {
+  // No SOS cell ever asks for a summary: the λ2 comes off the spectrum
+  // OPS's schedule binding solved, bit-equal to the cold value.
+  lb::exp::ExperimentPlan plan;
+  plan.graphs = {{"torus2d", 36}, {"hypercube", 32}};
+  plan.scenarios = {lb::exp::static_scenario()};
+  plan.balancers = {{lb::exp::BalancerKind::kOps, 0.0}};
+  plan.seeds = {1};
+  plan.engine.max_rounds = 20;
+
+  lb::exp::CampaignOptions opts;
+  opts.mode = lb::exp::ArtifactMode::kCached;
+  const auto report = lb::exp::CampaignRunner(opts).run(plan);
+  ASSERT_EQ(report.lambda2_per_graph.size(), plan.graphs.size());
+  for (std::size_t gi = 0; gi < plan.graphs.size(); ++gi) {
+    lb::util::Rng rng(lb::exp::graph_build_seed(plan, gi));
+    const Graph base = lb::graph::make_named(plan.graphs[gi].family, plan.graphs[gi].n, rng);
+    EXPECT_GT(report.lambda2_per_graph[gi], 0.0) << plan.graphs[gi].family;
+    EXPECT_EQ(report.lambda2_per_graph[gi], lb::linalg::spectral_summary(base).lambda2)
+        << plan.graphs[gi].family;
   }
 }
 
