@@ -1,14 +1,19 @@
 // E17: million-node substrate — µs/round and bytes/node along the
 // n = 2^16 .. 2^21 trajectory (DESIGN.md §9).
 //
-// For every (n, balancer) cell the blocked round at its default width
-// runs against the single-block oracle (block width 0 via the
-// programmatic override — the "flat" leg), plus pool-2, pool-hw and an
-// invariant-checked (LB_CHECK-equivalent) leg.  The bench *verifies*
-// bit-identity — rounds, per-round Φ trace, final loads — before
-// reporting any cost column, and exits nonzero on divergence, so it
-// doubles as the scale determinism gate for CI (--quick keeps that gate
-// cheap).
+// Every (n, balancer) cell runs a torus2d and its shape-less twin (the
+// same edge list built through subgraph_with_edges, so no TorusShape).
+// The torus's rounds take the torus stencil (DESIGN.md §9.6), the twin's
+// the CSR blocked round.  The oracle is the twin as one block (block
+// width 0 via the programmatic override — the "flat" leg); against it
+// run the torus at pool 1 (the "blocked" leg), pool 2 and pool hw, the
+// twin at its default width (the "csr" leg), and, untimed, both graphs
+// invariant-checked (LB_CHECK-equivalent) and the twin at pool hw, so
+// the CSR round's multi-worker bits stay gated at every n.  The bench
+// *verifies* bit-identity — rounds, per-round Φ trace, final loads —
+// before reporting any cost column, and exits nonzero on divergence, so
+// it doubles as the scale determinism gate for CI (--quick keeps that
+// gate cheap).
 //
 // Two substrate metrics ride along:
 //   bytes/node  — measured resident topology bytes (Graph + a FlowLedger
@@ -16,16 +21,16 @@
 //                 and row pointers, 8-byte signs), proving the compact
 //                 uint32/int8 storage actually shrank the working set;
 //   allocs/round — a global operator-new counting hook runs the blocked
-//                 pool-1 leg at R and 2R rounds; the difference divided
-//                 by the extra rounds is the steady-state allocation
-//                 rate, which must be zero (the RunArena audit).
-//                 Nonzero fails the bench.
+//                 and csr pool-1 legs at R and 2R rounds; the difference
+//                 divided by the extra rounds is the steady-state
+//                 allocation rate (the larger of the two), which must be
+//                 zero (the RunArena audit).  Nonzero fails the bench.
 //
 // µs/round is a whole run's wall time over its rounds, so it includes the
-// per-run setup a fresh balancer and arena pay in round 1 (the blocked
-// round's plan, the diffusion denominators, first-touch of the arena's
-// buffers).  The setup_ms column shows that share: the blocked pool-1
-// leg's round-1 step time minus the median step time of rounds 2..R.
+// per-run setup a fresh balancer and arena pay in round 1 (the CSR round's
+// plan, first-touch of the arena's buffers).  The setup_ms column shows
+// that share: the blocked pool-1 leg's round-1 step time minus the median
+// step time of rounds 2..R.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -43,8 +48,10 @@
 #include "lb/core/diffusion.hpp"
 #include "lb/core/engine.hpp"
 #include "lb/core/flow_ledger.hpp"
+#include "lb/core/fos.hpp"
 #include "lb/core/sos.hpp"
 #include "lb/graph/generators.hpp"
+#include "lb/graph/graph.hpp"
 #include "lb/util/stats.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/util/timer.hpp"
@@ -56,8 +63,9 @@ std::atomic<bool> g_count_allocs{false};
 }  // namespace
 
 // Replaceable global allocation functions: count while the audit flag is
-// up, delegate to malloc/free otherwise.  Only the pool-1 blocked leg is
-// audited (parallel_for legs allocate std::function state by design).
+// up, delegate to malloc/free otherwise.  Only the pool-1 blocked and csr
+// legs are audited (parallel_for legs allocate std::function state by
+// design).
 void* operator new(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
@@ -126,6 +134,7 @@ struct CellResult {
   std::string balancer;
   double us_flat = 0.0;
   double us_blocked = 0.0;
+  double us_csr = 0.0;
   double us_pool2 = 0.0;
   double us_poolhw = 0.0;
   double bytes_per_node = 0.0;
@@ -151,10 +160,10 @@ double setup_ms(const lb::core::RunResult& run) {
 }
 
 template <class T>
-CellResult run_cell(const lb::graph::Graph& g, const std::string& name,
-                    const MakeBalancer<T>& make, const std::vector<T>& load0,
-                    std::size_t rounds, std::uint64_t seed, bool audit_allocs,
-                    std::size_t reps) {
+CellResult run_cell(const lb::graph::Graph& g, const lb::graph::Graph& twin,
+                    const std::string& name, const MakeBalancer<T>& make,
+                    const std::vector<T>& load0, std::size_t rounds, std::uint64_t seed,
+                    bool audit_allocs, std::size_t reps) {
   CellResult cell;
   cell.n = g.num_nodes();
   cell.edges = g.num_edges();
@@ -175,15 +184,15 @@ CellResult run_cell(const lb::graph::Graph& g, const std::string& name,
   cfg.record_trace = true;
   cfg.seed = seed;
 
-  // One timed run; the caller owns best-of selection.
-  auto timed = [&](lb::util::ThreadPool& pool, bool checked, double& best_s,
-                   std::vector<T>& load_out) {
+  // One timed run on `graph`; the caller owns best-of selection.
+  auto timed = [&](const lb::graph::Graph& graph, lb::util::ThreadPool& pool, bool checked,
+                   double& best_s, std::vector<T>& load_out) {
     cfg.pool = &pool;
     cfg.check_invariants = checked;
     auto alg = make();
     load_out = load0;
     const lb::util::Stopwatch watch;
-    lb::core::RunResult run = lb::core::run_static(*alg, g, load_out, cfg);
+    lb::core::RunResult run = lb::core::run_static(*alg, graph, load_out, cfg);
     const double wall = watch.elapsed_seconds();
     if (best_s <= 0.0 || wall < best_s) best_s = wall;
     cfg.check_invariants = false;
@@ -197,86 +206,93 @@ CellResult run_cell(const lb::graph::Graph& g, const std::string& name,
   // noise — and interleaving means slow machine phases (throttling,
   // noisy neighbours on a shared core) hit every leg alike instead of
   // biasing whichever leg happens to run later.
-  double flat_s = 0.0, blocked_s = 0.0, pool2_s = 0.0, poolhw_s = 0.0;
+  double flat_s = 0.0, blocked_s = 0.0, csr_s = 0.0, pool2_s = 0.0, poolhw_s = 0.0;
   std::vector<T> flat_load;
   double ignored = 0.0;
+  // A leg's run against the oracle, on the repetition that gates.
+  const auto gate = [&](bool last, const lb::core::RunResult& run, const std::vector<T>& load) {
+    if (last) cell.divergence += count_divergence(cell.flat_run, run, flat_load, load);
+  };
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const bool last = rep + 1 == reps;
     {
-      // Single-block oracle, sequential.
+      // Single-block CSR oracle, sequential.
       WidthOverride flat(0);
       lb::util::ThreadPool pool(1);
-      cell.flat_run = timed(pool, false, flat_s, flat_load);
+      cell.flat_run = timed(twin, pool, false, flat_s, flat_load);
     }
     {
-      // Blocked leg: the default single-worker path.
+      // Blocked leg: the torus's single-worker round, the stencil.
       lb::util::ThreadPool pool(1);
       std::vector<T> load;
-      cell.blocked_run = timed(pool, false, blocked_s, load);
+      cell.blocked_run = timed(g, pool, false, blocked_s, load);
       const double setup = setup_ms(cell.blocked_run);
       cell.setup_ms = rep == 0 ? setup : std::min(cell.setup_ms, setup);
-      if (last) {
-        cell.divergence +=
-            count_divergence(cell.flat_run, cell.blocked_run, flat_load, load);
-      }
+      gate(last, cell.blocked_run, load);
+    }
+    {
+      // CSR leg: the twin at the default block width.
+      lb::util::ThreadPool pool(1);
+      std::vector<T> load;
+      gate(last, timed(twin, pool, false, csr_s, load), load);
     }
     {
       lb::util::ThreadPool pool(2);
       std::vector<T> load;
-      const lb::core::RunResult run = timed(pool, false, pool2_s, load);
-      if (last) {
-        cell.divergence += count_divergence(cell.flat_run, run, flat_load, load);
-      }
+      gate(last, timed(g, pool, false, pool2_s, load), load);
     }
     {
       lb::util::ThreadPool pool(0);  // hardware concurrency
       std::vector<T> load;
-      const lb::core::RunResult run = timed(pool, false, poolhw_s, load);
-      if (last) {
-        cell.divergence += count_divergence(cell.flat_run, run, flat_load, load);
-      }
+      gate(last, timed(g, pool, false, poolhw_s, load), load);
     }
     if (last) {
-      // Invariant-checked leg: same as LB_CHECK=1 in the environment.
-      // Untimed, so one repetition suffices for the identity gate.
-      lb::util::ThreadPool pool(1);
-      std::vector<T> checked_load;
-      const lb::core::RunResult checked =
-          timed(pool, true, ignored, checked_load);
-      cell.divergence +=
-          count_divergence(cell.flat_run, checked, flat_load, checked_load);
+      // Untimed, so one repetition suffices for the identity gate: both
+      // rounds invariant-checked (same as LB_CHECK=1 in the environment),
+      // and the CSR round on every hardware worker.
+      for (const lb::graph::Graph* graph : {&g, &twin}) {
+        lb::util::ThreadPool pool(1);
+        std::vector<T> checked_load;
+        gate(last, timed(*graph, pool, true, ignored, checked_load), checked_load);
+      }
+      lb::util::ThreadPool pool(0);
+      std::vector<T> load;
+      gate(last, timed(twin, pool, false, ignored, load), load);
     }
   }
   const double denom =
       cell.flat_run.rounds > 0 ? static_cast<double>(cell.flat_run.rounds) : 1.0;
   cell.us_flat = flat_s * 1e6 / denom;
   cell.us_blocked = blocked_s * 1e6 / denom;
+  cell.us_csr = csr_s * 1e6 / denom;
   cell.us_pool2 = pool2_s * 1e6 / denom;
   cell.us_poolhw = poolhw_s * 1e6 / denom;
 
   if (audit_allocs) {
-    // Steady-state allocation rate of the blocked pool-1 leg: run at R
-    // and at 2R rounds with the counting hook armed; identical setup
-    // cancels and the difference is pure per-round allocation.
+    // Steady-state allocation rate of the pool-1 blocked and csr legs:
+    // run at R and at 2R rounds with the counting hook armed; identical
+    // setup cancels and the difference is pure per-round allocation.
     lb::util::ThreadPool pool(1);
     cfg.pool = &pool;
-    auto measure = [&](std::size_t r) {
+    auto measure = [&](const lb::graph::Graph& graph, std::size_t r) {
       cfg.max_rounds = r;
       auto alg = make();
       std::vector<T> load = load0;
       g_alloc_count.store(0, std::memory_order_relaxed);
       g_count_allocs.store(true, std::memory_order_relaxed);
-      lb::core::RunResult run = lb::core::run_static(*alg, g, load, cfg);
+      lb::core::RunResult run = lb::core::run_static(*alg, graph, load, cfg);
       g_count_allocs.store(false, std::memory_order_relaxed);
       return std::pair<long long, std::size_t>(
           g_alloc_count.load(std::memory_order_relaxed), run.rounds);
     };
-    const auto [a1, r1] = measure(rounds);
-    const auto [a2, r2] = measure(2 * rounds);
+    for (const lb::graph::Graph* graph : {&g, &twin}) {
+      const auto [a1, r1] = measure(*graph, rounds);
+      const auto [a2, r2] = measure(*graph, 2 * rounds);
+      const double rate =
+          r2 > r1 ? static_cast<double>(a2 - a1) / static_cast<double>(r2 - r1) : 0.0;
+      cell.allocs_per_round = std::max(cell.allocs_per_round, rate);
+    }
     cfg.max_rounds = rounds;
-    cell.allocs_per_round =
-        r2 > r1 ? static_cast<double>(a2 - a1) / static_cast<double>(r2 - r1)
-                : 0.0;
   }
   return cell;
 }
@@ -296,11 +312,12 @@ void write_json(const std::string& path, std::size_t rounds,
         f,
         "    {\"n\": %zu, \"edges\": %zu, \"balancer\": \"%s\", "
         "\"us_per_round_flat\": %.3f, \"us_per_round_blocked\": %.3f, "
+        "\"us_per_round_csr\": %.3f, "
         "\"us_per_round_pool2\": %.3f, \"us_per_round_poolhw\": %.3f, "
         "\"setup_ms\": %.3f, "
         "\"bytes_per_node\": %.2f, \"legacy_bytes_per_node\": %.2f, "
         "\"allocs_per_round\": %.3f, \"identical\": %d}%s\n",
-        c.n, c.edges, c.balancer.c_str(), c.us_flat, c.us_blocked, c.us_pool2,
+        c.n, c.edges, c.balancer.c_str(), c.us_flat, c.us_blocked, c.us_csr, c.us_pool2,
         c.us_poolhw, c.setup_ms, c.bytes_per_node, c.legacy_bytes, c.allocs_per_round,
         c.divergence == 0 ? 1 : 0, i + 1 < cells.size() ? "," : "");
   }
@@ -331,7 +348,7 @@ lb::graph::Graph make_scale_torus(std::size_t log2_n) {
 
 int main(int argc, char** argv) {
   lb::util::Options opts(
-      "E17: million-node substrate — blocked vs flat µs/round, bytes/node, "
+      "E17: million-node substrate — torus stencil vs CSR µs/round, bytes/node, "
       "and the zero-allocation steady state, bit-identity enforced");
   opts.add_int("log2-min", 16, "smallest n as a power of two")
       .add_int("log2-max", 21, "largest n as a power of two")
@@ -362,8 +379,8 @@ int main(int argc, char** argv) {
   if (!csv) {
     lb::bench::banner(
         "E17: million-node substrate",
-        "compact CSR + cache-blocked fused rounds along n = 2^k; every leg "
-        "bit-identical to the flat oracle or the bench fails",
+        "torus stencil and CSR blocked rounds along n = 2^k; every leg "
+        "bit-identical to the flat CSR oracle or the bench fails",
         seed);
   }
 
@@ -372,6 +389,7 @@ int main(int argc, char** argv) {
   double worst_alloc_rate = 0.0;
   for (std::size_t k = log2_min; k <= log2_max; ++k) {
     const lb::graph::Graph g = make_scale_torus(k);
+    const lb::graph::Graph twin = lb::graph::subgraph_with_edges(g, g.edges(), "twin");
     const std::size_t n = g.num_nodes();
 
     lb::util::Rng wrng(seed + k);
@@ -383,20 +401,22 @@ int main(int argc, char** argv) {
     const MakeBalancer<double> diffusion_cont = [] {
       return lb::core::make_diffusion_continuous();
     };
+    const MakeBalancer<double> fos = [] { return lb::core::make_fos_continuous(); };
     const MakeBalancer<double> sos = [] { return lb::core::make_sos(1.5); };
     const MakeBalancer<std::int64_t> diffusion_disc = [] {
       return lb::core::make_diffusion_discrete();
     };
 
-    cells.push_back(run_cell<double>(g, "diffusion-cont", diffusion_cont,
-                                     cont0, rounds, seed, /*audit=*/true,
-                                     reps));
-    cells.push_back(run_cell<double>(g, "sos", sos, cont0, rounds, seed,
+    const std::size_t first = cells.size();
+    cells.push_back(run_cell<double>(g, twin, "diffusion-cont", diffusion_cont, cont0, rounds,
+                                     seed, /*audit=*/true, reps));
+    cells.push_back(run_cell<double>(g, twin, "fos", fos, cont0, rounds, seed,
                                      /*audit=*/false, reps));
-    cells.push_back(run_cell<std::int64_t>(g, "diffusion-disc", diffusion_disc,
-                                           disc0, rounds, seed,
-                                           /*audit=*/false, reps));
-    for (std::size_t i = cells.size() - 3; i < cells.size(); ++i) {
+    cells.push_back(run_cell<double>(g, twin, "sos", sos, cont0, rounds, seed,
+                                     /*audit=*/false, reps));
+    cells.push_back(run_cell<std::int64_t>(g, twin, "diffusion-disc", diffusion_disc, disc0,
+                                           rounds, seed, /*audit=*/true, reps));
+    for (std::size_t i = first; i < cells.size(); ++i) {
       divergent += cells[i].divergence;
       if (cells[i].allocs_per_round > worst_alloc_rate) {
         worst_alloc_rate = cells[i].allocs_per_round;
@@ -411,7 +431,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  lb::util::Table table({"n", "balancer", "us/rd flat", "us/rd blocked",
+  lb::util::Table table({"n", "balancer", "us/rd flat", "us/rd blocked", "us/rd csr",
                          "us/rd pool2", "us/rd poolhw", "setup ms", "B/node",
                          "B/node legacy", "allocs/rd", "identical"});
   for (const CellResult& c : cells) {
@@ -420,6 +440,7 @@ int main(int argc, char** argv) {
         .add(c.balancer)
         .add(c.us_flat, 3)
         .add(c.us_blocked, 3)
+        .add(c.us_csr, 3)
         .add(c.us_pool2, 3)
         .add(c.us_poolhw, 3)
         .add(c.setup_ms, 3)
@@ -429,13 +450,15 @@ int main(int argc, char** argv) {
         .add(c.divergence == 0 ? 1 : 0);
   }
   lb::bench::emit(table,
-                  "scale trajectory (blocked fused rounds vs flat oracle)", csv);
+                  "scale trajectory (torus stencil and CSR legs vs the flat CSR oracle)",
+                  csv);
 
   if (!opts.get_string("json").empty()) {
     write_json(opts.get_string("json"), rounds, cells);
   }
   if (!opts.get_string("ablation-dir").empty()) {
-    // Trace pair from the largest diffusion-cont cell: blocked vs flat.
+    // Trace pair from the largest diffusion-cont cell: blocked (the
+    // stencil) vs flat (the single-block CSR oracle).
     for (auto it = cells.rbegin(); it != cells.rend(); ++it) {
       if (it->balancer == "diffusion-cont") {
         const std::string dir = opts.get_string("ablation-dir");
@@ -448,13 +471,13 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   if (divergent != 0) {
-    std::fprintf(stderr, "bench_scale: FAILED — blocked/parallel/checked legs "
+    std::fprintf(stderr, "bench_scale: FAILED — stencil/csr/parallel/checked legs "
                          "diverged from the flat oracle\n");
     failed = true;
   }
   if (worst_alloc_rate > 0.0) {
     std::fprintf(stderr,
-                 "bench_scale: FAILED — blocked pool-1 leg allocates %.3f "
+                 "bench_scale: FAILED — a pool-1 leg allocates %.3f "
                  "times/round in steady state (expected 0)\n",
                  worst_alloc_rate);
     failed = true;

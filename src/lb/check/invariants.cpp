@@ -499,6 +499,52 @@ void check_mask(const graph::EdgeMask& mask) {
 }
 
 // ---------------------------------------------------------------------------
+// Torus shape
+// ---------------------------------------------------------------------------
+
+void check_torus_shape(const graph::Graph& g, std::size_t rows, std::size_t cols) {
+  const std::size_t n = g.num_nodes();
+  if (rows < 3 || cols < 3 || rows * cols != n) {
+    violated(format("torus shape: %zu x %zu does not fit a simple torus of %zu nodes", rows,
+                    cols, n));
+  }
+  const auto& edges = g.edges();
+  std::size_t k = 0;  // the next edge of the closed-form emission
+  const auto emit = [&](std::size_t u, std::size_t v) {
+    if (k >= edges.size() || edges[k].u != u || edges[k].v != v) {
+      violated(format("torus shape: %zu x %zu: edge %zu is not the closed-form (%zu,%zu)",
+                      rows, cols, k, u, v));
+    }
+    ++k;
+  };
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const std::size_t u = r * cols + c;
+      const std::size_t left = c > 0 ? u - 1 : u + cols - 1;
+      const std::size_t right = c + 1 < cols ? u + 1 : u + 1 - cols;
+      const std::size_t up = r > 0 ? u - cols : u + (rows - 1) * cols;
+      const std::size_t down = r + 1 < rows ? u + cols : u - (rows - 1) * cols;
+      std::size_t expected[4] = {left, right, up, down};
+      std::sort(expected, expected + 4);
+      const auto row = g.neighbors(static_cast<graph::NodeId>(u));
+      if (row.size() != 4 || !std::equal(row.begin(), row.end(), expected)) {
+        violated(format("torus shape: %zu x %zu: node %zu's neighbours are not its "
+                        "closed-form {%zu, %zu, %zu, %zu}",
+                        rows, cols, u, expected[0], expected[1], expected[2], expected[3]));
+      }
+      if (c + 1 < cols) emit(u, u + 1);
+      if (c == 0) emit(u, u + cols - 1);
+      if (r + 1 < rows) emit(u, u + cols);
+      if (r == 0) emit(u, u + (rows - 1) * cols);
+    }
+  }
+  if (k != edges.size()) {
+    violated(format("torus shape: %zu x %zu emits %zu edges, the graph has %zu", rows, cols,
+                    k, edges.size()));
+  }
+}
+
+// ---------------------------------------------------------------------------
 
 #define LB_INSTANTIATE(T)                                                      \
   template ConservationBaseline<T> conservation_baseline<T>(                   \

@@ -41,7 +41,7 @@ namespace lb::check {
 /// Thrown by every check below on a contract violation.  The what()
 /// string always begins with the invariant's name ("conservation",
 /// "flow antisymmetry", "halo mirror", "comm accounting", "csr",
-/// "edge mask") followed by round/edge/domain coordinates.
+/// "edge mask", "torus shape") followed by round/edge/domain coordinates.
 class InvariantViolation : public std::runtime_error {
  public:
   explicit InvariantViolation(const std::string& what)
@@ -202,5 +202,18 @@ void check_mask_arrays(const graph::Graph& base,
 /// Verify a live mask after a commit (wired into the engines on every
 /// mask-revision change).
 void check_mask(const graph::EdgeMask& mask);
+
+// ---------------------------------------------------------------------------
+// Torus shape
+// ---------------------------------------------------------------------------
+
+/// Verify that `g` is the rows × cols torus the stencil round
+/// (DESIGN.md §9.6) takes it for, in O(m): every node's closed-form
+/// neighbours — left, right, up and down with wrap-around, sorted —
+/// equal its CSR row, and the closed-form edge emission (each node's
+/// right, wrap-right, down and wrap-down edge) equals g.edges() entry for
+/// entry.  The engines call it once per base epoch on a base that
+/// carries a TorusShape.
+void check_torus_shape(const graph::Graph& g, std::size_t rows, std::size_t cols);
 
 }  // namespace lb::check

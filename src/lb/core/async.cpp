@@ -49,7 +49,7 @@ StepStats AsyncDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
                            std::size_t, const graph::Edge& e, double li, double lj) {
     const graph::NodeId sender = li > lj ? e.u : e.v;
     const double f = diffusion_share<T>(
-        li - lj, masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
+        li - lj, frame_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
     return active[sender] != 0 ? f : 0.0;
   };
   StepStats stats = run_blocked_round(ctx, ctx.pool(), load, flow_fn);

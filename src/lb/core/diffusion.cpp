@@ -2,13 +2,43 @@
 
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 
 #include "lb/core/flow_program.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/util/assert.hpp"
-#include "lb/util/thread_pool.hpp"
 
 namespace lb::core {
+
+namespace {
+
+// diffusion_share<T>(ℓ_u − ℓ_v, d) as a pair rule (flow_program.hpp),
+// for rounds in which every edge has the one denominator d.  With
+// kByInverse, d is a power of two applied as a multiply by its exact
+// inverse `scale` = 1/d: gap·(1/d) and gap/d are the same real number,
+// so IEEE arithmetic rounds both to the same double; otherwise `scale`
+// is d itself.  amount() is the whole-token amount T(flow) a round
+// moves, cast straight from the quotient: the cast truncates, so the
+// flow's trunc changes no amount, and skipping it skips trunc's
+// branchy expansion on baseline x86-64.
+template <class T, bool kByInverse>
+struct UniformDiffusionShare {
+  double scale;
+
+  double quotient(double lu, double lv) const {
+    return kByInverse ? (lu - lv) * scale : (lu - lv) / scale;
+  }
+  double operator()(double lu, double lv) const {
+    if constexpr (std::is_integral_v<T>) {
+      return std::trunc(quotient(lu, lv));
+    } else {
+      return quotient(lu, lv);
+    }
+  }
+  T amount(double lu, double lv) const { return static_cast<T>(quotient(lu, lv)); }
+};
+
+}  // namespace
 
 double diffusion_edge_weight(const graph::Graph& g, graph::NodeId i, graph::NodeId j,
                              double load_i, double load_j, const DiffusionConfig& cfg) {
@@ -49,23 +79,29 @@ template <class T>
 template <class Use>
 decltype(auto) DiffusionBalancer<T>::with_round_flow(RoundContext<T>& ctx, Use&& use) {
   const graph::TopologyFrame& frame = ctx.frame();
-  if (frame.masked()) {
-    // Alive-degrees move with every mask revision, so the per-epoch
-    // denominator cache buys nothing here.  The frame outlives the round
-    // (it lives in the sequence), so a planned closure may hold it.
-    const double factor = cfg_.factor;
-    const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
-    const DenominatorRule rule = cfg_.rule;
-    return use([&frame, factor, degree_plus_one, rule](
-                   std::size_t, const graph::Edge& e, double lu, double lv) {
-      return diffusion_share<T>(
-          lu - lv, masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
-    });
+  const DenominatorRule rule = cfg_.rule;
+  const double factor = cfg_.factor;
+  const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
+  if (!frame.masked() &&
+      (rule == DenominatorRule::kDegreePlusOne || frame.base().is_regular())) {
+    // One denominator for every edge — δ + 1 always, factor·δ on a
+    // regular base, the double frame_diffusion_denominator gives each
+    // edge — so the rule is a pair rule.
+    const double denom = rule == DenominatorRule::kDegreePlusOne
+                             ? degree_plus_one
+                             : factor * static_cast<double>(frame.max_degree());
+    if (int exponent = 0; std::frexp(denom, &exponent) == 0.5) {
+      // A power of two, such as the paper's 4·δ on a 4-regular torus.
+      return use(UniformDiffusionShare<T, true>{1.0 / denom});
+    }
+    return use(UniformDiffusionShare<T, false>{denom});
   }
-  // The cached denominator is the same double the seed computes inline.
-  ensure_denominators(frame.base(), ctx.pool());
-  return use([this](std::size_t k, const graph::Edge&, double lu, double lv) {
-    return diffusion_share<T>(lu - lv, denoms_[k]);
+  // The frame outlives the round (it lives in the sequence), so a
+  // planned closure may hold it.
+  return use([&frame, factor, degree_plus_one, rule](std::size_t, const graph::Edge& e,
+                                                     double lu, double lv) {
+    return diffusion_share<T>(
+        lu - lv, frame_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
   });
 }
 
@@ -79,37 +115,9 @@ StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
 }
 
 template <class T>
-void DiffusionBalancer<T>::ensure_denominators(const graph::Graph& g,
-                                               util::ThreadPool* pool) {
-  if (denom_revision_ == g.revision()) return;
-  denom_revision_ = g.revision();
-  const auto& edges = g.edges();
-  denoms_.resize(edges.size());
-  auto fill = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const graph::Edge& e = edges[k];
-      switch (cfg_.rule) {
-        case DenominatorRule::kFactorTimesMaxDegree:
-          denoms_[k] = cfg_.factor *
-                       static_cast<double>(std::max(g.degree(e.u), g.degree(e.v)));
-          break;
-        case DenominatorRule::kDegreePlusOne:
-          denoms_[k] = static_cast<double>(g.max_degree()) + 1.0;
-          break;
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, edges.size(), 2048, fill);
-  } else {
-    fill(0, edges.size());
-  }
-}
-
-template <class T>
 bool DiffusionBalancer<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
   program.links = ctx.frame().num_edges();
-  with_round_flow(ctx, [&program](const auto& flow) { program.flow = flow; });
+  with_round_flow(ctx, [&program](const auto& flow) { program.flow = edge_flow(flow); });
   return true;
 }
 

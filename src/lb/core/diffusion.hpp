@@ -62,15 +62,16 @@ inline double diffusion_share(double gap, double denom) {
   }
 }
 
-/// Algorithm-1 denominator on a masked frame — the single definition the
-/// masked fast paths (plain and async diffusion) share, computing the
-/// identical double diffusion_edge_weight derives from a materialized
-/// subgraph's degrees.  `degree_plus_one` is the precomputed
-/// frame.max_degree()+1 so the per-edge call stays branch+lookup only.
-inline double masked_diffusion_denominator(const graph::TopologyFrame& frame,
-                                           const graph::Edge& e,
-                                           DenominatorRule rule, double factor,
-                                           double degree_plus_one) {
+/// Algorithm-1 denominator of edge e on a frame, from its (alive-)
+/// degrees — the one per-edge definition every closure that cannot use a
+/// uniform denominator shares (irregular bases and masked frames of plain
+/// diffusion, and async diffusion), computing the identical double
+/// diffusion_edge_weight derives from the (materialized) graph's degrees.
+/// `degree_plus_one` is the precomputed frame.max_degree()+1 so the
+/// per-edge call stays branch+lookup only.
+inline double frame_diffusion_denominator(const graph::TopologyFrame& frame,
+                                          const graph::Edge& e, DenominatorRule rule,
+                                          double factor, double degree_plus_one) {
   switch (rule) {
     case DenominatorRule::kFactorTimesMaxDegree:
       return factor *
@@ -91,35 +92,24 @@ class DiffusionBalancer final : public Balancer<T> {
   StepStats step(RoundContext<T>& ctx, std::vector<T>& load) override;
 
   /// Sharded replay (flow_program.hpp): the identical flow function
-  /// step() runs — cached per-epoch denominators unmasked, inline
-  /// alive-degree denominators masked.
+  /// step() runs, through edge_flow's adapter when it is a pair rule.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
 
   const DiffusionConfig& config() const { return cfg_; }
 
  private:
-  // (Re)fill denoms_ for `g`'s epoch if stale — the shared per-epoch
-  // precomputation behind both step() and plan_round().
-  void ensure_denominators(const graph::Graph& g, util::ThreadPool* pool);
-
   // The one statement of this round's flow rule: calls use(flow) with the
-  // diffusion_share closure step() runs and plan_round() publishes —
-  // cached denominators on unmasked frames, the mask's alive-degrees on
-  // masked ones (the identical doubles the materialized subgraph gives).
+  // rule step() runs and plan_round() publishes — a pair rule
+  // (UniformDiffusionShare) when the frame is unmasked and every edge has
+  // the same denominator (δ + 1, or factor·δ on a regular base), else a
+  // per-edge closure over frame_diffusion_denominator (the frame's
+  // degrees; a mask's alive-degrees, the identical doubles the
+  // materialized subgraph gives).  No state: round scratch, the blocked
+  // round's plan and the stencil's buffers come from the RoundContext.
   template <class Use>
   decltype(auto) with_round_flow(RoundContext<T>& ctx, Use&& use);
 
   DiffusionConfig cfg_;
-  // Per-edge denominators: a per-epoch precomputation private to this
-  // config (they depend on rule/factor), keyed on the graph revision —
-  // a pure function of the topology, so it survives run boundaries and
-  // on_topology_changed needs no override (revisions are process-unique;
-  // the step-time key check is the single source of invalidation).
-  // Only the unmasked path uses it — alive-degrees move every mask
-  // revision, so masked rounds compute denominators inline instead.
-  // Round scratch and the blocked round's plan come from the RoundContext.
-  std::vector<double> denoms_;
-  std::uint64_t denom_revision_ = 0;
 };
 
 using ContinuousDiffusion = DiffusionBalancer<double>;

@@ -132,6 +132,11 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
     // balancer hook remains for private per-graph caches.
     if (frame.base_revision() != base_epoch || frame.mask_revision() != mask_epoch) {
       balancer.on_topology_changed();
+      const graph::TorusShape& shape = frame.base().torus_shape();
+      if (checking && frame.base_revision() != base_epoch && !shape.empty()) {
+        // New base with a torus shape: the stencil round trusts it.
+        check::check_torus_shape(frame.base(), shape.rows, shape.cols);
+      }
       base_epoch = frame.base_revision();
       mask_epoch = frame.mask_revision();
       if (checking && frame.mask() != nullptr) {

@@ -7,8 +7,9 @@
 // ±flows in ascending edge order — the sequentialization the library's
 // bit-identity contract rests on.  Every all-edges round runs as the one
 // blocked round of round_context.hpp (DESIGN.md §9.2), indexed by the
-// BlockedRoundPlan below; the seed's sequential edge sweep is the tests'
-// oracle (tests/seed_oracle.hpp).
+// BlockedRoundPlan below — or, for a pair rule on an unmasked torus, as
+// its stencil (§9.6), which needs no index; the seed's sequential edge
+// sweep is the tests' oracle (tests/seed_oracle.hpp).
 //
 // The FlowLedger is a CSR view (row_ptr over nodes, column array of
 // incident edge ids, ascending per row) whose gather applies a flow

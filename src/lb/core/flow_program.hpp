@@ -23,11 +23,36 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "lb/graph/graph.hpp"
 
 namespace lb::core {
+
+/// A pair rule: a flow that depends only on the two round-start endpoint
+/// loads, called as f(ℓ_u, ℓ_v) — FOS's α·(ℓ_u − ℓ_v), and diffusion
+/// whenever every edge has the same denominator.  The torus stencil
+/// round (DESIGN.md §9.6) runs pair rules only, since it has no edge
+/// index to hand a per-edge rule.  A rule may also state the amount a
+/// round of scalar T moves, f.amount(ℓ_u, ℓ_v), which must equal
+/// static_cast<T>(f(ℓ_u, ℓ_v)); the stencil then calls it instead.
+template <class F>
+concept PairFlowRule = std::is_invocable_r_v<double, const F&, double, double>;
+
+/// `flow` in the per-edge form f(k, e, ℓ_u, ℓ_v) that FlowProgram::flow
+/// and the CSR round call: a pair rule behind the one adapter that drops
+/// (k, e), any other flow unchanged.
+template <class F>
+auto edge_flow(const F& flow) {
+  if constexpr (PairFlowRule<F>) {
+    return [flow](std::size_t, const graph::Edge&, double lu, double lv) {
+      return flow(lu, lv);
+    };
+  } else {
+    return flow;
+  }
+}
 
 template <class T>
 struct FlowProgram {

@@ -20,12 +20,11 @@ namespace lb::core {
 
 /// The first-order-scheme edge flow α·(ℓ_u − ℓ_v), α = 1/(δ+1) over the
 /// frame's (alive) max degree — the one statement of the rule that FOS
-/// and SOS's FOS half run in step() and publish from plan_round().
+/// and SOS's FOS half run in step() and publish from plan_round().  A
+/// pair rule (flow_program.hpp): it reads only the two endpoint loads.
 inline auto fos_flow(const graph::TopologyFrame& frame) {
   const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
-  return [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
-    return alpha * (lu - lv);
-  };
+  return [alpha](double lu, double lv) { return alpha * (lu - lv); };
 }
 
 class FirstOrderScheme final : public Balancer<double> {
@@ -34,8 +33,8 @@ class FirstOrderScheme final : public Balancer<double> {
   using Balancer<double>::step;
   StepStats step(RoundContext<double>& ctx, std::vector<double>& load) override;
 
-  /// Sharded replay (flow_program.hpp): fos_flow, the identical closure
-  /// step() runs.
+  /// Sharded replay (flow_program.hpp): fos_flow, the identical rule
+  /// step() runs, through edge_flow's adapter.
   bool plan_round(RoundContext<double>& ctx,
                   FlowProgram<double>& program) override;
 };

@@ -123,7 +123,9 @@ Graph make_torus2d(std::size_t a, std::size_t b) {
       }
     }
   };
-  return GraphBuilder::build_stream(a * b, name.str(), emit);
+  Graph g = GraphBuilder::build_stream(a * b, name.str(), emit);
+  g.torus_shape_ = TorusShape{a, b};
+  return g;
 }
 
 Graph make_torus3d(std::size_t a, std::size_t b, std::size_t c) {

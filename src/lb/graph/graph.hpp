@@ -40,6 +40,17 @@ namespace detail {
 std::uint64_t next_graph_revision();
 }  // namespace detail
 
+/// Row/column shape of a graph built by make_torus2d(rows, cols): node
+/// r·cols + c is joined to its four wrap-around grid neighbours, and the
+/// edge list is the generator's closed-form emission.  Empty (0 × 0) on
+/// every other graph.
+struct TorusShape {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+
+  bool empty() const { return rows == 0; }
+};
+
 class Graph {
  public:
   Graph() = default;
@@ -72,6 +83,14 @@ class Graph {
   /// Human-readable label attached by the generator ("torus2d(16x16)" etc).
   const std::string& name() const { return name_; }
 
+  /// The 2-D torus shape make_torus2d recorded, or an empty shape.  Only
+  /// that generator sets it, so it always describes this edge list:
+  /// copies keep it, and GraphBuilder, subgraph_with_edges (and with it
+  /// every materialized masked view) and the other generators build
+  /// graphs without one.  The torus stencil round (DESIGN.md §9.6) runs
+  /// on graphs that have one.
+  const TorusShape& torus_shape() const { return torus_shape_; }
+
   /// Topology epoch: a process-unique nonzero id assigned at build time
   /// (0 only for default-constructed empty graphs).  Copies share the id —
   /// they are the same topology — while every GraphBuilder::build() mints
@@ -92,6 +111,7 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  friend Graph make_torus2d(std::size_t a, std::size_t b);
 
   /// Degree extrema from the finished offsets array (shared build tail).
   void finalize_degree_stats();
@@ -102,6 +122,7 @@ class Graph {
   std::size_t max_degree_ = 0;
   std::size_t min_degree_ = 0;
   std::uint64_t revision_ = 0;
+  TorusShape torus_shape_;
   std::string name_;
 };
 

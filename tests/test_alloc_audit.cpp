@@ -1,5 +1,5 @@
 // Steady-state allocation audit (DESIGN.md §9.4): an engine round at pool
-// 1 must not touch the heap.  This binary replaces the global operator
+// 1 must not touch the heap, on the torus stencil and the CSR round alike.  This binary replaces the global operator
 // new with a counting hook — which is why it is a binary of its own —
 // runs each balancer for R and for 2R rounds, and requires both runs to
 // allocate exactly as often: per-run setup cancels, so any difference is
@@ -131,8 +131,26 @@ void expect_round_allocation_free(const MakeBalancer<T>& make, const std::vector
 }
 
 /// n = 4096: four summary chunks, so every fixed-chunk path runs more
-/// than one chunk.
+/// than one chunk.  A torus, so its unmasked pair-rule rounds take the
+/// torus stencil (DESIGN.md §9.6).
 Graph audit_graph() { return lb::graph::make_torus2d(64, 64); }
+
+/// The same edge list without the torus shape: its rounds take the CSR
+/// blocked round.
+Graph csr_twin(const Graph& g) { return lb::graph::subgraph_with_edges(g, g.edges(), "twin"); }
+
+/// Zero allocations per steady-state round on the torus (the stencil
+/// unmasked, the CSR round masked) and on its CSR twin.
+template <class T>
+void expect_rounds_allocation_free(const MakeBalancer<T>& make, const std::vector<T>& load0) {
+  const Graph g = audit_graph();
+  {
+    SCOPED_TRACE("torus");
+    expect_round_allocation_free<T>(make, load0, g);
+  }
+  SCOPED_TRACE("csr twin");
+  expect_round_allocation_free<T>(make, load0, csr_twin(g));
+}
 
 std::vector<double> real_load(std::size_t n) {
   lb::util::Rng rng(5);
@@ -140,30 +158,43 @@ std::vector<double> real_load(std::size_t n) {
 }
 
 TEST(AllocAuditTest, DiffusionContinuousRoundsDoNotAllocate) {
-  const Graph g = audit_graph();
-  expect_round_allocation_free<double>(
-      [] { return lb::core::make_diffusion_continuous(); }, real_load(g.num_nodes()), g);
+  expect_rounds_allocation_free<double>([] { return lb::core::make_diffusion_continuous(); },
+                                        real_load(audit_graph().num_nodes()));
 }
 
 TEST(AllocAuditTest, DiffusionDiscreteRoundsDoNotAllocate) {
-  const Graph g = audit_graph();
+  const std::size_t n = audit_graph().num_nodes();
   lb::util::Rng rng(7);
   const auto load0 = lb::workload::uniform_random<std::int64_t>(
-      g.num_nodes(), static_cast<std::int64_t>(1000 * g.num_nodes()), rng);
-  expect_round_allocation_free<std::int64_t>(
-      [] { return lb::core::make_diffusion_discrete(); }, load0, g);
+      n, static_cast<std::int64_t>(1000 * n), rng);
+  expect_rounds_allocation_free<std::int64_t>(
+      [] { return lb::core::make_diffusion_discrete(); }, load0);
 }
 
 TEST(AllocAuditTest, FosRoundsDoNotAllocate) {
-  const Graph g = audit_graph();
-  expect_round_allocation_free<double>([] { return lb::core::make_fos_continuous(); },
-                                       real_load(g.num_nodes()), g);
+  expect_rounds_allocation_free<double>([] { return lb::core::make_fos_continuous(); },
+                                        real_load(audit_graph().num_nodes()));
 }
 
 TEST(AllocAuditTest, SosRoundsDoNotAllocate) {
-  const Graph g = audit_graph();
-  expect_round_allocation_free<double>([] { return lb::core::make_sos(1.5); },
-                                       real_load(g.num_nodes()), g);
+  expect_rounds_allocation_free<double>([] { return lb::core::make_sos(1.5); },
+                                        real_load(audit_graph().num_nodes()));
+}
+
+TEST(AllocAuditTest, StencilRoundsOnLargerToriDoNotAllocate) {
+  // 96 x 96 = 9216 nodes: two full stencil groups and a narrower last
+  // one, so the halo re-evaluation and the narrow-group fold both run.
+  const Graph g = lb::graph::make_torus2d(96, 96);
+  auto stat = lb::graph::make_static_view(g);
+  const auto load0 = real_load(g.num_nodes());
+  for (const MakeBalancer<double>& make :
+       {MakeBalancer<double>([] { return lb::core::make_diffusion_continuous(); }),
+        MakeBalancer<double>([] { return lb::core::make_fos_continuous(); }),
+        MakeBalancer<double>([] { return lb::core::make_sos(1.5); })}) {
+    const long long short_run = count_run<double>(make, *stat, load0, 12);
+    const long long long_run = count_run<double>(make, *stat, load0, 24);
+    EXPECT_EQ(long_run, short_run) << (long_run - short_run) << " allocations in 12 rounds";
+  }
 }
 
 TEST(AllocAuditTest, RoundPlanBuildsWithOneAllocation) {

@@ -423,6 +423,26 @@ TEST(CheckMutationTest, StaleMaskSummariesDetected) {
                "edge mask");
 }
 
+// ------------------------------------------------------------ torus shape
+
+TEST(CheckMutationTest, WrongTorusShapeDetected) {
+  // The stencil round trusts a graph's TorusShape; a shape that does not
+  // describe the edge list must be caught before it is trusted.
+  const Graph g = lb::graph::make_torus2d(4, 6);
+  EXPECT_NO_THROW(lb::check::check_torus_shape(g, 4, 6));
+  expect_named(violation_message([&] { lb::check::check_torus_shape(g, 6, 4); }),
+               "torus shape");
+  expect_named(violation_message([&] { lb::check::check_torus_shape(g, 3, 8); }),
+               "torus shape");
+  expect_named(violation_message([&] { lb::check::check_torus_shape(g, 5, 5); }),
+               "torus shape");
+  // Same node count and degrees, other edges: a 4 x 6 grid of another
+  // build order is not the closed-form emission.
+  const Graph other = lb::graph::make_torus2d(6, 4);
+  expect_named(violation_message([&] { lb::check::check_torus_shape(other, 4, 6); }),
+               "torus shape");
+}
+
 // ----------------------------------------------- end-to-end engine wiring
 
 /// A balancer that leaks one token every round: the engine-level

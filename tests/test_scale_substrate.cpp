@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lb/core/diffusion.hpp"
@@ -211,34 +212,50 @@ void expect_plans_match_reference(const Graph& g, std::vector<long long> widths)
 
 // ------------------------------------------------ blocked ≡ single block
 
+/// `g` and its shape-less twin: a torus takes the torus stencil on its
+/// unmasked pair-rule rounds, the twin — the same edge list — the CSR
+/// blocked round this file pins.
+std::vector<std::pair<std::string, Graph>> with_csr_twin(const Graph& g) {
+  return {{"static", g},
+          {"static-twin", lb::graph::subgraph_with_edges(g, g.edges(), "twin")}};
+}
+
 TEST(BlockedRoundTest, ContinuousStaticMatchesFlatOracle) {
-  const Graph g = lb::graph::make_torus2d(12, 11);
+  const Graph torus = lb::graph::make_torus2d(12, 11);
   lb::util::Rng wrng(21);
-  const auto load0 = lb::workload::bimodal<double>(g.num_nodes(), 13200.0, wrng);
+  const auto load0 = lb::workload::bimodal<double>(torus.num_nodes(), 13200.0, wrng);
   std::vector<Case<double>> cases = {
       {"diffusion-cont", [] { return lb::core::make_diffusion_continuous(); }},
       {"sos", [] { return lb::core::make_sos(); }},
   };
   const auto widths = randomized_widths(31, 3);
-  expect_plans_match_reference(g, widths);
-  sweep_widths<double>(
-      cases, [&] { return lb::graph::make_static_sequence(g); }, load0, widths, {1, 4},
-      "static");
+  for (const auto& [label, g] : with_csr_twin(torus)) {
+    expect_plans_match_reference(g, widths);
+    sweep_widths<double>(
+        cases, [&] { return lb::graph::make_static_sequence(g); }, load0, widths, {1, 4},
+        label);
+  }
 }
 
 TEST(BlockedRoundTest, DiscreteStaticMatchesFlatOracle) {
-  const Graph g = lb::graph::make_hypercube(7);
-  lb::util::Rng wrng(23);
-  const auto load0 =
-      lb::workload::uniform_random<std::int64_t>(g.num_nodes(), 12800, wrng);
   std::vector<Case<std::int64_t>> cases = {
       {"diffusion-disc", [] { return lb::core::make_diffusion_discrete(); }},
   };
   const auto widths = randomized_widths(37, 3);
-  expect_plans_match_reference(g, widths);
-  sweep_widths<std::int64_t>(
-      cases, [&] { return lb::graph::make_static_sequence(g); }, load0, widths, {1, 4},
-      "static");
+  std::vector<std::pair<std::string, Graph>> graphs = {
+      {"static", lb::graph::make_hypercube(7)}};
+  for (auto& torus : with_csr_twin(lb::graph::make_torus2d(16, 8))) {
+    graphs.push_back(std::move(torus));
+  }
+  for (const auto& [label, g] : graphs) {
+    lb::util::Rng wrng(23);
+    const auto load0 =
+        lb::workload::uniform_random<std::int64_t>(g.num_nodes(), 12800, wrng);
+    expect_plans_match_reference(g, widths);
+    sweep_widths<std::int64_t>(
+        cases, [&] { return lb::graph::make_static_sequence(g); }, load0, widths, {1, 4},
+        label + "/" + g.name());
+  }
 }
 
 TEST(BlockedRoundTest, MaskedDynamicMatchesFlatOracle) {
@@ -383,8 +400,9 @@ bool all_negative_zero(const std::vector<double>& load) {
 
 TEST(BlockedRoundTest, NegativeZeroLoadsKeepTheirBits) {
   // Every flow on an all −0.0 vector is zero, and a zero flow must leave
-  // its endpoints untouched — −0.0 must not turn into +0.0.
-  const Graph g = lb::graph::make_torus2d(48, 48);  // n = 2304: three chunks
+  // its endpoints untouched — −0.0 must not turn into +0.0.  Run on the
+  // torus (the stencil, unmasked) and on its twin (the CSR round).
+  const Graph torus = lb::graph::make_torus2d(48, 48);  // n = 2304: three chunks
   EngineConfig cfg;
   cfg.max_rounds = 5;
   cfg.target_potential = -1.0;  // Φ = 0 must not end the run
@@ -398,17 +416,19 @@ TEST(BlockedRoundTest, NegativeZeroLoadsKeepTheirBits) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
       lb::util::ThreadPool pool(threads);
       cfg.pool = &pool;
-      for (const bool masked : {false, true}) {
-        for (const MakeBalancer<double>& make : balancers) {
-          auto alg = make();
-          auto seq = masked ? lb::graph::make_bernoulli_sequence(g, 0.8, 3)
-                            : lb::graph::make_static_sequence(g);
-          std::vector<double> load(g.num_nodes(), -0.0);
-          const RunResult run = lb::core::run(*alg, *seq, load, cfg);
-          SCOPED_TRACE(alg->name() + "/w" + std::to_string(width) + "/pool" +
-                       std::to_string(pool.size()) + (masked ? "/masked" : ""));
-          EXPECT_EQ(run.rounds, cfg.max_rounds);
-          EXPECT_TRUE(all_negative_zero(load));
+      for (const auto& [label, g] : with_csr_twin(torus)) {
+        for (const bool masked : {false, true}) {
+          for (const MakeBalancer<double>& make : balancers) {
+            auto alg = make();
+            auto seq = masked ? lb::graph::make_bernoulli_sequence(g, 0.8, 3)
+                              : lb::graph::make_static_sequence(g);
+            std::vector<double> load(g.num_nodes(), -0.0);
+            const RunResult run = lb::core::run(*alg, *seq, load, cfg);
+            SCOPED_TRACE(label + "/" + alg->name() + "/w" + std::to_string(width) + "/pool" +
+                         std::to_string(pool.size()) + (masked ? "/masked" : ""));
+            EXPECT_EQ(run.rounds, cfg.max_rounds);
+            EXPECT_TRUE(all_negative_zero(load));
+          }
         }
       }
     }
@@ -517,8 +537,20 @@ TEST(IndexArrayTest, ForcedWideMatchesNarrowContents) {
   EXPECT_EQ(narrow.to_u64(), wide.to_u64());
 }
 
+/// The torus, its shape-less twin (the CSR blocked round) and the twin
+/// less its last edge (irregular, so the factor rule reads per-edge
+/// degrees), built under the caller's index-width setting.
+std::vector<std::pair<std::string, Graph>> wide_test_graphs() {
+  const Graph torus = lb::graph::make_torus2d(8, 8);
+  std::vector<lb::graph::Edge> cut = torus.edges();
+  cut.pop_back();
+  std::vector<std::pair<std::string, Graph>> graphs = with_csr_twin(torus);
+  graphs.emplace_back("irregular", lb::graph::subgraph_with_edges(torus, cut, "irregular"));
+  return graphs;
+}
+
 TEST(IndexArrayTest, WideGraphStorageIsBitIdenticalToNarrow) {
-  const Graph narrow_g = lb::graph::make_torus2d(8, 8);
+  const auto narrow_graphs = wide_test_graphs();
   lb::util::Rng wrng(29);
   const auto load0 = lb::workload::bimodal<double>(64, 6400.0, wrng);
 
@@ -535,19 +567,26 @@ TEST(IndexArrayTest, WideGraphStorageIsBitIdenticalToNarrow) {
     std::vector<double> load = load0;
     return lb::core::run(*alg, *seq, load, cfg);
   };
-  const RunResult narrow_run = run_once(narrow_g);
+  std::vector<RunResult> narrow_runs;
+  for (const auto& [label, g] : narrow_graphs) narrow_runs.push_back(run_once(g));
 
   WideIndexGuard force_wide;
-  const Graph wide_g = lb::graph::make_torus2d(8, 8);
-  EXPECT_GT(wide_g.memory_bytes(), narrow_g.memory_bytes());
-  ASSERT_EQ(wide_g.num_edges(), narrow_g.num_edges());
-  for (std::size_t u = 0; u < wide_g.num_nodes(); ++u) {
-    const auto a = narrow_g.neighbors(static_cast<lb::graph::NodeId>(u));
-    const auto b = wide_g.neighbors(static_cast<lb::graph::NodeId>(u));
-    ASSERT_EQ(a.size(), b.size()) << u;
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  const auto wide_graphs = wide_test_graphs();
+  ASSERT_EQ(wide_graphs.size(), narrow_graphs.size());
+  for (std::size_t i = 0; i < wide_graphs.size(); ++i) {
+    const auto& [label, wide_g] = wide_graphs[i];
+    const Graph& narrow_g = narrow_graphs[i].second;
+    SCOPED_TRACE(label);
+    EXPECT_GT(wide_g.memory_bytes(), narrow_g.memory_bytes());
+    ASSERT_EQ(wide_g.num_edges(), narrow_g.num_edges());
+    for (std::size_t u = 0; u < wide_g.num_nodes(); ++u) {
+      const auto a = narrow_g.neighbors(static_cast<lb::graph::NodeId>(u));
+      const auto b = wide_g.neighbors(static_cast<lb::graph::NodeId>(u));
+      ASSERT_EQ(a.size(), b.size()) << u;
+      for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
+    }
+    expect_identical(narrow_runs[i], run_once(wide_g), label + " wide-index run");
   }
-  expect_identical(narrow_run, run_once(wide_g), "wide-index run");
 }
 
 // ------------------------------------------------- streaming generators
