@@ -1,6 +1,7 @@
 #include "lb/check/invariants.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdarg>
@@ -115,7 +116,7 @@ template <class T>
 void check_flow_antisymmetry(const core::FlowProgram<T>& program,
                              const graph::TopologyFrame& frame,
                              const std::vector<T>& load, std::size_t round) {
-  if (program.flow == nullptr) {
+  if (!program.flow) {
     violated(format("flow antisymmetry: round %zu: planned program has no "
                     "flow function",
                     round));
@@ -209,6 +210,127 @@ void check_halo_mirrors(const shard::HaloExchange& halo) {
   check_halo_mirrors(halo.plans());
 }
 
+namespace {
+
+/// The sweep's tables of domain d's plan, rebuilt in one ascending pass
+/// over the edges and compared entry by entry: every run, every cut
+/// entry's owned endpoint, and every cut edge's place in its link's flow
+/// list, with its staging slot and compact-halo index.
+void check_sweep_tables(const graph::Graph& base, const std::vector<std::uint32_t>& owner,
+                        std::size_t d, const shard::DomainPlan& plan) {
+  const auto& edges = base.edges();
+  const std::size_t links = plan.links.size();
+  // Per link: its first entry in send_slots/send_halo, in recv_slots and
+  // in the compact halo, and how many of its flow edges the pass has met.
+  std::vector<std::size_t> send_base(links + 1, 0), recv_base(links + 1, 0),
+      halo_base(links + 1, 0), sent(links, 0), received(links, 0);
+  for (std::size_t l = 0; l < links; ++l) {
+    const shard::HaloLink& link = plan.links[l];
+    send_base[l + 1] = send_base[l] + link.send_flow_edges.size();
+    recv_base[l + 1] = recv_base[l] + link.recv_flow_edges.size();
+    halo_base[l + 1] = halo_base[l] + link.recv_nodes.size();
+  }
+  if (plan.send_slots.size() != send_base[links] || plan.send_halo.size() != send_base[links] ||
+      plan.recv_slots.size() != recv_base[links]) {
+    violated(format("csr: domain %zu plan: send_slots/send_halo/recv_slots hold "
+                    "%zu/%zu/%zu entries but its links list %zu sent and %zu "
+                    "received flows",
+                    d, plan.send_slots.size(), plan.send_halo.size(),
+                    plan.recv_slots.size(), send_base[links], recv_base[links]));
+  }
+  const auto link_to = [&](std::uint32_t peer, std::size_t k) {
+    const shard::HaloLink* link = find_link(plan, peer);
+    if (link == nullptr) {
+      violated(format("csr: domain %zu plan: cut edge %zu has no link to peer %u", d, k,
+                      peer));
+    }
+    return static_cast<std::size_t>(link - plan.links.data());
+  };
+
+  std::size_t runs = 0;       // runs the pass has opened
+  std::size_t cuts = 0;       // cut entries the pass has met
+  bool in_run = false;        // edge k − 1 is a run edge
+  std::size_t run_first = 0;  // the open run's first edge and cut entries before it
+  std::size_t run_cuts = 0;
+  const auto close_run = [&](std::size_t end) {
+    const std::size_t r = runs - 1;
+    if (r >= plan.runs.size() || plan.runs[r].first != run_first ||
+        plan.runs[r].last != end || plan.runs[r].cuts_before != run_cuts) {
+      violated(format("csr: domain %zu plan: sweep run %zu should cover edges [%zu, %zu) "
+                      "after %zu cut entries",
+                      d, r, run_first, end, run_cuts));
+    }
+    in_run = false;
+  };
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const graph::Edge& e = edges[k];
+    const bool own_u = owner[e.u] == d;
+    const bool own_v = owner[e.v] == d;
+    if (own_u && own_v) {
+      if (!in_run) {
+        ++runs;
+        in_run = true;
+        run_first = k;
+        run_cuts = cuts;
+      }
+      continue;
+    }
+    if (in_run) close_run(k);
+    if (!own_u && !own_v) continue;
+    const graph::NodeId mine = own_u ? e.u : e.v;
+    if (cuts >= plan.cut_nodes.size() || plan.cut_nodes[cuts] != mine) {
+      violated(format("csr: domain %zu plan: sweep cut entry %zu should be edge %zu's "
+                      "node %u",
+                      d, cuts, k, mine));
+    }
+    if (own_u) {
+      // Shipped: the flow's slot in its link's send list, which names the
+      // cut entry and v's place in the compact halo.
+      const std::size_t l = link_to(owner[e.v], k);
+      const shard::HaloLink& link = plan.links[l];
+      const std::size_t i = sent[l]++;
+      const auto halo = std::lower_bound(link.recv_nodes.begin(), link.recv_nodes.end(), e.v);
+      if (i >= link.send_flow_edges.size() || link.send_flow_edges[i] != k ||
+          halo == link.recv_nodes.end() || *halo != e.v ||
+          plan.send_slots[send_base[l] + i] != cuts ||
+          plan.send_halo[send_base[l] + i] !=
+              halo_base[l] + static_cast<std::size_t>(halo - link.recv_nodes.begin())) {
+        violated(format("csr: domain %zu plan: cut edge %zu (sweep cut entry %zu) is not "
+                        "send entry %zu to peer %u with its staging slot and halo "
+                        "index",
+                        d, k, cuts, i, link.peer));
+      }
+    } else {
+      const std::size_t l = link_to(owner[e.u], k);
+      const shard::HaloLink& link = plan.links[l];
+      const std::size_t i = received[l]++;
+      if (i >= link.recv_flow_edges.size() || link.recv_flow_edges[i] != k ||
+          plan.recv_slots[recv_base[l] + i] != cuts) {
+        violated(format("csr: domain %zu plan: cut edge %zu (sweep cut entry %zu) is not "
+                        "receive entry %zu from peer %u with its staging slot",
+                        d, k, cuts, i, link.peer));
+      }
+    }
+    ++cuts;
+  }
+  if (in_run) close_run(edges.size());
+  if (runs != plan.runs.size() || cuts != plan.cut_nodes.size()) {
+    violated(format("csr: domain %zu plan: %zu sweep runs and %zu cut entries listed "
+                    "but %zu and %zu expected",
+                    d, plan.runs.size(), plan.cut_nodes.size(), runs, cuts));
+  }
+  for (std::size_t l = 0; l < links; ++l) {
+    if (sent[l] != plan.links[l].send_flow_edges.size() ||
+        received[l] != plan.links[l].recv_flow_edges.size()) {
+      violated(format("csr: domain %zu plan: the link to peer %u lists flow edges that "
+                      "are not its cut edges",
+                      d, plan.links[l].peer));
+    }
+  }
+}
+
+}  // namespace
+
 void check_domain_plan(const graph::Graph& base,
                        const std::vector<std::uint32_t>& owner, std::size_t d,
                        const shard::DomainPlan& plan) {
@@ -273,13 +395,37 @@ void check_domain_plan(const graph::Graph& base,
                         "endpoint of edge %u (%u,%u)",
                         d, i, u, k, e.u, e.v));
       }
-      const double expected_sign = (e.u == u) ? -1.0 : 1.0;
+      const int expected_sign = (e.u == u) ? -1 : 1;
       if (plan.sign[p] != expected_sign) {
         violated(format("csr: domain %zu plan row %zu: orientation sign for "
-                        "edge %u (%u,%u) at node %u is %g, expected %g",
-                        d, i, k, e.u, e.v, u, plan.sign[p], expected_sign));
+                        "edge %u (%u,%u) at node %u is %d, expected %d",
+                        d, i, k, e.u, e.v, u, static_cast<int>(plan.sign[p]),
+                        expected_sign));
       }
     }
+  }
+  check_sweep_tables(base, owner, d, plan);
+}
+
+void check_cut_flows(const std::vector<shard::DomainPlan>& plans,
+                     const graph::TopologyFrame& frame, const std::vector<double>& flows,
+                     const std::vector<double>& shares, std::size_t round) {
+  std::size_t base = 0;  // domain d's first share
+  for (std::size_t d = 0; d < plans.size(); ++d) {
+    const shard::DomainPlan& plan = plans[d];
+    std::size_t r = 0;
+    for (const shard::HaloLink& l : plan.links) {
+      for (const std::uint32_t k : l.recv_flow_edges) {
+        const double applied = shares[base + plan.recv_slots[r++]];
+        if (!frame.alive(k)) continue;
+        if (std::bit_cast<std::uint64_t>(applied) != std::bit_cast<std::uint64_t>(flows[k])) {
+          violated(format("cut flow violated: round %zu domain %zu edge %u from peer %u: "
+                          "applied %.17g but the owner stored %.17g",
+                          round, d, k, l.peer, applied, flows[k]));
+        }
+      }
+    }
+    base += plan.cut_nodes.size();
   }
 }
 
@@ -288,10 +434,10 @@ void check_domain_plan(const graph::Graph& base,
 // ---------------------------------------------------------------------------
 
 template <class T>
-std::vector<RoundCommExpectation> expected_all_edges_round_comm(
-    const std::vector<shard::DomainPlan>& plans,
-    const graph::TopologyFrame& frame) {
-  std::vector<RoundCommExpectation> expected(plans.size());
+void expected_all_edges_round_comm(const std::vector<shard::DomainPlan>& plans,
+                                   const graph::TopologyFrame& frame,
+                                   std::vector<RoundCommExpectation>& expected) {
+  expected.assign(plans.size(), RoundCommExpectation{});
   for (std::size_t d = 0; d < plans.size(); ++d) {
     RoundCommExpectation& e = expected[d];
     for (const shard::HaloLink& l : plans[d].links) {
@@ -314,7 +460,6 @@ std::vector<RoundCommExpectation> expected_all_edges_round_comm(
       }
     }
   }
-  return expected;
 }
 
 template <class T>
@@ -558,8 +703,9 @@ void check_torus_shape(const graph::Graph& g, std::size_t rows, std::size_t cols
   template void check_flow_antisymmetry<T>(const core::FlowProgram<T>&,        \
                                            const graph::TopologyFrame&,        \
                                            const std::vector<T>&, std::size_t); \
-  template std::vector<RoundCommExpectation> expected_all_edges_round_comm<T>( \
-      const std::vector<shard::DomainPlan>&, const graph::TopologyFrame&);     \
+  template void expected_all_edges_round_comm<T>(                              \
+      const std::vector<shard::DomainPlan>&, const graph::TopologyFrame&,      \
+      std::vector<RoundCommExpectation>&);                                     \
   template std::vector<RoundCommExpectation> expected_matching_round_comm<T>(  \
       const std::vector<std::uint32_t>&, const std::vector<graph::Edge>&,      \
       const std::vector<std::uint32_t>&, std::size_t);

@@ -40,8 +40,9 @@ namespace lb::check {
 
 /// Thrown by every check below on a contract violation.  The what()
 /// string always begins with the invariant's name ("conservation",
-/// "flow antisymmetry", "halo mirror", "comm accounting", "csr",
-/// "edge mask", "torus shape") followed by round/edge/domain coordinates.
+/// "flow antisymmetry", "halo mirror", "cut flow", "comm accounting",
+/// "csr", "edge mask", "torus shape") followed by round/edge/domain
+/// coordinates.
 class InvariantViolation : public std::runtime_error {
  public:
   explicit InvariantViolation(const std::string& what)
@@ -131,10 +132,25 @@ void check_halo_mirrors(const shard::HaloExchange& halo);
 /// base edges with owner(e.u) == d; the CSR slice well-formed (row_ptr
 /// monotone and sized, incident edge ids ascending per row, each row's
 /// node an endpoint of every listed edge, sign −1 exactly when the node
-/// is the edge's u).
+/// is the edge's u); and the sweep's tables equal to the ones an
+/// ascending pass over the edges rebuilds — every run with its
+/// cuts_before, every cut entry's owned node, and every cut edge at its
+/// place in its link's flow list with its send_slots/send_halo or
+/// recv_slots entry.
 void check_domain_plan(const graph::Graph& base,
                        const std::vector<std::uint32_t>& owner, std::size_t d,
                        const shard::DomainPlan& plan);
+
+/// Verify that every alive cut edge's flow, as the v-side domain applied
+/// it, equals bit for bit the value its owner stored in `flows` (indexed
+/// by base edge id) after an all-edges sharded round — so a flow unpacked
+/// into the wrong entry fails even when the byte counts agree.  `shares`
+/// holds every domain's staged cut shares, domain by domain in domain
+/// order, DomainPlan::cut_nodes.size() entries each; a received flow sits
+/// at its entry's recv_slots index.
+void check_cut_flows(const std::vector<shard::DomainPlan>& plans,
+                     const graph::TopologyFrame& frame, const std::vector<double>& flows,
+                     const std::vector<double>& shares, std::size_t round);
 
 // ---------------------------------------------------------------------------
 // Comm accounting
@@ -150,11 +166,12 @@ struct RoundCommExpectation {
 /// the frame's alive mask alone: phase A delivers one load payload per
 /// nonempty recv_nodes link (sizeof(T) per node), phase B one flow
 /// payload per link with ≥ 1 alive recv_flow_edge (sizeof(double) per
-/// alive edge).
+/// alive edge).  Written into `expected` (one entry per domain), so a
+/// checked round reuses the caller's buffer.
 template <class T>
-std::vector<RoundCommExpectation> expected_all_edges_round_comm(
-    const std::vector<shard::DomainPlan>& plans,
-    const graph::TopologyFrame& frame);
+void expected_all_edges_round_comm(const std::vector<shard::DomainPlan>& plans,
+                                   const graph::TopologyFrame& frame,
+                                   std::vector<RoundCommExpectation>& expected);
 
 /// Expectation for one kMatching round: phase A ships one T per matched
 /// cut edge v-side → u-side, phase B one double back per such edge;

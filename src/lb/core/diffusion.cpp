@@ -10,36 +10,6 @@
 
 namespace lb::core {
 
-namespace {
-
-// diffusion_share<T>(ℓ_u − ℓ_v, d) as a pair rule (flow_program.hpp),
-// for rounds in which every edge has the one denominator d.  With
-// kByInverse, d is a power of two applied as a multiply by its exact
-// inverse `scale` = 1/d: gap·(1/d) and gap/d are the same real number,
-// so IEEE arithmetic rounds both to the same double; otherwise `scale`
-// is d itself.  amount() is the whole-token amount T(flow) a round
-// moves, cast straight from the quotient: the cast truncates, so the
-// flow's trunc changes no amount, and skipping it skips trunc's
-// branchy expansion on baseline x86-64.
-template <class T, bool kByInverse>
-struct UniformDiffusionShare {
-  double scale;
-
-  double quotient(double lu, double lv) const {
-    return kByInverse ? (lu - lv) * scale : (lu - lv) / scale;
-  }
-  double operator()(double lu, double lv) const {
-    if constexpr (std::is_integral_v<T>) {
-      return std::trunc(quotient(lu, lv));
-    } else {
-      return quotient(lu, lv);
-    }
-  }
-  T amount(double lu, double lv) const { return static_cast<T>(quotient(lu, lv)); }
-};
-
-}  // namespace
-
 double diffusion_edge_weight(const graph::Graph& g, graph::NodeId i, graph::NodeId j,
                              double load_i, double load_j, const DiffusionConfig& cfg) {
   double denom = 0.0;
@@ -97,12 +67,8 @@ decltype(auto) DiffusionBalancer<T>::with_round_flow(RoundContext<T>& ctx, Use&&
     return use(UniformDiffusionShare<T, false>{denom});
   }
   // The frame outlives the round (it lives in the sequence), so a
-  // planned closure may hold it.
-  return use([&frame, factor, degree_plus_one, rule](std::size_t, const graph::Edge& e,
-                                                     double lu, double lv) {
-    return diffusion_share<T>(
-        lu - lv, frame_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
-  });
+  // planned rule may hold it.
+  return use(FrameDiffusionShare<T>{&frame, rule, factor, degree_plus_one});
 }
 
 template <class T>
@@ -117,7 +83,7 @@ StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
 template <class T>
 bool DiffusionBalancer<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
   program.links = ctx.frame().num_edges();
-  with_round_flow(ctx, [&program](const auto& flow) { program.flow = edge_flow(flow); });
+  with_round_flow(ctx, [&program](const auto& flow) { program.flow = flow; });
   return true;
 }
 

@@ -82,6 +82,50 @@ inline double frame_diffusion_denominator(const graph::TopologyFrame& frame,
   return 0.0;
 }
 
+/// diffusion_share<T>(ℓ_u − ℓ_v, d) as a pair rule (flow_program.hpp),
+/// for rounds in which every edge has the one denominator d.  With
+/// kByInverse, d is a power of two applied as a multiply by its exact
+/// inverse `scale` = 1/d: gap·(1/d) and gap/d are the same real number,
+/// so IEEE arithmetic rounds both to the same double; otherwise `scale`
+/// is d itself.  amount() is the whole-token amount T(flow) a round
+/// moves, cast straight from the quotient: the cast truncates, so the
+/// flow's trunc changes no amount, and skipping it skips trunc's
+/// branchy expansion on baseline x86-64.
+template <class T, bool kByInverse>
+struct UniformDiffusionShare {
+  double scale;
+
+  double quotient(double lu, double lv) const {
+    return kByInverse ? (lu - lv) * scale : (lu - lv) / scale;
+  }
+  double operator()(double lu, double lv) const {
+    if constexpr (std::is_integral_v<T>) {
+      return std::trunc(quotient(lu, lv));
+    } else {
+      return quotient(lu, lv);
+    }
+  }
+  T amount(double lu, double lv) const { return static_cast<T>(quotient(lu, lv)); }
+};
+
+/// Algorithm 1's per-edge rule where edges differ in denominator (an
+/// irregular base, or a masked frame): the edge's own
+/// frame_diffusion_denominator, read from the frame's (alive-)degrees as
+/// the rule runs.  The frame must outlive the round (it lives in the
+/// sequence).
+template <class T>
+struct FrameDiffusionShare {
+  const graph::TopologyFrame* frame;
+  DenominatorRule rule;
+  double factor;
+  double degree_plus_one;
+
+  double operator()(std::size_t, const graph::Edge& e, double lu, double lv) const {
+    return diffusion_share<T>(
+        lu - lv, frame_diffusion_denominator(*frame, e, rule, factor, degree_plus_one));
+  }
+};
+
 template <class T>
 class DiffusionBalancer final : public Balancer<T> {
  public:
@@ -91,8 +135,8 @@ class DiffusionBalancer final : public Balancer<T> {
   using Balancer<T>::step;  // keep the deprecated (g, load, rng) shim visible
   StepStats step(RoundContext<T>& ctx, std::vector<T>& load) override;
 
-  /// Sharded replay (flow_program.hpp): the identical flow function
-  /// step() runs, through edge_flow's adapter when it is a pair rule.
+  /// Sharded replay (flow_program.hpp): the identical flow rule step()
+  /// runs, as its FlowRule alternative.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
 
   const DiffusionConfig& config() const { return cfg_; }
@@ -101,11 +145,11 @@ class DiffusionBalancer final : public Balancer<T> {
   // The one statement of this round's flow rule: calls use(flow) with the
   // rule step() runs and plan_round() publishes — a pair rule
   // (UniformDiffusionShare) when the frame is unmasked and every edge has
-  // the same denominator (δ + 1, or factor·δ on a regular base), else a
-  // per-edge closure over frame_diffusion_denominator (the frame's
-  // degrees; a mask's alive-degrees, the identical doubles the
-  // materialized subgraph gives).  No state: round scratch, the blocked
-  // round's plan and the stencil's buffers come from the RoundContext.
+  // the same denominator (δ + 1, or factor·δ on a regular base), else
+  // the per-edge FrameDiffusionShare (the frame's degrees; a mask's
+  // alive-degrees, the identical doubles the materialized subgraph
+  // gives).  No state: round scratch, the blocked round's plan and the
+  // stencil's buffers come from the RoundContext.
   template <class Use>
   decltype(auto) with_round_flow(RoundContext<T>& ctx, Use&& use);
 

@@ -1,7 +1,5 @@
 #include "lb/core/dimension_exchange.hpp"
 
-#include <cmath>
-
 #include "lb/core/flow_ledger.hpp"
 #include "lb/core/flow_program.hpp"
 #include "lb/core/round_context.hpp"
@@ -17,18 +15,6 @@ std::size_t hypercube_dimensions(const graph::Graph& g) {
   LB_ASSERT_MSG((std::size_t{1} << d) == g.num_nodes(),
                 "round-robin matching requires a 2^d-node hypercube");
   return d;
-}
-
-/// The matched-pair rule of [12] as a signed flow u → v: the richer
-/// endpoint sends half the difference, ⌊·⌋ for Tokens.
-template <class T>
-double matched_flow(double lu, double lv) {
-  const double diff = lu - lv;
-  if (diff == 0.0) return 0.0;
-  double amount = std::fabs(diff) / 2.0;
-  if constexpr (std::is_integral_v<T>) amount = std::floor(amount);
-  if (amount == 0.0) return 0.0;
-  return diff > 0.0 ? amount : -amount;
 }
 
 }  // namespace
@@ -82,7 +68,7 @@ StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
   stats.links = m.size();
   for (const graph::Edge& e : m) {
     const double f =
-        matched_flow<T>(static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
+        MatchedFlow<T>{}(static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
     count_flow<T>(stats, f);
     add_flow(load[e.u], -f);
     add_flow(load[e.v], f);
@@ -109,9 +95,7 @@ bool DimensionExchange<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& prog
     LB_DEBUG_ASSERT(k < base.num_edges());
     program.matched.push_back(static_cast<std::uint32_t>(k));
   }
-  program.flow = [](std::size_t, const graph::Edge&, double lu, double lv) {
-    return matched_flow<T>(lu, lv);
-  };
+  program.flow = MatchedFlow<T>{};
   return true;
 }
 

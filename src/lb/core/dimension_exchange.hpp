@@ -12,7 +12,9 @@
 // any pool size.
 #pragma once
 
+#include <cmath>
 #include <memory>
+#include <type_traits>
 
 #include "lb/core/algorithm.hpp"
 #include "lb/graph/matching.hpp"
@@ -30,6 +32,21 @@ enum class MatchingStrategy {
   kHypercubeRoundRobin,
 };
 
+/// The matched-pair rule of [12] as a signed flow u → v: the richer
+/// endpoint sends half the difference, ⌊·⌋ for Tokens.  A pair rule
+/// (flow_program.hpp).
+template <class T>
+struct MatchedFlow {
+  double operator()(double lu, double lv) const {
+    const double diff = lu - lv;
+    if (diff == 0.0) return 0.0;
+    double amount = std::fabs(diff) / 2.0;
+    if constexpr (std::is_integral_v<T>) amount = std::floor(amount);
+    if (amount == 0.0) return 0.0;
+    return diff > 0.0 ? amount : -amount;
+  }
+};
+
 template <class T>
 class DimensionExchange final : public Balancer<T> {
  public:
@@ -43,7 +60,7 @@ class DimensionExchange final : public Balancer<T> {
   /// Sharded replay (flow_program.hpp): draws the round's matching from
   /// ctx.rng() exactly as step() would (same stream position), exports
   /// it as base edge ids in matching order, and describes the matched
-  /// transfer ±⌊|ℓ_u − ℓ_v|/2⌋ as the flow function.
+  /// transfer ±⌊|ℓ_u − ℓ_v|/2⌋ as its MatchedFlow rule.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
 
   MatchingStrategy strategy() const { return strategy_; }

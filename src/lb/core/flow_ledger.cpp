@@ -177,26 +177,6 @@ void FlowLedger::apply_with_summary(const graph::Graph& g,
 }
 
 template <class T>
-void accumulate_flow_totals(const graph::TopologyFrame& frame,
-                            const std::vector<double>& flows, StepStats& stats) {
-  const auto& edges = frame.base().edges();
-  LB_ASSERT_MSG(flows.size() == edges.size(), "flow vector does not match base graph");
-  StepStats chunk;
-  std::size_t current = 0;
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (!frame.alive(k)) continue;
-    const std::size_t c = edges[k].u / kSummaryChunkWidth;
-    if (c != current) {
-      fold_chunk_stats(stats, chunk);
-      chunk = StepStats{};
-      current = c;
-    }
-    count_flow<T>(chunk, flows[k]);
-  }
-  fold_chunk_stats(stats, chunk);
-}
-
-template <class T>
 void accumulate_flow_totals(const std::vector<double>& flows, StepStats& stats) {
   for (const double f : flows) count_flow<T>(stats, f);
 }
@@ -209,9 +189,6 @@ void accumulate_flow_totals(const std::vector<double>& flows, StepStats& stats) 
       const graph::Graph&, const std::vector<double>&, std::vector<T>&,        \
       util::ThreadPool*, double, SummaryMode, std::vector<SummaryPartial<T>>&, \
       LoadSummary<T>&) const;                                                  \
-  template void accumulate_flow_totals<T>(const graph::TopologyFrame&,         \
-                                          const std::vector<double>&,          \
-                                          StepStats&);                         \
   template void accumulate_flow_totals<T>(const std::vector<double>&, StepStats&);
 
 LB_INSTANTIATE(double)

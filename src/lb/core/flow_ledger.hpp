@@ -222,18 +222,10 @@ class FlowLedger {
   std::vector<std::int8_t> sign_;        // -1 if the row's node is the edge's u
 };
 
-/// StepStats of a flow vector under the fixed-chunk contract
-/// (fold_chunk_stats): `flows` is indexed by the frame's *base* edge id,
-/// and dead edges of a masked frame are skipped.  The sharded engine's
-/// central totals use this, so both engines report identical StepStats.
-/// `stats.links` is left to the caller.
-template <class T>
-void accumulate_flow_totals(const graph::TopologyFrame& frame,
-                            const std::vector<double>& flows, StepStats& stats);
-
 /// transferred/active_edges of a flow vector summed in plain edge order.
-/// Equal to the fixed-chunk overload whenever n ≤ kSummaryChunkWidth or
-/// T is integral; kept for callers that only hold the flow vector.
+/// Equal to the fixed-chunk contract's fold (fold_chunk_stats) whenever
+/// n ≤ kSummaryChunkWidth or T is integral; kept for callers that only
+/// hold the flow vector.
 template <class T>
 void accumulate_flow_totals(const std::vector<double>& flows, StepStats& stats);
 

@@ -21,7 +21,7 @@ StepStats FirstOrderScheme::step(RoundContext<double>& ctx,
 bool FirstOrderScheme::plan_round(RoundContext<double>& ctx,
                                   FlowProgram<double>& program) {
   program.links = ctx.frame().num_edges();
-  program.flow = edge_flow(fos_flow(ctx.frame()));
+  program.flow = fos_flow(ctx.frame());
   return true;
 }
 

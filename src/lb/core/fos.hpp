@@ -18,13 +18,19 @@
 
 namespace lb::core {
 
-/// The first-order-scheme edge flow α·(ℓ_u − ℓ_v), α = 1/(δ+1) over the
-/// frame's (alive) max degree — the one statement of the rule that FOS
-/// and SOS's FOS half run in step() and publish from plan_round().  A
-/// pair rule (flow_program.hpp): it reads only the two endpoint loads.
-inline auto fos_flow(const graph::TopologyFrame& frame) {
-  const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
-  return [alpha](double lu, double lv) { return alpha * (lu - lv); };
+/// The first-order-scheme edge flow α·(ℓ_u − ℓ_v): a pair rule
+/// (flow_program.hpp), reading only the two endpoint loads.
+struct FosFlow {
+  double alpha;
+
+  double operator()(double lu, double lv) const { return alpha * (lu - lv); }
+};
+
+/// FosFlow with α = 1/(δ+1) over the frame's (alive) max degree — the one
+/// statement of the rule that FOS and SOS's FOS half run in step() and
+/// publish from plan_round().
+inline FosFlow fos_flow(const graph::TopologyFrame& frame) {
+  return FosFlow{1.0 / (static_cast<double>(frame.max_degree()) + 1.0)};
 }
 
 class FirstOrderScheme final : public Balancer<double> {
@@ -34,7 +40,7 @@ class FirstOrderScheme final : public Balancer<double> {
   StepStats step(RoundContext<double>& ctx, std::vector<double>& load) override;
 
   /// Sharded replay (flow_program.hpp): fos_flow, the identical rule
-  /// step() runs, through edge_flow's adapter.
+  /// step() runs.
   bool plan_round(RoundContext<double>& ctx,
                   FlowProgram<double>& program) override;
 };

@@ -72,6 +72,15 @@ class RunArena {
   std::vector<StepStats>& chunk_stats() { return chunk_stats_; }
   /// The blocked round's (base revision, width)-keyed index.
   BlockedRoundPlan& round_plan() { return round_plan_; }
+  /// round_plan() built for `base` at blocked_round_width() (0: one block
+  /// over every summary chunk), as the rounds that read it ensure it.
+  const BlockedRoundPlan& round_plan(const graph::Graph& base) {
+    const std::size_t width = blocked_round_width();
+    round_plan_.ensure(base, width != 0 ? width
+                                        : summary_chunk_count(base.num_nodes()) *
+                                              kSummaryChunkWidth);
+    return round_plan_;
+  }
   /// The torus stencil's flow buffers (flows as the round applies them:
   /// Real flows, token amounts), one cache-sized slot per task.
   std::vector<T>& stencil_flows() { return stencil_flows_; }
@@ -723,9 +732,7 @@ StepStats run_blocked_round_into(RoundContext<T>& ctx, util::ThreadPool* pool,
   const double average = ctx.summary_average();
   const SummaryMode mode = ctx.summary_mode();
   const auto csr_round = [&](const auto& edge_rule) {
-    const std::size_t width = blocked_round_width();
-    BlockedRoundPlan& plan = arena.round_plan();
-    plan.ensure(frame.base(), width != 0 ? width : chunks * kSummaryChunkWidth);
+    const BlockedRoundPlan& plan = arena.round_plan(frame.base());
     if (frame.masked()) {
       detail::sweep_blocks<true>(frame, plan, pool, load, out, stats.data(), parts_out,
                                  average, mode, edge_rule);

@@ -106,7 +106,7 @@ bool SecondOrderScheme::plan_round(RoundContext<double>& ctx,
                                    FlowProgram<double>& program) {
   const bool first = begin_round(ctx);
   program.links = ctx.frame().num_edges();
-  program.flow = edge_flow(fos_flow(ctx.frame()));
+  program.flow = fos_flow(ctx.frame());
   // `applied` is step()'s scratch_[u] (M·L at u), `before` its load[u].
   program.post = [this, first](std::size_t u, double applied, double before) {
     return next_load(u, applied, before, first);

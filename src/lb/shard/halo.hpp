@@ -16,12 +16,19 @@
 // sender pack order and receiver unpack order agree by construction —
 // the channel is a FIFO with no per-message framing.
 //
-// Each DomainPlan also carries a CSR slice over its owned nodes that
-// replicates core::FlowLedger's layout (incident edge ids ascending per
-// row, sign −1 when the row's node is the edge's u).  The domain-local
-// apply sweep walks this slice with gather arithmetic identical to
-// FlowLedger::gather_node, which is what makes the sharded apply
-// bit-identical to the shared-memory oracle (DESIGN.md §7).
+// Each DomainPlan also carries the tables of its round sweep (DESIGN.md
+// §7): the runs of owned edges whose endpoints are both owned, and the
+// cut entries between them — each cut edge incident to an owned node, in
+// ascending base order, with the slot its flow is staged in.  Walking the
+// two merged visits every edge incident to an owned node in ascending
+// base order, so each owned node takes its ±flows in the seed's edge
+// order.  The CSR slice over the owned nodes (core::FlowLedger's layout:
+// incident edge ids ascending per row, sign −1 when the row's node is the
+// edge's u) stays for the plan check and external replays; no round
+// walks it.
+//
+// Every array is allocated once, at its exact size: a counting pass over
+// the edges sizes them, a filling pass writes them.
 #pragma once
 
 #include <cstdint>
@@ -46,17 +53,43 @@ struct HaloLink {
   std::vector<std::uint32_t> recv_flow_edges;
 };
 
+/// Owned edges [first, last) — consecutive base ids, both endpoints owned
+/// — which the sweep enters once the plan's cut entries [0, cuts_before)
+/// are applied.
+struct SweepRun {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+  std::uint32_t cuts_before = 0;
+};
+
 struct DomainPlan {
   /// Owned nodes, ascending (== OwnershipMap::nodes(d)).
   std::vector<graph::NodeId> nodes;
   /// Owned edges — base ids k with owner(edges()[k].u) == d — ascending.
   std::vector<std::uint32_t> owned_edges;
   /// CSR over owned nodes (row i = nodes[i]), FlowLedger layout.
-  std::vector<std::size_t> row_ptr;      // nodes.size() + 1 entries
-  std::vector<std::uint32_t> edge_idx;   // incident base edge ids, ascending per row
-  std::vector<double> sign;              // -1 if the row's node is the edge's u
+  std::vector<std::uint32_t> row_ptr;   // nodes.size() + 1 entries
+  std::vector<std::uint32_t> edge_idx;  // incident base edge ids, ascending per row
+  std::vector<std::int8_t> sign;        // -1 if the row's node is the edge's u
   /// Peers, sorted ascending by domain id.
   std::vector<HaloLink> links;
+
+  // The sweep.  A cut entry is a cut edge incident to an owned node:
+  // owned with a remote v (its flow is computed before the flow exchange)
+  // or peer-owned with an owned v (its flow arrives in it).  Entries
+  // ascend in base id; the round stages each entry's signed share, −f on
+  // the u side and +f on the v side, in a slot per entry.
+  /// Runs of owned edges between the cut entries, ascending.
+  std::vector<SweepRun> runs;
+  /// The owned endpoint of each cut entry.
+  std::vector<graph::NodeId> cut_nodes;
+  /// Per send_flow_edges entry of every link, in link order: its cut
+  /// entry, and its v's index in the compact halo — the recv_nodes of
+  /// every link, concatenated in link order.
+  std::vector<std::uint32_t> send_slots;
+  std::vector<std::uint32_t> send_halo;
+  /// Per recv_flow_edges entry of every link, in link order: its cut entry.
+  std::vector<std::uint32_t> recv_slots;
 };
 
 class HaloExchange {
@@ -71,7 +104,8 @@ class HaloExchange {
   const DomainPlan& plan(std::size_t d) const { return plans_[d]; }
   const std::vector<DomainPlan>& plans() const { return plans_; }
 
-  /// Cut edges crossing any domain boundary (== map.cut_edges()).
+  /// Cut edges crossing any domain boundary, as the build counted them
+  /// (equal to map.cut_edges(), which counts them its own way).
   std::size_t cut_edges() const { return cut_edges_; }
 
   bool valid_for(const graph::Graph& g, const OwnershipMap& map) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "lb/check/invariants.hpp"
 #include "lb/core/flow_ledger.hpp"
@@ -41,9 +42,6 @@ struct Runtime {
     for (const LinkOverride& o : cfg.link_overrides) {
       comm.set_link(o.from, o.to, o.config);
     }
-    halo_load.resize(domains);
-    node_buf.resize(domains);
-    flow_buf.resize(domains);
     local_pairs.resize(domains);
     remote_out.resize(domains);
     remote_in.resize(domains);
@@ -56,152 +54,257 @@ struct Runtime {
     if (map.valid_for(base, cfg.domains, cfg.policy)) return false;
     map = OwnershipMap::build(base, cfg.domains, cfg.policy);
     halo = HaloExchange::build(base, map);
-    for (std::vector<T>& h : halo_load) h.assign(base.num_nodes(), T{});
-    // Allocation audit (DESIGN.md §9): size the pack/unpack scratch to the
-    // largest link payload now, so the per-round clear()/push_back cycles
-    // never grow a buffer mid-run.
-    for (std::size_t d = 0; d < halo_load.size(); ++d) {
-      std::size_t max_nodes = 0, max_flows = 0;
-      for (const HaloLink& l : halo.plan(d).links) {
-        max_nodes = std::max({max_nodes, l.send_nodes.size(), l.recv_nodes.size()});
+    // Each kind of scratch is one array, sliced by domain in domain order:
+    // the compact halos, the staged cut shares, and pack buffers sized to
+    // the domain's largest link payload — so no round grows a buffer
+    // (allocation audit, DESIGN.md §9.4).
+    const std::size_t K = map.domains();
+    slice.assign(K + 1, Slice{});
+    for (std::size_t d = 0; d < K; ++d) {
+      const DomainPlan& plan = halo.plan(d);
+      std::size_t halo_nodes = 0, max_nodes = 0, max_flows = 0;
+      for (const HaloLink& l : plan.links) {
+        halo_nodes += l.recv_nodes.size();
+        max_nodes = std::max(max_nodes, l.send_nodes.size());
         max_flows =
             std::max({max_flows, l.send_flow_edges.size(), l.recv_flow_edges.size()});
       }
-      node_buf[d].reserve(max_nodes);
-      flow_buf[d].reserve(max_flows);
+      slice[d + 1] = {slice[d].halo + halo_nodes, slice[d].shares + plan.cut_nodes.size(),
+                      slice[d].nodes + max_nodes, slice[d].flows + max_flows};
     }
+    halo_load.resize(slice[K].halo);
+    shares.resize(slice[K].shares);
+    node_buf.resize(slice[K].nodes);
+    flow_buf.resize(slice[K].flows);
     return true;
   }
+
+  struct Slice {
+    std::size_t halo = 0;
+    std::size_t shares = 0;
+    std::size_t nodes = 0;
+    std::size_t flows = 0;
+  };
 
   OwnershipMap map;
   HaloExchange halo;
   sim::CommEngine comm;
-  std::vector<sim::CommTotals> prev;           // totals at last round boundary
-  std::vector<std::vector<T>> halo_load;       // per domain: remote loads by node id
-  std::vector<std::vector<T>> node_buf;        // per domain pack/unpack scratch
-  std::vector<std::vector<double>> flow_buf;   // per domain flow payload scratch
+  std::vector<sim::CommTotals> prev;  // totals at last round boundary
+  std::vector<Slice> slice;           // where domain d's scratch slices begin
+  std::vector<T> halo_load;           // each domain's compact halo
+  std::vector<double> shares;         // each domain's staged cut shares
+  std::vector<T> node_buf;            // load pack scratch
+  std::vector<double> flow_buf;       // flow payload scratch
   // kMatching per-round work lists (rebuilt each matching round).
   std::vector<std::vector<std::uint32_t>> local_pairs;
   std::vector<std::vector<std::uint32_t>> remote_out;  // this domain owns e.u
   std::vector<std::vector<std::uint32_t>> remote_in;   // this domain owns e.v
 };
 
-/// One kAllEdges round: the halo protocol around the standard
-/// compute-flows / gather-apply round shape.
+/// A flow as the sweep applies it: the flow itself for Real loads; for
+/// Tokens the whole-token amount add_flow and count_flow cut from it,
+/// static_cast<T>(f) — or the rule's own amount(), which states the same
+/// value (flow_program.hpp).
+template <class T, class Rule>
+T applied_flow(const Rule& rule, std::size_t k, const graph::Edge& e, double lu, double lv) {
+  if constexpr (!std::is_integral_v<T>) {
+    return core::rule_flow(rule, k, e, lu, lv);
+  } else if constexpr (requires { rule.amount(lu, lv); }) {
+    return rule.amount(lu, lv);
+  } else {
+    return static_cast<T>(core::rule_flow(rule, k, e, lu, lv));
+  }
+}
+
+/// add_flow on a share as applied_flow states it.  For Tokens, x += ±a is
+/// add_flow's x += T(±f): truncation is odd.
 template <class T>
-core::StepStats step_all_edges(core::RoundContext<T>& ctx,
-                               const core::FlowProgram<T>& program,
-                               std::vector<T>& load, Runtime<T>& rt,
+void apply_share(T& x, T share) {
+  if constexpr (std::is_integral_v<T>) {
+    x += share;
+  } else {
+    core::add_flow(x, share);
+  }
+}
+
+/// Domain d's sweep (DESIGN.md §7) into `out`: seed its nodes with their
+/// round-start loads, then walk its cut entries and its runs of owned
+/// edges in ascending base order — each run edge's flow evaluated once
+/// from the round-start loads and stored, each cut entry's staged share
+/// applied — so every owned node takes its ±flows in the seed's edge
+/// order.  Writes only its own nodes' `out` slots and its run edges'
+/// `flows` slots.
+template <bool kMasked, class T, class Rule>
+void sweep_domain(const DomainPlan& plan, const graph::TopologyFrame& frame, const Rule& rule,
+                  const std::vector<T>& load, std::vector<T>& out, std::vector<double>& flows,
+                  const double* shares) {
+  const auto& edges = frame.base().edges();
+  const graph::EdgeMask* mask = frame.mask();
+  const std::vector<graph::NodeId>& nodes = plan.nodes;
+  if (!nodes.empty() && std::size_t{nodes.back()} - nodes.front() + 1 == nodes.size()) {
+    std::copy_n(load.data() + nodes.front(), nodes.size(), out.data() + nodes.front());
+  } else {
+    for (const graph::NodeId u : nodes) out[u] = load[u];
+  }
+  std::size_t j = 0;
+  const auto apply_cuts = [&](std::size_t end) {
+    for (; j < end; ++j) core::add_flow(out[plan.cut_nodes[j]], shares[j]);
+  };
+  for (const SweepRun& run : plan.runs) {
+    apply_cuts(run.cuts_before);
+    for (std::size_t k = run.first; k < run.last; ++k) {
+      if (kMasked && !mask->alive(k)) continue;
+      const graph::Edge& e = edges[k];
+      const T f = applied_flow<T>(rule, k, e, static_cast<double>(load[e.u]),
+                                  static_cast<double>(load[e.v]));
+      flows[k] = static_cast<double>(f);
+      apply_share(out[e.u], static_cast<T>(-f));
+      apply_share(out[e.v], f);
+    }
+  }
+  apply_cuts(plan.cut_nodes.size());
+}
+
+/// The round's StepStats, and its summary when the engine requested one,
+/// folded per summary chunk at the barrier, chunks in parallel: a chunk
+/// counts the stored flows of its edges — those whose lower endpoint it
+/// holds, ascending from +0.0, dead ones skipped — and folds its nodes'
+/// new loads.  These are the fixed-chunk contracts of fold_chunk_stats
+/// and fused_sweep_with_summary, so nothing depends on the domains.
+template <bool kMasked, class T>
+core::StepStats fold_chunks(core::RoundContext<T>& ctx, util::ThreadPool* pool,
+                            const std::vector<double>& flows, const std::vector<T>& out) {
+  const graph::TopologyFrame& frame = ctx.frame();
+  const graph::EdgeMask* mask = frame.mask();
+  core::RunArena<T>& arena = ctx.arena();
+  const core::BlockedRoundPlan& index = arena.round_plan(frame.base());
+  const std::size_t n = out.size();
+  std::vector<core::StepStats>& stats = arena.chunk_stats();
+  stats.resize(core::summary_chunk_count(n));
+  std::vector<core::SummaryPartial<T>>& parts = arena.summary_parts();
+  const bool summarize = ctx.summary_requested();
+  if (summarize) parts.resize(stats.size());
+  const double average = ctx.summary_average();
+  const core::SummaryMode mode = ctx.summary_mode();
+  util::for_fixed_chunks(
+      pool, n, core::kSummaryChunkWidth, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+        core::StepStats s;
+        const std::size_t k_end = index.chunk_begin(c + 1);
+        for (std::size_t k = index.chunk_begin(c); k < k_end; ++k) {
+          if (kMasked && !mask->alive(k)) continue;
+          core::count_flow<T>(s, flows[k]);
+        }
+        stats[c] = s;
+        if (!summarize) return;
+        core::SummaryPartial<T> p;
+        core::summary_begin(p, out[lo]);
+        for (std::size_t u = lo; u < hi; ++u) core::summary_accumulate(p, out[u], average, mode);
+        parts[c] = p;
+      });
+  core::StepStats total;
+  for (const core::StepStats& s : stats) core::fold_chunk_stats(total, s);
+  if (summarize) ctx.publish_summary(core::combine_summary_partials(parts, n, average, mode));
+  return total;
+}
+
+/// One kAllEdges round: the halo protocol around one sweep per domain.
+/// Domains write only their own nodes' outputs, their owned edges' flow
+/// slots and their own scratch slices, so phases need no synchronization
+/// beyond their barriers.
+template <class T, class Rule>
+core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgram<T>& program,
+                               const Rule& rule, std::vector<T>& load, Runtime<T>& rt,
                                util::ThreadPool* pool) {
   const graph::TopologyFrame& frame = ctx.frame();
   const auto& edges = frame.base().edges();
   const bool masked = frame.masked();
   const std::size_t K = rt.map.domains();
-  const auto& owner = rt.map.owners();
   std::vector<double>& flows = ctx.arena().flows();
   flows.resize(edges.size());
-
-  core::StepStats stats;
-  stats.links = program.links;
+  std::vector<T>& out = ctx.arena().node_scratch();
+  out.resize(load.size());
 
   // Phase A: every domain ships its boundary nodes' round-start loads.
   // Node halos are a function of the topology alone (not of the round's
   // mask): a dead boundary edge still carries its endpoint load, keeping
   // the payload schedule deterministic per topology epoch.
   for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    std::vector<T>& buf = rt.node_buf[d];
-    for (const HaloLink& l : plan.links) {
-      if (l.send_nodes.empty()) continue;
-      buf.clear();
-      for (graph::NodeId v : l.send_nodes) buf.push_back(load[v]);
-      rt.comm.send(d, l.peer, buf.data(), buf.size());
+    T* buf = rt.node_buf.data() + rt.slice[d].nodes;
+    for (const HaloLink& l : rt.halo.plan(d).links) {
+      for (std::size_t i = 0; i < l.send_nodes.size(); ++i) buf[i] = load[l.send_nodes[i]];
+      rt.comm.send(d, l.peer, buf, l.send_nodes.size());
     }
   });
   rt.comm.deliver();
 
-  // Phase B: unpack halos, compute owned-edge flows from (local load,
-  // halo copy) pairs, ship boundary flows back.  Edge k's slot is written
-  // exclusively by owner(edges[k].u), so the shared flow vector needs no
-  // synchronization beyond the phase barriers.
+  // Phase B: unpack the halo (link by link, into the compact halo), then
+  // evaluate every owned cut edge's flow from (own load, halo copy),
+  // store it, stage its u-side share −f and ship the flows back.
   for_each_domain(pool, K, [&](std::size_t d) {
     const DomainPlan& plan = rt.halo.plan(d);
-    std::vector<T>& halo = rt.halo_load[d];
-    std::vector<T>& buf = rt.node_buf[d];
+    T* halo = rt.halo_load.data() + rt.slice[d].halo;
+    double* shares = rt.shares.data() + rt.slice[d].shares;
+    double* buf = rt.flow_buf.data() + rt.slice[d].flows;
+    std::size_t h = 0;
     for (const HaloLink& l : plan.links) {
-      if (l.recv_nodes.empty()) continue;
-      buf.resize(l.recv_nodes.size());
-      rt.comm.recv(l.peer, d, buf.data(), buf.size());
-      for (std::size_t i = 0; i < l.recv_nodes.size(); ++i) {
-        halo[l.recv_nodes[i]] = buf[i];
-      }
+      rt.comm.recv(l.peer, d, halo + h, l.recv_nodes.size());
+      h += l.recv_nodes.size();
     }
-    for (const std::uint32_t k : plan.owned_edges) {
-      if (masked && !frame.alive(k)) continue;
-      const graph::Edge& e = edges[k];
-      const T lv = owner[e.v] == static_cast<std::uint32_t>(d) ? load[e.v]
-                                                               : halo[e.v];
-      flows[k] = program.flow(k, e, static_cast<double>(load[e.u]),
-                              static_cast<double>(lv));
-    }
-    std::vector<double>& fbuf = rt.flow_buf[d];
-    for (const HaloLink& l : plan.links) {
-      fbuf.clear();
-      for (const std::uint32_t k : l.send_flow_edges) {
-        if (masked && !frame.alive(k)) continue;
-        fbuf.push_back(flows[k]);
-      }
-      if (!fbuf.empty()) rt.comm.send(d, l.peer, fbuf.data(), fbuf.size());
-    }
-  });
-  rt.comm.deliver();
-
-  // Round totals, centrally at the barrier: the fixed-chunk fold the
-  // shared-memory round uses, so StepStats cannot depend on the domain
-  // split.
-  core::accumulate_flow_totals<T>(frame, flows, stats);
-
-  // Phase C1: unpack received boundary flows.  A separate phase from the
-  // gathers below so no domain reads a slot another is still writing.
-  for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    std::vector<double>& fbuf = rt.flow_buf[d];
+    std::size_t s = 0;
     for (const HaloLink& l : plan.links) {
       std::size_t count = 0;
-      for (const std::uint32_t k : l.recv_flow_edges) {
-        if (masked && !frame.alive(k)) continue;
-        ++count;
+      for (const std::uint32_t k : l.send_flow_edges) {
+        const std::uint32_t slot = plan.send_slots[s];
+        const std::uint32_t v = plan.send_halo[s++];
+        if (masked && !frame.alive(k)) {
+          shares[slot] = 0.0;  // a zero share leaves its node unchanged
+          continue;
+        }
+        const graph::Edge& e = edges[k];
+        const double f = core::rule_flow(rule, k, e, static_cast<double>(load[e.u]),
+                                         static_cast<double>(halo[v]));
+        flows[k] = f;
+        shares[slot] = -f;
+        buf[count++] = f;
       }
-      if (count == 0) continue;
-      fbuf.resize(count);
-      rt.comm.recv(l.peer, d, fbuf.data(), count);
+      rt.comm.send(d, l.peer, buf, count);
+    }
+  });
+  rt.comm.deliver();
+
+  // Phase C: stage each received flow as its incoming entry's share, then
+  // sweep; a post (SOS's β-combine) runs once per node on its final value.
+  for_each_domain(pool, K, [&](std::size_t d) {
+    const DomainPlan& plan = rt.halo.plan(d);
+    double* shares = rt.shares.data() + rt.slice[d].shares;
+    double* buf = rt.flow_buf.data() + rt.slice[d].flows;
+    std::size_t r = 0;
+    for (const HaloLink& l : plan.links) {
+      const std::size_t count =
+          masked ? static_cast<std::size_t>(std::count_if(
+                       l.recv_flow_edges.begin(), l.recv_flow_edges.end(),
+                       [&](std::uint32_t k) { return frame.alive(k); }))
+                 : l.recv_flow_edges.size();
+      rt.comm.recv(l.peer, d, buf, count);
       std::size_t i = 0;
       for (const std::uint32_t k : l.recv_flow_edges) {
-        if (masked && !frame.alive(k)) continue;
-        flows[k] = fbuf[i++];
+        shares[plan.recv_slots[r++]] = masked && !frame.alive(k) ? 0.0 : buf[i++];
       }
+    }
+    if (masked) {
+      sweep_domain<true>(plan, frame, rule, load, out, flows, shares);
+    } else {
+      sweep_domain<false>(plan, frame, rule, load, out, flows, shares);
+    }
+    if (program.post) {
+      for (const graph::NodeId u : plan.nodes) out[u] = program.post(u, out[u], load[u]);
     }
   });
 
-  // Phase C2: domain-local apply sweeps.  Each owned node's row walk is
-  // the FlowLedger gather restricted to alive edges — ascending incident
-  // base edges, each share applied by add_flow — so the loads land bit for
-  // bit on the oracle's.
-  for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-      const graph::NodeId u = plan.nodes[i];
-      const T before = load[u];
-      T value = before;
-      const std::size_t row_end = plan.row_ptr[i + 1];
-      for (std::size_t p = plan.row_ptr[i]; p < row_end; ++p) {
-        const std::uint32_t k = plan.edge_idx[p];
-        if (masked && !frame.alive(k)) continue;  // dead slot: may be stale
-        core::add_flow(value, plan.sign[p] * flows[k]);
-      }
-      load[u] = program.post ? program.post(u, value, before) : value;
-    }
-  });
+  core::StepStats stats = masked ? fold_chunks<true>(ctx, pool, flows, out)
+                                 : fold_chunks<false>(ctx, pool, flows, out);
+  stats.links = program.links;
+  load.swap(out);
   return stats;
 }
 
@@ -209,14 +312,16 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx,
 /// so each endpoint takes exactly one ±amount update.  Convention as for
 /// owned edges: owner(e.u) computes the flow; owner(e.v) ships v's load
 /// forward and applies the returned flow.
-template <class T>
-core::StepStats step_matching(core::RoundContext<T>& ctx,
-                              const core::FlowProgram<T>& program,
-                              std::vector<T>& load, Runtime<T>& rt,
+template <class T, class Rule>
+core::StepStats step_matching(core::RoundContext<T>& ctx, const core::FlowProgram<T>& program,
+                              const Rule& rule, std::vector<T>& load, Runtime<T>& rt,
                               util::ThreadPool* pool) {
   const auto& edges = ctx.frame().base().edges();
   const std::size_t K = rt.map.domains();
   const auto& owner = rt.map.owners();
+  const auto flow = [&rule, &edges](std::uint32_t k, double lu, double lv) {
+    return core::rule_flow(rule, k, edges[k], lu, lv);
+  };
 
   core::StepStats stats;
   stats.links = program.links;
@@ -227,10 +332,9 @@ core::StepStats step_matching(core::RoundContext<T>& ctx,
   // below; this pass only fixes the summation order of the double total.
   for (const std::uint32_t k : program.matched) {
     const graph::Edge& e = edges[k];
-    core::count_flow<T>(stats, program.flow(k, e, static_cast<double>(load[e.u]),
-                                            static_cast<double>(load[e.v])));
+    core::count_flow<T>(stats,
+                        flow(k, static_cast<double>(load[e.u]), static_cast<double>(load[e.v])));
   }
-
   // Per-round work lists, in matching order.  Each (sender, receiver)
   // channel sees the same matched subsequence on both sides, so the
   // per-value sends below line up FIFO with the recvs.
@@ -270,15 +374,13 @@ core::StepStats step_matching(core::RoundContext<T>& ctx,
       const graph::Edge& e = edges[k];
       T lv{};
       rt.comm.recv(owner[e.v], d, &lv, 1);
-      const double f = program.flow(k, e, static_cast<double>(load[e.u]),
-                                    static_cast<double>(lv));
+      const double f = flow(k, static_cast<double>(load[e.u]), static_cast<double>(lv));
       rt.comm.send(d, owner[e.v], &f, 1);
       core::add_flow(load[e.u], -f);
     }
     for (const std::uint32_t k : rt.local_pairs[d]) {
       const graph::Edge& e = edges[k];
-      const double f = program.flow(k, e, static_cast<double>(load[e.u]),
-                                    static_cast<double>(load[e.v]));
+      const double f = flow(k, static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
       core::add_flow(load[e.u], -f);
       core::add_flow(load[e.v], f);
     }
@@ -341,26 +443,35 @@ class DomainExecutor final : public core::RoundExecutor<T> {
       // run (zero comm; not counted in sharded_rounds).
       return balancer.step(ctx, load);
     }
-    LB_ASSERT_MSG(program_.flow != nullptr, "planned round without a flow function");
+    LB_ASSERT_MSG(static_cast<bool>(program_.flow), "planned round without a flow function");
     const bool matching = program_.support == core::FlowProgram<T>::Support::kMatching;
-    std::vector<sim::CommTotals> before;
-    std::vector<check::RoundCommExpectation> expected;
     if (checking) {
       // Round-start loads are what the domains will exchange, so the
       // antisymmetry probe sees exactly the values the protocol uses.
       const graph::TopologyFrame& frame = ctx.frame();
       check::check_flow_antisymmetry(program_, frame, load, round);
-      before = snapshot_totals();
-      expected = matching
-                     ? check::expected_matching_round_comm<T>(
-                           program_.matched, frame.base().edges(), rt_.map.owners(),
-                           shard_.domains)
-                     : check::expected_all_edges_round_comm<T>(rt_.halo.plans(), frame);
+      snapshot_totals(before_);
+      if (matching) {
+        expected_ = check::expected_matching_round_comm<T>(
+            program_.matched, frame.base().edges(), rt_.map.owners(), shard_.domains);
+      } else {
+        check::expected_all_edges_round_comm<T>(rt_.halo.plans(), frame, expected_);
+      }
     }
-    const core::StepStats stats = matching
-                                      ? step_matching(ctx, program_, load, rt_, pool_)
-                                      : step_all_edges(ctx, program_, load, rt_, pool_);
-    if (checking) check::check_comm_accounting(expected, before, snapshot_totals(), round);
+    // One dispatch on the rule per round; the round's kernel then runs
+    // the concrete rule (a caller-written EdgeFn as its std::function).
+    const core::StepStats stats = program_.flow.visit([&](const auto& rule) {
+      return matching ? step_matching(ctx, program_, rule, load, rt_, pool_)
+                      : step_all_edges(ctx, program_, rule, load, rt_, pool_);
+    });
+    if (checking) {
+      snapshot_totals(after_);
+      check::check_comm_accounting(expected_, before_, after_, round);
+      if (!matching) {
+        check::check_cut_flows(rt_.halo.plans(), ctx.frame(), ctx.arena().flows(), rt_.shares,
+                               round);
+      }
+    }
     ++sharded_rounds_;
     return stats;
   }
@@ -390,10 +501,9 @@ class DomainExecutor final : public core::RoundExecutor<T> {
   }
 
  private:
-  std::vector<sim::CommTotals> snapshot_totals() const {
-    std::vector<sim::CommTotals> totals(shard_.domains);
+  void snapshot_totals(std::vector<sim::CommTotals>& totals) const {
+    totals.resize(shard_.domains);
     for (std::size_t d = 0; d < shard_.domains; ++d) totals[d] = rt_.comm.totals(d);
-    return totals;
   }
 
   const ShardConfig& shard_;
@@ -401,6 +511,10 @@ class DomainExecutor final : public core::RoundExecutor<T> {
   Runtime<T> rt_;
   core::FlowProgram<T> program_;
   std::size_t sharded_rounds_ = 0;
+  // Checked rounds' comm accounting, reused round to round.
+  std::vector<sim::CommTotals> before_;
+  std::vector<sim::CommTotals> after_;
+  std::vector<check::RoundCommExpectation> expected_;
 };
 
 }  // namespace

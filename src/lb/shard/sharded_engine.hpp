@@ -3,22 +3,23 @@
 // shared-memory engine (core/engine.hpp) on the same inputs.
 //
 // Each round, a distributable balancer describes itself as a
-// core::FlowProgram (plan_round); the engine then executes the round as
-// each domain's independent half — pack boundary loads, exchange, compute
-// owned-edge flows from halo copies, exchange, apply domain-local gather
-// sweeps — reconciling at deterministic sim::CommEngine barriers.
-// Balancers that cannot be distributed (async, random-partner, ...) fall
-// back to their shared-memory step() for that round, still through the
-// domain executor, so every balancer remains runnable at any K.  The
-// round loop itself is core::run's (core/round_executor.hpp).
+// core::FlowProgram (plan_round); the engine visits its flow rule once
+// and executes the round as each domain's independent half — pack
+// boundary loads, exchange, evaluate owned cut edges' flows from halo
+// copies, exchange, then one ascending sweep over the domain's edges —
+// reconciling at deterministic sim::CommEngine barriers.  Balancers that
+// cannot be distributed (async, random-partner, ...) fall back to their
+// shared-memory step() for that round, still through the domain
+// executor, so every balancer remains runnable at any K.  The round loop
+// itself is core::run's (core/round_executor.hpp).
 //
 // Why the results match bit for bit (DESIGN.md §7 has the full argument):
 // flows are pure functions of (edge, endpoint round-start loads) and halo
 // copies are bytewise verbatim, so owner-computed flows equal the
-// oracle's; each domain's apply walks its nodes' incident edges in
-// ascending base order with FlowLedger's exact gather arithmetic; and
+// oracle's; each domain's sweep visits every edge incident to an owned
+// node in ascending base order with add_flow's per-edge update; and
 // round observability (StepStats totals, Φ/discrepancy summaries) is
-// computed centrally at the barrier through the same deterministic
+// folded per summary chunk at the barrier through the same deterministic
 // reductions the shared-memory engine uses.
 #pragma once
 

@@ -6,9 +6,9 @@
 // the round-start loads on the round's materialized graph, then applied
 // by one sequential sweep over the edge list.  Nothing here is shared
 // with the code under test beyond the flow fill (compute_edge_flows), the
-// fixed-chunk StepStats fold (accumulate_flow_totals) and the matching
-// generators, so a production round that drifts by one bit diverges from
-// these.
+// StepStats contract's per-edge count and chunk fold (count_flow,
+// fold_chunk_stats) and the matching generators, so a production round
+// that drifts by one bit diverges from these.
 //
 //   * seed::apply_edge_sweep   — the sequential edge-list apply.
 //   * seed::diffusion_flows    — Algorithm 1's per-edge flows, seed style.
@@ -79,12 +79,33 @@ void diffusion_flows(const Graph& g, const std::vector<T>& load,
       });
 }
 
+/// StepStats of a flow vector under the fixed-chunk contract
+/// (fold_chunk_stats): each edge counts in the summary chunk of its lower
+/// endpoint, in ascending edge order from +0.0, and the chunks fold in
+/// order.
+template <class T>
+StepStats chunk_totals(const Graph& g, const std::vector<double>& flows) {
+  const auto& edges = g.edges();
+  StepStats stats, chunk;
+  std::size_t current = 0;
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const std::size_t c = edges[k].u / lb::core::kSummaryChunkWidth;
+    if (c != current) {
+      lb::core::fold_chunk_stats(stats, chunk);
+      chunk = StepStats{};
+      current = c;
+    }
+    lb::core::count_flow<T>(chunk, flows[k]);
+  }
+  lb::core::fold_chunk_stats(stats, chunk);
+  return stats;
+}
+
 /// One all-edges round on `g`: StepStats under the fixed-chunk contract,
 /// then the sweep.
 template <class T>
 StepStats sweep_round(const Graph& g, const std::vector<double>& flows, std::vector<T>& load) {
-  StepStats stats;
-  lb::core::accumulate_flow_totals<T>(lb::graph::TopologyFrame(g), flows, stats);
+  StepStats stats = chunk_totals<T>(g, flows);
   stats.links = g.num_edges();
   apply_edge_sweep(g, flows, load);
   return stats;

@@ -1,11 +1,13 @@
 // Steady-state allocation audit (DESIGN.md §9.4): an engine round at pool
-// 1 must not touch the heap, on the torus stencil and the CSR round alike.  This binary replaces the global operator
-// new with a counting hook — which is why it is a binary of its own —
-// runs each balancer for R and for 2R rounds, and requires both runs to
-// allocate exactly as often: per-run setup cancels, so any difference is
-// an allocation made by the rounds themselves.  Setup is pinned too: the
+// 1 must not touch the heap, on the torus stencil, the CSR round and the
+// sharded round alike.  This binary replaces the global operator new with
+// a counting hook — which is why it is a binary of its own — runs each
+// balancer for R and for 2R rounds, and requires both runs to allocate
+// exactly as often: per-run setup cancels, so any difference is an
+// allocation made by the rounds themselves.  Setup is pinned too: the
 // blocked round's plan is built with one allocation and rebuilt into
-// sufficient capacity with none.
+// sufficient capacity with none, and the sharded tables allocate each of
+// their arrays once.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,9 @@
 #include "lb/core/sos.hpp"
 #include "lb/graph/dynamic.hpp"
 #include "lb/graph/generators.hpp"
+#include "lb/shard/halo.hpp"
+#include "lb/shard/ownership.hpp"
+#include "lb/shard/sharded_engine.hpp"
 #include "lb/util/rng.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
@@ -194,6 +199,77 @@ TEST(AllocAuditTest, StencilRoundsOnLargerToriDoNotAllocate) {
     const long long short_run = count_run<double>(make, *stat, load0, 12);
     const long long long_run = count_run<double>(make, *stat, load0, 24);
     EXPECT_EQ(long_run, short_run) << (long_run - short_run) << " allocations in 12 rounds";
+  }
+}
+
+/// Heap allocations of one pool-1 sharded run (K = 4) of `rounds` rounds.
+template <class T>
+long long count_sharded_run(const MakeBalancer<T>& make, const Graph& g,
+                            lb::shard::PartitionPolicy policy, const std::vector<T>& load0,
+                            std::size_t rounds) {
+  lb::util::ThreadPool pool(1);
+  lb::core::EngineConfig cfg;
+  cfg.max_rounds = rounds;
+  cfg.target_potential = 0.0;
+  cfg.stall_rounds = 0;
+  cfg.record_trace = false;
+  cfg.pool = &pool;
+  lb::shard::ShardConfig shard;
+  shard.domains = 4;
+  shard.policy = policy;
+  auto balancer = make();
+  std::vector<T> load = load0;
+  lb::core::RunResult result;
+  const long long allocs = count_allocations(
+      [&] { result = lb::shard::run_static(*balancer, g, load, cfg, shard); });
+  EXPECT_EQ(result.rounds, rounds);
+  return allocs;
+}
+
+TEST(AllocAuditTest, ShardedRoundsDoNotAllocate) {
+  // The torus's greedy partition is contiguous row blocks; the strided
+  // one interleaves every domain's nodes and cut edges.
+  const Graph g = audit_graph();
+  const auto real = real_load(g.num_nodes());
+  lb::util::Rng rng(7);
+  const auto tokens = lb::workload::uniform_random<std::int64_t>(
+      g.num_nodes(), static_cast<std::int64_t>(1000 * g.num_nodes()), rng);
+  for (const lb::shard::PartitionPolicy policy :
+       {lb::shard::PartitionPolicy::kGreedyEdgeCut, lb::shard::PartitionPolicy::kStrided}) {
+    SCOPED_TRACE(lb::shard::to_string(policy));
+    for (const MakeBalancer<double>& make :
+         {MakeBalancer<double>([] { return lb::core::make_diffusion_continuous(); }),
+          MakeBalancer<double>([] { return lb::core::make_fos_continuous(); }),
+          MakeBalancer<double>([] { return lb::core::make_sos(1.5); })}) {
+      const long long short_run = count_sharded_run<double>(make, g, policy, real, 12);
+      const long long long_run = count_sharded_run<double>(make, g, policy, real, 24);
+      EXPECT_EQ(long_run, short_run) << (long_run - short_run) << " allocations in 12 rounds";
+    }
+    const MakeBalancer<std::int64_t> disc([] { return lb::core::make_diffusion_discrete(); });
+    EXPECT_EQ(count_sharded_run<std::int64_t>(disc, g, policy, tokens, 24),
+              count_sharded_run<std::int64_t>(disc, g, policy, tokens, 12));
+  }
+}
+
+TEST(AllocAuditTest, ShardTablesAllocateEachArrayOnce) {
+  // Every array of the ownership map and the halo plans is sized by a
+  // counting pass before it is filled: a handful of arrays per domain and
+  // at most four lists per link, with no growth.
+  const Graph g = audit_graph();
+  for (const lb::shard::PartitionPolicy policy :
+       {lb::shard::PartitionPolicy::kGreedyEdgeCut, lb::shard::PartitionPolicy::kStrided}) {
+    for (const std::size_t k : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+      lb::shard::OwnershipMap map;
+      lb::shard::HaloExchange halo;
+      const long long allocs = count_allocations([&] {
+        map = lb::shard::OwnershipMap::build(g, k, policy);
+        halo = lb::shard::HaloExchange::build(g, map);
+      });
+      std::size_t links = 0;
+      for (const lb::shard::DomainPlan& plan : halo.plans()) links += plan.links.size();
+      EXPECT_LE(allocs, static_cast<long long>(12 * k + 4 * links + 24))
+          << lb::shard::to_string(policy) << " K = " << k << ", " << links << " links";
+    }
   }
 }
 

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lb/core/diffusion.hpp"
@@ -290,6 +292,77 @@ TEST(CheckMutationTest, FlippedOrientationSignDetectedInPlan) {
                "csr");
 }
 
+TEST(CheckMutationTest, ShiftedSweepTablesDetectedInPlan) {
+  // Under kStrided every row edge is cut, so runs and cut entries
+  // interleave.  A shifted cuts_before or a send pointing at the wrong
+  // halo copy reorders or misroutes adds while every byte count holds.
+  const Graph g = lb::graph::make_torus2d(6, 6);
+  const OwnershipMap map =
+      OwnershipMap::build(g, 2, lb::shard::PartitionPolicy::kStrided);
+  const HaloExchange halo = HaloExchange::build(g, map);
+  EXPECT_NO_THROW(lb::check::check_domain_plan(g, map.owners(), 0, halo.plan(0)));
+
+  lb::shard::DomainPlan shifted = halo.plan(0);
+  const auto run = std::find_if(shifted.runs.begin(), shifted.runs.end(),
+                                [](const lb::shard::SweepRun& r) { return r.cuts_before > 0; });
+  ASSERT_NE(run, shifted.runs.end());
+  --run->cuts_before;
+  expect_named(violation_message([&] {
+                 lb::check::check_domain_plan(g, map.owners(), 0, shifted);
+               }),
+               "csr");
+
+  lb::shard::DomainPlan misrouted = halo.plan(0);
+  ASSERT_GE(misrouted.links.front().recv_nodes.size(), 2u);
+  misrouted.send_halo[0] ^= 1;  // the neighbouring halo copy
+  expect_named(violation_message([&] {
+                 lb::check::check_domain_plan(g, map.owners(), 0, misrouted);
+               }),
+               "csr");
+}
+
+// --------------------------------------------------------------- cut flows
+
+TEST(CheckMutationTest, SwappedCutFlowSlotsDetected) {
+  // Stage every domain's cut shares the way a sharded round leaves them:
+  // −f on the u side, the received f on the v side.  Swapping two
+  // received slots keeps every byte count, so only the cut-flow check
+  // can see it.
+  const Graph g = lb::graph::make_torus2d(6, 6);
+  const OwnershipMap map =
+      OwnershipMap::build(g, 2, lb::shard::PartitionPolicy::kStrided);
+  const HaloExchange halo = HaloExchange::build(g, map);
+  const lb::graph::TopologyFrame frame(g);
+  std::vector<double> flows(g.num_edges());
+  for (std::size_t k = 0; k < flows.size(); ++k) flows[k] = 0.5 + static_cast<double>(k);
+  std::vector<double> shares;
+  std::size_t first = 0, second = 0;  // two received slots of one link
+  for (const lb::shard::DomainPlan& plan : halo.plans()) {
+    const std::size_t base = shares.size();
+    shares.resize(base + plan.cut_nodes.size());
+    std::size_t s = 0, r = 0;
+    for (const lb::shard::HaloLink& l : plan.links) {
+      for (const std::uint32_t k : l.send_flow_edges) {
+        shares[base + plan.send_slots[s++]] = -flows[k];
+      }
+      if (second == 0 && l.recv_flow_edges.size() >= 2) {
+        first = base + plan.recv_slots[r];
+        second = base + plan.recv_slots[r + 1];
+      }
+      for (const std::uint32_t k : l.recv_flow_edges) {
+        shares[base + plan.recv_slots[r++]] = flows[k];
+      }
+    }
+  }
+  EXPECT_NO_THROW(lb::check::check_cut_flows(halo.plans(), frame, flows, shares, 1));
+  ASSERT_NE(second, 0u) << "no link receives two flows";
+  std::swap(shares[first], shares[second]);
+  expect_named(violation_message([&] {
+                 lb::check::check_cut_flows(halo.plans(), frame, flows, shares, 1);
+               }),
+               "cut flow");
+}
+
 TEST(CheckMutationTest, FlippedOrientationSignDetectedInLedger) {
   const Graph g = lb::graph::make_hypercube(4);
   lb::core::FlowLedger ledger;
@@ -327,8 +400,8 @@ TEST(CheckMutationTest, DroppedFlowMessageDetected) {
       OwnershipMap::build(g, 2, lb::shard::PartitionPolicy::kContiguous);
   const HaloExchange halo = HaloExchange::build(g, map);
   const lb::graph::TopologyFrame frame(g);
-  const auto expected =
-      lb::check::expected_all_edges_round_comm<double>(halo.plans(), frame);
+  std::vector<lb::check::RoundCommExpectation> expected;
+  lb::check::expected_all_edges_round_comm<double>(halo.plans(), frame, expected);
 
   const auto run_round = [&](bool drop_flow_message) {
     lb::sim::CommEngine comm(2);

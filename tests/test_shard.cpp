@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -19,6 +21,7 @@
 #include "lb/core/fos.hpp"
 #include "lb/core/load.hpp"
 #include "lb/core/random_partner.hpp"
+#include "lb/core/round_context.hpp"
 #include "lb/core/sos.hpp"
 #include "lb/exp/campaign.hpp"
 #include "lb/graph/dynamic.hpp"
@@ -100,6 +103,69 @@ TEST(OwnershipTest, GreedyCutNeverWorseThanStridedOrContiguous) {
   }
 }
 
+/// The greedy refinement as a full scan: every pass visits every node.
+/// OwnershipMap::build visits only nodes with a neighbour in another
+/// domain (no other node can gain) and tracks the cut through each move's
+/// gain; both must agree with this reference.
+std::vector<std::uint32_t> full_scan_greedy(const Graph& g, std::size_t domains) {
+  const std::size_t n = g.num_nodes();
+  const std::size_t cap = (n + domains - 1) / domains;
+  std::vector<std::uint32_t> owner =
+      OwnershipMap::build(g, domains, PartitionPolicy::kContiguous).owners();
+  std::vector<std::size_t> size(domains, 0);
+  for (const std::uint32_t d : owner) ++size[d];
+  std::vector<std::size_t> tally(domains);
+  for (int pass = 0; pass < 8; ++pass) {
+    bool moved = false;
+    for (lb::graph::NodeId u = 0; u < n; ++u) {
+      const std::uint32_t from = owner[u];
+      if (size[from] <= 1) continue;
+      std::fill(tally.begin(), tally.end(), 0);
+      for (const lb::graph::NodeId v : g.neighbors(u)) ++tally[owner[v]];
+      std::uint32_t best = from;
+      for (std::uint32_t d = 0; d < domains; ++d) {
+        if (d != from && size[d] < cap && tally[d] > tally[best]) best = d;
+      }
+      if (best == from) continue;
+      owner[u] = best;
+      --size[from];
+      ++size[best];
+      moved = true;
+    }
+    if (!moved) break;
+  }
+  return owner;
+}
+
+std::size_t cut_of(const Graph& g, const std::vector<std::uint32_t>& owner) {
+  std::size_t cut = 0;
+  for (const lb::graph::Edge& e : g.edges()) cut += owner[e.u] != owner[e.v];
+  return cut;
+}
+
+TEST(OwnershipTest, GreedyRefinementMatchesFullScan) {
+  lb::util::Rng rng(67);
+  std::vector<Graph> graphs;
+  graphs.push_back(lb::graph::make_random_regular(2049, 4, rng));
+  graphs.push_back(lb::graph::make_random_regular(500, 3, rng));
+  graphs.push_back(lb::graph::make_erdos_renyi(300, 0.03, rng));
+  graphs.push_back(lb::graph::make_torus2d(15, 21));
+  graphs.push_back(lb::graph::make_hypercube(7));
+  std::size_t moved = 0;
+  for (const Graph& g : graphs) {
+    for (const std::size_t k : {std::size_t{2}, std::size_t{3}, std::size_t{4},
+                                std::size_t{7}, std::size_t{16}, g.num_nodes()}) {
+      const OwnershipMap map = OwnershipMap::build(g, k, PartitionPolicy::kGreedyEdgeCut);
+      const std::vector<std::uint32_t> expected = full_scan_greedy(g, k);
+      EXPECT_EQ(map.owners(), expected) << g.name() << " K = " << k;
+      EXPECT_EQ(map.cut_edges(), cut_of(g, map.owners())) << g.name() << " K = " << k;
+      moved += map.owners() !=
+               OwnershipMap::build(g, k, PartitionPolicy::kContiguous).owners();
+    }
+  }
+  EXPECT_GT(moved, 10u) << "the refinement should move nodes in most cases";
+}
+
 // --------------------------------------------------------------- halo plans
 
 TEST(HaloTest, LinkListsMirrorBetweenPeers) {
@@ -158,14 +224,21 @@ struct Case {
   std::function<std::unique_ptr<lb::core::Balancer<T>>()> make;
 };
 
+/// Every case at pools {1, 2, hw} against core::run, bit for bit, at
+/// each K in `ks` ({1, 2, 4, 8, n} when empty) under `policy`, with the
+/// invariant layer on (so every sharded round also checks its cut flows).
 template <class T>
 void run_matrix(const std::vector<Case<T>>& cases,
                 const std::function<std::unique_ptr<lb::graph::GraphSequence>()>& seq,
-                const std::vector<T>& load0, const std::string& seq_label) {
+                const std::vector<T>& load0, const std::string& seq_label,
+                PartitionPolicy policy = PartitionPolicy::kGreedyEdgeCut,
+                std::vector<std::size_t> ks = {}, std::size_t rounds = 60) {
+  if (ks.empty()) ks = {1, 2, 4, 8, load0.size()};
   EngineConfig cfg;
-  cfg.max_rounds = 60;
+  cfg.max_rounds = rounds;
   cfg.target_potential = 0.0;
   cfg.record_trace = true;
+  cfg.check_invariants = true;
   for (const Case<T>& c : cases) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
       lb::util::ThreadPool pool(threads);
@@ -175,10 +248,10 @@ void run_matrix(const std::vector<Case<T>>& cases,
       std::vector<T> oracle_load = load0;
       const RunResult oracle =
           lb::core::run(*oracle_alg, *oracle_seq, oracle_load, cfg);
-      for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                  std::size_t{8}, load0.size()}) {
+      for (const std::size_t k : ks) {
         ShardConfig shard;
         shard.domains = k;
+        shard.policy = policy;
         auto alg = c.make();
         auto s = seq();
         std::vector<T> load = load0;
@@ -261,6 +334,136 @@ TEST(ShardEngineTest, BitIdenticalMaskedDynamicDiscrete) {
       discrete_cases(),
       [&] { return lb::graph::make_bernoulli_sequence(g, 0.85, 123); }, load0,
       "bernoulli");
+}
+
+// ------------------------------------------------------- the sweep's order
+//
+// Past one summary chunk (n > 1024), on partitions whose domains are not
+// contiguous, a domain's incoming cut edges interleave with its owned
+// edges and every summary chunk spans several domains: the cases in which
+// the order of a domain's sweep, and of the barrier fold, shows in the
+// bits of Real loads and StepStats.
+
+/// A 48 × 48 torus: 2304 nodes, three summary chunks.  Under kStrided
+/// every row edge is cut and every domain holds every fourth node.
+Graph sweep_torus() { return lb::graph::make_torus2d(48, 48); }
+
+/// A random 4-regular graph whose contiguous seed the greedy refinement
+/// changes at every K in {2, 4, 8} (n mod K ≠ 0 leaves room to move).
+Graph sweep_regular() {
+  lb::util::Rng rng(29);
+  return lb::graph::make_random_regular(2049, 4, rng);
+}
+
+std::vector<double> sweep_load(std::size_t n) {
+  lb::util::Rng rng(31);
+  return lb::workload::bimodal<double>(n, 1000.0 * static_cast<double>(n), rng);
+}
+
+const std::vector<std::size_t> kSweepDomains = {2, 4, 8};
+
+/// continuous_cases() with a fixed SOS β: an auto-β would solve the
+/// graph's spectrum (and a masked round-1 view may be disconnected).
+std::vector<Case<double>> sweep_cases() {
+  std::vector<Case<double>> cases = continuous_cases();
+  for (Case<double>& c : cases) {
+    if (c.name == "sos") c.make = [] { return lb::core::make_sos(1.5); };
+  }
+  return cases;
+}
+
+TEST(ShardEngineTest, StridedSweepMatchesCore) {
+  const Graph g = sweep_torus();
+  const auto load0 = sweep_load(g.num_nodes());
+  run_matrix<double>(
+      sweep_cases(), [&] { return lb::graph::make_static_sequence(g); }, load0,
+      "strided/static", PartitionPolicy::kStrided, kSweepDomains, 30);
+  run_matrix<double>(
+      sweep_cases(), [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 41); },
+      load0, "strided/bernoulli", PartitionPolicy::kStrided, kSweepDomains, 30);
+}
+
+TEST(ShardEngineTest, GreedySweepOnRefinedPartitionMatchesCore) {
+  const Graph g = sweep_regular();
+  for (const std::size_t k : kSweepDomains) {
+    const OwnershipMap greedy = OwnershipMap::build(g, k, PartitionPolicy::kGreedyEdgeCut);
+    const OwnershipMap seed = OwnershipMap::build(g, k, PartitionPolicy::kContiguous);
+    EXPECT_NE(greedy.owners(), seed.owners()) << "refinement moved no node at K = " << k;
+    EXPECT_LT(greedy.cut_edges(), seed.cut_edges());
+  }
+  const auto load0 = sweep_load(g.num_nodes());
+  run_matrix<double>(
+      sweep_cases(), [&] { return lb::graph::make_static_sequence(g); }, load0,
+      "greedy/static", PartitionPolicy::kGreedyEdgeCut, kSweepDomains, 30);
+  run_matrix<double>(
+      sweep_cases(), [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 43); },
+      load0, "greedy/bernoulli", PartitionPolicy::kGreedyEdgeCut, kSweepDomains, 30);
+}
+
+TEST(ShardEngineTest, SweepTokensMatchCore) {
+  for (const Graph& g : {sweep_torus(), sweep_regular()}) {
+    lb::util::Rng rng(37);
+    const auto load0 = lb::workload::uniform_random<std::int64_t>(
+        g.num_nodes(), 1000 * static_cast<std::int64_t>(g.num_nodes()), rng);
+    run_matrix<std::int64_t>(
+        discrete_cases(), [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 47); },
+        load0, g.name(), PartitionPolicy::kStrided, kSweepDomains, 30);
+  }
+}
+
+/// FOS's flow as a per-edge lambda: not a library rule type, so a
+/// FlowProgram stores it type-erased (FlowRule::EdgeFn).
+auto lambda_fos_rule(const lb::core::RoundContext<double>& ctx) {
+  const double alpha = 1.0 / (static_cast<double>(ctx.frame().max_degree()) + 1.0);
+  return [alpha](std::size_t, const lb::graph::Edge&, double lu, double lv) {
+    return alpha * (lu - lv);
+  };
+}
+
+/// A caller-written all-edges balancer, whose sharded rounds run its rule
+/// as the FlowRule's type-erased EdgeFn.
+class LambdaFos final : public lb::core::Balancer<double> {
+ public:
+  std::string name() const override { return "lambda-fos"; }
+  using lb::core::Balancer<double>::step;
+  lb::core::StepStats step(lb::core::RoundContext<double>& ctx,
+                           std::vector<double>& load) override {
+    lb::core::StepStats stats =
+        lb::core::run_blocked_round(ctx, ctx.pool(), load, lambda_fos_rule(ctx));
+    stats.links = ctx.frame().num_edges();
+    return stats;
+  }
+  bool plan_round(lb::core::RoundContext<double>& ctx,
+                  lb::core::FlowProgram<double>& program) override {
+    program.links = ctx.frame().num_edges();
+    program.flow = lambda_fos_rule(ctx);
+    return true;
+  }
+};
+
+TEST(ShardEngineTest, CallerWrittenRuleMatchesCore) {
+  const Graph g = sweep_torus();
+  const auto load0 = sweep_load(g.num_nodes());
+  const std::vector<Case<double>> cases = {
+      {"lambda-fos", [] { return std::make_unique<LambdaFos>(); }}};
+  run_matrix<double>(
+      cases, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 61); }, load0,
+      "caller-rule", PartitionPolicy::kStrided, kSweepDomains, 20);
+}
+
+TEST(ShardEngineTest, PerNodeSweepMatchesCoreForEveryRule) {
+  // K = n: every edge is a cut entry and every domain one node.
+  lb::util::Rng rng(53);
+  for (const Graph& g :
+       {lb::graph::make_torus2d(6, 6), lb::graph::make_named("regular", 40, rng)}) {
+    const auto load0 = sweep_load(g.num_nodes());
+    run_matrix<double>(
+        sweep_cases(), [&] { return lb::graph::make_static_sequence(g); }, load0,
+        g.name() + "/static", PartitionPolicy::kGreedyEdgeCut, {g.num_nodes()}, 20);
+    run_matrix<double>(
+        sweep_cases(), [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 59); },
+        load0, g.name() + "/bernoulli", PartitionPolicy::kGreedyEdgeCut, {g.num_nodes()}, 20);
+  }
 }
 
 TEST(ShardEngineTest, PartitionPolicyDoesNotChangeResults) {
