@@ -13,6 +13,7 @@
 #include "lb/core/random_partner.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/core/sequential.hpp"
+#include "lb/graph/dynamic.hpp"
 #include "lb/graph/generators.hpp"
 #include "lb/graph/matching.hpp"
 #include "lb/linalg/lanczos.hpp"
@@ -180,16 +181,25 @@ void BM_Lambda2Dense(benchmark::State& state) {
 }
 BENCHMARK(BM_Lambda2Dense)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
+// The GM matching draw on a frame (dimension exchange's per-round draw):
+// range(1) = 0 draws on the unmasked torus, 1 on a churn mask (90% of the
+// edges alive, 5% turnover) that changes every iteration.
 void BM_GmRandomMatching(benchmark::State& state) {
   const auto g = torus_of(static_cast<std::size_t>(state.range(0)));
+  const bool churn = state.range(1) != 0;
+  auto seq = lb::graph::make_churn_sequence(g, 0.9, 0.05, 4);
+  const lb::graph::TopologyFrame full(g);
+  lb::graph::MatchingScratch scratch;
   lb::util::Rng rng(5);
+  std::size_t round = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lb::graph::gm_random_matching(g, rng));
+    const lb::graph::TopologyFrame& frame = churn ? seq->frame_at(++round) : full;
+    benchmark::DoNotOptimize(lb::graph::gm_random_matching(frame, rng, scratch).data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_nodes()));
 }
-BENCHMARK(BM_GmRandomMatching)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_GmRandomMatching)->ArgsProduct({{1024, 16384}, {0, 1}});
 
 void BM_SequentializeRound(benchmark::State& state) {
   const auto g = torus_of(static_cast<std::size_t>(state.range(0)));

@@ -34,39 +34,42 @@ std::string DimensionExchange<T>::name() const {
 }
 
 template <class T>
-graph::Matching DimensionExchange<T>::draw_matching(RoundContext<T>& ctx) {
-  // step() and plan_round() both draw here: the same view (materialized
-  // on masked rounds), the same RNG stream, the same round-robin advance.
-  const graph::Graph& g = ctx.graph();
-  graph::Matching m;
+std::span<const std::uint32_t> DimensionExchange<T>::draw_matching(RoundContext<T>& ctx) {
+  // step() and plan_round() both draw here: the same frame, the same RNG
+  // stream, the same round-robin advance.
+  const graph::TopologyFrame& frame = ctx.frame();
+  std::span<const std::uint32_t> ids;
   switch (strategy_) {
     case MatchingStrategy::kGhoshMuthukrishnan:
-      m = graph::gm_random_matching(g, ctx.rng());
+      ids = graph::gm_random_matching(frame, ctx.rng(), scratch_);
       break;
     case MatchingStrategy::kRandomMaximal:
-      m = graph::random_maximal_matching(g, ctx.rng());
+      ids = graph::random_maximal_matching(frame, ctx.rng(), scratch_);
       break;
     case MatchingStrategy::kHypercubeRoundRobin: {
-      const std::size_t d = hypercube_dimensions(g);
-      m = graph::hypercube_dimension_matching(g, d, round_ % d);
+      // A one-node hypercube has no dimension, and no edge to match.
+      const std::size_t d = hypercube_dimensions(frame.base());
+      if (d != 0) ids = graph::hypercube_dimension_matching(frame, d, round_ % d, scratch_);
       break;
     }
   }
   ++round_;
-  return m;
+  return ids;
 }
 
 template <class T>
 StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
   LB_ASSERT_MSG(load.size() == ctx.frame().num_nodes(), "load vector does not match graph");
-  const graph::Matching m = draw_matching(ctx);
+  const std::span<const std::uint32_t> ids = draw_matching(ctx);
+  const auto& edges = ctx.frame().base().edges();
 
   // A matching touches each node at most once, so the pairs' transfers
   // are independent: each endpoint takes its one ±share, and the stats
   // accumulate in matching order.
   StepStats stats;
-  stats.links = m.size();
-  for (const graph::Edge& e : m) {
+  stats.links = ids.size();
+  for (const std::uint32_t k : ids) {
+    const graph::Edge& e = edges[k];
     const double f =
         MatchedFlow<T>{}(static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
     count_flow<T>(stats, f);
@@ -78,23 +81,12 @@ StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
 
 template <class T>
 bool DimensionExchange<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
-  const graph::Matching m = draw_matching(ctx);
-
-  // Export as BASE edge ids (a masked view's edges are a subset of the
-  // base list with identical endpoints), preserving matching order so
-  // the replayed stats accumulate exactly like step()'s loop.  The
-  // transfer itself is orientation-symmetric (richer endpoint sends), so
-  // canonical endpoint order is equivalent to the matching's own.
-  const graph::Graph& base = ctx.frame().base();
+  // The draw's base edge ids, in matching order, so the replayed stats
+  // accumulate exactly like step()'s loop.
+  const std::span<const std::uint32_t> ids = draw_matching(ctx);
   program.support = FlowProgram<T>::Support::kMatching;
-  program.links = m.size();
-  program.matched.clear();
-  program.matched.reserve(m.size());
-  for (const graph::Edge& e : m) {
-    const std::size_t k = base.edge_index(e.u, e.v);
-    LB_DEBUG_ASSERT(k < base.num_edges());
-    program.matched.push_back(static_cast<std::uint32_t>(k));
-  }
+  program.links = ids.size();
+  program.matched.assign(ids.begin(), ids.end());
   program.flow = MatchedFlow<T>{};
   return true;
 }

@@ -5,15 +5,19 @@
 //
 // Each round a matching of the network is selected; every matched pair
 // balances completely: the richer endpoint sends (ℓ_i − ℓ_j)/2
-// (⌊·⌋ for the discrete variant, as in §4 of [12]).  A matching touches
-// each node at most once, so the round applies its pairs directly, in
-// matching order, with the per-edge update every round shares
-// (add_flow/count_flow, core/flow_ledger.hpp) — O(|matching|) work at
-// any pool size.
+// (⌊·⌋ for the discrete variant, as in §4 of [12]).  The matching is
+// drawn on the round's frame (graph/matching.hpp) as base edge ids, so a
+// masked round builds no Graph and a steady round allocates nothing.  A
+// matching touches each node at most once, so the round applies its
+// pairs directly, in matching order, with the per-edge update every
+// round shares (add_flow/count_flow, core/flow_ledger.hpp) —
+// O(|matching|) work at any pool size.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <type_traits>
 
 #include "lb/core/algorithm.hpp"
@@ -28,7 +32,8 @@ enum class MatchingStrategy {
   /// still uniform-ish; the "best case" for dimension exchange).
   kRandomMaximal,
   /// Round-robin over hypercube dimensions (classic dimension exchange;
-  /// only valid on hypercubes — asserts otherwise).
+  /// only valid on hypercube bases — asserts otherwise; a masked round
+  /// uses the colour's alive edges).
   kHypercubeRoundRobin,
 };
 
@@ -71,11 +76,13 @@ class DimensionExchange final : public Balancer<T> {
   void on_run_begin() override { round_ = 0; }
 
  private:
-  /// This round's matching; advances the round-robin counter.
-  graph::Matching draw_matching(RoundContext<T>& ctx);
+  /// This round's matching as base edge ids, in matching order (valid
+  /// until the next draw); advances the round-robin counter.
+  std::span<const std::uint32_t> draw_matching(RoundContext<T>& ctx);
 
   MatchingStrategy strategy_;
   std::size_t round_ = 0;  // for round-robin colour selection
+  graph::MatchingScratch scratch_;  // the draws' rows and work arrays
 };
 
 using ContinuousDimensionExchange = DimensionExchange<double>;

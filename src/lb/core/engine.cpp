@@ -116,6 +116,9 @@ RunResult run_rounds(Balancer<T>& balancer, graph::GraphSequence& seq,
               .discrepancy;
     }
     if (stream != nullptr) r.steady = steady.finalize();
+    // The trace was reserved for the round budget; an early stop keeps
+    // only the rounds it ran (a campaign report holds every cell's).
+    r.trace.shrink_to_fit();
     exec.finish(r);
     r.total_seconds = run_watch.elapsed_seconds();
   };

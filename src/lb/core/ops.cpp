@@ -57,43 +57,55 @@ std::vector<double> leja_schedule(const std::vector<double>& spectrum, double to
 
 StepStats OptimalPolynomialScheme::step(RoundContext<double>& ctx,
                                         std::vector<double>& load) {
-  const graph::Graph& g = ctx.graph();
-  LB_ASSERT_MSG(load.size() == g.num_nodes(), "load vector does not match graph");
-  if (schedule_.empty() || g.revision() != bound_revision_) {
+  const graph::TopologyFrame& frame = ctx.frame();
+  LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
+  if (schedule_.empty() || frame.base_revision() != bound_base_ ||
+      frame.mask() != bound_mask_ || frame.mask_revision() != bound_mask_revision_) {
     // Rebinding to a new topology is legal only at a run start, after
-    // on_run_begin() reset position_.  A revision change at any later
+    // on_run_begin() reset position_.  A topology change at any later
     // round — even one landing exactly on a schedule-length boundary
     // (e.g. a periodic sequence whose period divides m) — means the
     // scheme was stepped over a dynamic topology, which OPS cannot
     // serve.  Note this is stricter than the old node/edge-count check,
     // which silently accepted a different graph of identical shape.
     LB_ASSERT_MSG(position_ == 0, "OPS graph changed mid-run");
-    // Schedule binding: through the run's spectral cache when present
+    // Schedule binding, the one read of the round's Graph (materialized
+    // on a masked frame): through the run's spectral cache when present
     // (Tier-1 exact — a miss computes the identical cold spectrum, so
     // the schedule is bit-identical either way), cold otherwise.
+    const graph::Graph& g = ctx.graph();
     linalg::SpectralCache* cache = ctx.spectral_cache();
     schedule_ = leja_schedule(cache != nullptr ? cache->spectrum(g)
                                                : linalg::laplacian_spectrum(g),
                               tol_);
-    bound_revision_ = g.revision();
+    bound_base_ = frame.base_revision();
+    bound_mask_ = frame.mask();
+    bound_mask_revision_ = frame.mask_revision();
   }
 
   const double lambda = schedule_[position_ % schedule_.size()];
   ++position_;
 
-  // lx = Laplacian * load, matrix-free.
-  lx_.assign(load.size(), 0.0);
+  // lx = Laplacian * load, matrix-free over the frame's alive edges: u
+  // starts from d(u)·ℓ_u and subtracts its neighbours' loads in ascending
+  // edge order, which is ascending neighbour order.
+  const auto& edges = frame.base().edges();
+  lx_.resize(load.size());
   for (std::size_t u = 0; u < load.size(); ++u) {
-    double acc = static_cast<double>(g.degree(static_cast<graph::NodeId>(u))) * load[u];
-    for (graph::NodeId v : g.neighbors(static_cast<graph::NodeId>(u))) acc -= load[v];
-    lx_[u] = acc;
+    lx_[u] = static_cast<double>(frame.degree(static_cast<graph::NodeId>(u))) * load[u];
+  }
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    if (!frame.alive(k)) continue;
+    lx_[edges[k].u] -= load[edges[k].v];
+    lx_[edges[k].v] -= load[edges[k].u];
   }
 
   StepStats stats;
-  stats.links = g.num_edges();
+  stats.links = frame.num_edges();
   const double inv = 1.0 / lambda;
-  for (const graph::Edge& e : g.edges()) {
-    const double f = inv * std::fabs(load[e.u] - load[e.v]);
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    if (!frame.alive(k)) continue;
+    const double f = inv * std::fabs(load[edges[k].u] - load[edges[k].v]);
     if (f > 0.0) {
       stats.transferred += f;
       ++stats.active_edges;

@@ -13,18 +13,24 @@
 // Eigen, so the spectrum comes from lb::linalg).
 //
 // Continuous only; intermediate loads may go negative (a known property
-// of polynomial flow schemes).  Requires a static graph *within a run*:
-// the spectrum is computed on first step, keyed on the graph's topology
-// revision, and the schedule asserts the graph stays put mid-schedule.
-// Across runs (on_run_begin) the scheme may be rebound to a new graph —
-// it recomputes the schedule then, while a run on the *same* graph
-// reuses the cached spectrum (the campaign layer's amortization).
+// of polynomial flow schemes).  Requires a static topology *within a
+// run*: the spectrum is computed on first step, keyed on the frame's
+// topology epoch, and the schedule asserts the topology stays put
+// mid-schedule.  Rounds run on the frame (alive-degrees and alive edges);
+// only the binding reads the round's Graph.  Across runs (on_run_begin)
+// the scheme may be rebound to a new graph — it recomputes the schedule
+// then, while a run on the *same* unmasked graph reuses the cached
+// spectrum (the campaign layer's amortization).
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "lb/core/algorithm.hpp"
+
+namespace lb::graph {
+class EdgeMask;
+}
 
 namespace lb::core {
 
@@ -45,17 +51,27 @@ class OptimalPolynomialScheme final : public Balancer<double> {
   /// its schedule (useful when loads changed externally).
   std::size_t position() const { return position_; }
 
-  /// Run isolation: restart the schedule from λ_1.  The cached spectrum
-  /// is kept — it is a pure function of the graph (revision-keyed), so
-  /// the next run recomputes it only if it executes on a new topology.
-  void on_run_begin() override { position_ = 0; }
+  /// Run isolation: restart the schedule from λ_1.  A spectrum bound to
+  /// an unmasked graph is kept — it is a pure function of the graph
+  /// (revision-keyed), so the next run recomputes it only if it executes
+  /// on a new topology.  One bound to a mask is dropped: a mask's
+  /// revisions count its own commits, so another run's mask could repeat
+  /// the key.
+  void on_run_begin() override {
+    position_ = 0;
+    if (bound_mask_ != nullptr) schedule_.clear();
+  }
 
  private:
   double tol_;
   std::vector<double> schedule_;  // distinct nonzero eigenvalues, Leja-ordered
   std::size_t position_ = 0;
-  std::uint64_t bound_revision_ = 0;  // topology the schedule was computed for
-  std::vector<double> lx_;        // scratch: Laplacian * load
+  // The topology the schedule was computed for: the frame's base
+  // revision, mask and mask revision.
+  std::uint64_t bound_base_ = 0;
+  const graph::EdgeMask* bound_mask_ = nullptr;
+  std::uint64_t bound_mask_revision_ = 0;
+  std::vector<double> lx_;  // scratch: Laplacian * load
 };
 
 /// OPS's schedule for an ascending Laplacian spectrum: the distinct

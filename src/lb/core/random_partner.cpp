@@ -7,9 +7,8 @@
 
 namespace lb::core {
 
-PartnerLinks sample_partner_links(std::size_t n, util::Rng& rng) {
+void sample_partner_links(std::size_t n, util::Rng& rng, PartnerLinks& links) {
   LB_ASSERT_MSG(n >= 2, "random partners need at least two nodes");
-  PartnerLinks links;
   links.partner.resize(n);
   links.degree.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -20,13 +19,19 @@ PartnerLinks sample_partner_links(std::size_t n, util::Rng& rng) {
     ++links.degree[i];
     ++links.degree[j];
   }
+}
+
+PartnerLinks sample_partner_links(std::size_t n, util::Rng& rng) {
+  PartnerLinks links;
+  sample_partner_links(n, rng, links);
   return links;
 }
 
 template <class T>
 StepStats RandomPartnerBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
   const std::size_t n = load.size();
-  const PartnerLinks links = sample_partner_links(n, ctx.rng());
+  sample_partner_links(n, ctx.rng(), links_);
+  const PartnerLinks& links = links_;
 
   // All transfers are computed from the round-start snapshot and applied
   // at the end — the concurrent semantics of Algorithm 2.  The sampling

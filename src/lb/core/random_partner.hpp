@@ -30,8 +30,11 @@ struct PartnerLinks {
   std::vector<std::uint32_t> degree;
 };
 
-/// Sample the round's links: each node picks a partner uniformly from the
-/// other n−1 nodes.  Exposed separately so the Lemma-9 Monte-Carlo bench
+/// Sample the round's links into `links`, reusing its storage: each node
+/// picks a partner uniformly from the other n−1 nodes.
+void sample_partner_links(std::size_t n, util::Rng& rng, PartnerLinks& links);
+
+/// The same sample, by value.  Exposed so the Lemma-9 Monte-Carlo bench
 /// can reuse the exact production sampling path.
 PartnerLinks sample_partner_links(std::size_t n, util::Rng& rng);
 
@@ -47,6 +50,9 @@ class RandomPartnerBalancer final : public Balancer<T> {
 
   using Balancer<T>::step;
   StepStats step(RoundContext<T>& ctx, std::vector<T>& load) override;
+
+ private:
+  PartnerLinks links_;  // the round's links, storage reused across rounds
 };
 
 using ContinuousRandomPartner = RandomPartnerBalancer<double>;

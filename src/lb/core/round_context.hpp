@@ -122,11 +122,10 @@ class RoundContext {
   bool masked() const { return frame_->masked(); }
 
   /// The round's network as a real Graph.  On masked rounds this
-  /// *materializes* the subgraph (lazily, cached per mask revision) —
-  /// which keeps every balancer that needs full Graph structure
-  /// (matchings, spectral lookups) semantically unmodified on dynamic
-  /// sequences, at the old rebuild cost.  Mask-aware fast paths use
-  /// frame() instead.
+  /// *materializes* the subgraph (lazily, cached per mask revision), at
+  /// the old rebuild cost.  Only one-time spectral bindings read it (SOS's
+  /// auto-β γ, OPS's schedule); every round, matchings included, runs
+  /// on frame() (DESIGN.md §5).
   const graph::Graph& graph() const { return frame_->view(); }
   util::Rng& rng() { return *rng_; }
 

@@ -35,6 +35,9 @@ struct RoundRecord {
 class Trace {
  public:
   void reserve(std::size_t rounds) { records_.reserve(rounds); }
+  /// Release the capacity past size(): a finished run keeps its rounds,
+  /// not its reserved budget.  A no-op when the trace is full.
+  void shrink_to_fit() { records_.shrink_to_fit(); }
   void add(RoundRecord r) { records_.push_back(r); }
 
   bool empty() const { return records_.empty(); }

@@ -415,7 +415,8 @@ class MatchingSequence final : public GraphSequence {
   const Graph& at_round(std::size_t k) override {
     LB_ASSERT_MSG(k == next_round_, "rounds must be requested in order");
     ++next_round_;
-    const Matching m = random_maximal_matching(base_, rng_);
+    const Matching m = matching_edges(
+        base_, random_maximal_matching(TopologyFrame(base_), rng_, scratch_));
     std::ostringstream name;
     name << base_.name() << "@match(k=" << k << ")";
     current_ = subgraph_with_edges(base_, m, name.str());
@@ -433,6 +434,7 @@ class MatchingSequence final : public GraphSequence {
   Graph base_;
   std::uint64_t seed_;
   util::Rng rng_;
+  MatchingScratch scratch_;  // the draw's rows, built once for base_
   Graph current_;
   TopologyFrame frame_;
   std::size_t next_round_ = 1;

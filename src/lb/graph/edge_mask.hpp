@@ -25,7 +25,7 @@
 // a real Graph (cached per mask revision).  It is the equivalence oracle
 // — a masked run must be bit-identical to a run over the materialized
 // graphs — and the escape hatch for consumers that genuinely need a
-// Graph (spectral solvers, random matchings).
+// Graph (the spectral bindings of SOS and OPS).
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,7 @@ class EdgeMask {
   /// The masked subgraph as a real Graph (the rebuild path).  Cached per
   /// mask revision; `name` labels the graph when (re)built.  This is the
   /// equivalence oracle for every masked kernel, and the escape hatch
-  /// for consumers that need full Graph structure (spectral solvers,
-  /// matchings).
+  /// for consumers that need full Graph structure (spectral solvers).
   const Graph& materialize(const std::string& name) const;
 
  private:

@@ -7,14 +7,6 @@
 
 namespace lb::util {
 
-namespace {
-
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.next();
@@ -23,38 +15,16 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 Rng Rng::split() {
   // Draw a fresh seed from this stream; the child is expanded through
   // SplitMix64 so parent and child states are decorrelated.
   return Rng(next_u64());
 }
 
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  LB_ASSERT_MSG(bound > 0, "next_below bound must be positive");
-  // Lemire's method: multiply-shift with rejection of the biased region.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  std::uint64_t l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    std::uint64_t t = -bound % bound;
-    while (l < t) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
+std::uint64_t Rng::below_slow(State& s, std::uint64_t bound, __uint128_t m) {
+  // Lemire's method: reject the biased region [0, 2^64 mod bound).
+  const std::uint64_t t = -bound % bound;
+  while (static_cast<std::uint64_t>(m) < t) m = static_cast<__uint128_t>(step(s)) * bound;
   return static_cast<std::uint64_t>(m >> 64);
 }
 
@@ -66,20 +36,9 @@ std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(next_below(span));
 }
 
-double Rng::next_double() {
-  // 53 high bits -> uniform in [0, 1) with full double precision.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::next_double(double lo, double hi) {
   LB_ASSERT_MSG(lo <= hi, "next_double requires lo <= hi");
   return lo + (hi - lo) * next_double();
-}
-
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 double Rng::next_gaussian() {

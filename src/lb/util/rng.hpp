@@ -12,9 +12,12 @@
 // implementations, which <random> distributions are not.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "lb/util/assert.hpp"
 
 namespace lb::util {
 
@@ -36,9 +39,16 @@ class SplitMix64 {
 };
 
 /// xoshiro256++ generator with convenience distributions.
+///
+/// The per-draw primitives (next_u64, next_below, next_double, next_bool)
+/// are defined here in the header: the matching and partner draws make
+/// one or two of them per node, and an out-of-line call costs more than
+/// the draw itself.
 class Rng {
  public:
   using result_type = std::uint64_t;
+  /// xoshiro256++'s four state words.
+  using State = std::array<std::uint64_t, 4>;
 
   /// Construct from a 64-bit seed (expanded via SplitMix64).
   explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedULL);
@@ -48,7 +58,25 @@ class Rng {
 
   /// Raw 64 random bits.
   result_type operator()() { return next_u64(); }
-  result_type next_u64();
+  result_type next_u64() { return step(s_); }
+
+  /// One xoshiro256++ step on `s`: returns the output and advances `s`.
+  /// With state()/set_state() a loop can keep the words in registers and
+  /// pick between candidate states without a branch, drawing exactly the
+  /// stream next_u64() would.
+  static std::uint64_t step(State& s) {
+    const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
+  }
+  const State& state() const { return s_; }
+  void set_state(const State& s) { s_ = s; }
 
   /// Derive an independent child generator; deterministic given this
   /// generator's current state.  Used to hand seeds to worker threads.
@@ -56,19 +84,38 @@ class Rng {
 
   /// Uniform integer in [0, bound). bound must be > 0.  Uses Lemire's
   /// nearly-divisionless method (unbiased).
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    LB_ASSERT_MSG(bound > 0, "next_below bound must be positive");
+    return below(s_, bound);
+  }
+
+  /// next_below's draw on a loose state: Lemire's multiply-shift, with
+  /// the rejection of the biased region (probability bound / 2^64) out of
+  /// line.  `bound` must be > 0.
+  static std::uint64_t below(State& s, std::uint64_t bound) {
+    const __uint128_t m = static_cast<__uint128_t>(step(s)) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) [[unlikely]] return below_slow(s, bound, m);
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t next_in(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    // 53 high bits -> uniform in [0, 1) with full double precision.
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double next_double(double lo, double hi);
 
   /// Bernoulli trial with success probability p.
-  bool next_bool(double p);
+  bool next_bool(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Standard normal via Box-Muller (cached second value is not kept, to
   /// stay stateless; cost is acceptable for our uses).
@@ -108,7 +155,12 @@ class Rng {
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
 
  private:
-  std::uint64_t s_[4];
+  static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+  /// below()'s rejection loop, entered when the first product's low word
+  /// falls under `bound`; `m` is that product.
+  static std::uint64_t below_slow(State& s, std::uint64_t bound, __uint128_t m);
+
+  State s_;
 };
 
 }  // namespace lb::util

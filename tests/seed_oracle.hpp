@@ -5,10 +5,10 @@
 // seed did, in the seed's own arithmetic: every edge flow computed from
 // the round-start loads on the round's materialized graph, then applied
 // by one sequential sweep over the edge list.  Nothing here is shared
-// with the code under test beyond the flow fill (compute_edge_flows), the
-// StepStats contract's per-edge count and chunk fold (count_flow,
-// fold_chunk_stats) and the matching generators, so a production round
-// that drifts by one bit diverges from these.
+// with the code under test beyond the flow fill (compute_edge_flows) and
+// the StepStats contract's per-edge count and chunk fold (count_flow,
+// fold_chunk_stats), so a production round that drifts by one bit
+// diverges from these.
 //
 //   * seed::apply_edge_sweep   — the sequential edge-list apply.
 //   * seed::diffusion_flows    — Algorithm 1's per-edge flows, seed style.
@@ -18,12 +18,19 @@
 //   * seed::SecondOrder        — FOS when β is unset, SOS otherwise: the
 //                                sweep into a copy of the load, then the
 //                                β-combine.
-//   * seed::DimensionExchange  — the same matching draw as the library,
-//                                then the seed's ±amount pair loop.
+//   * seed::gm_random_matching, seed::random_maximal_matching,
+//     seed::hypercube_dimension_matching
+//                              — the seed's matching draws on a Graph
+//                                (the library draws on the frame,
+//                                graph/matching.hpp).
+//   * seed::DimensionExchange  — those draws on the round's materialized
+//                                graph, then the seed's ±amount pair loop.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -35,12 +42,87 @@
 #include "lb/core/flow_ledger.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/graph/matching.hpp"
+#include "lb/util/assert.hpp"
+#include "lb/util/rng.hpp"
 
 namespace seed {
 
 using lb::core::StepStats;
 using lb::graph::Edge;
 using lb::graph::Graph;
+using lb::graph::Matching;
+using lb::graph::NodeId;
+
+/// Ghosh–Muthukrishnan's local matching as the seed drew it on a Graph:
+/// every node with a neighbour wakes w.p. 1/2 and proposes to a uniform
+/// neighbour; a sleeping node accepts one incoming proposal, uniform by
+/// reservoir; the matching lists the accepted edges by accepting node.
+inline Matching gm_random_matching(const Graph& g, lb::util::Rng& rng) {
+  const std::size_t n = g.num_nodes();
+  constexpr NodeId kNone = static_cast<NodeId>(-1);
+  std::vector<NodeId> proposal(n, kNone);
+  std::vector<bool> awake(n, false);
+  for (std::size_t u = 0; u < n; ++u) {
+    if (g.degree(static_cast<NodeId>(u)) == 0) continue;
+    if (!rng.next_bool(0.5)) continue;
+    awake[u] = true;
+    const auto nb = g.neighbors(static_cast<NodeId>(u));
+    proposal[u] = nb[static_cast<std::size_t>(rng.next_below(nb.size()))];
+  }
+  Matching m;
+  std::vector<NodeId> accepted(n, kNone);
+  std::vector<std::size_t> incoming(n, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    if (!awake[u]) continue;
+    const NodeId v = proposal[u];
+    if (awake[v]) continue;
+    ++incoming[v];
+    if (rng.next_below(incoming[v]) == 0) accepted[v] = static_cast<NodeId>(u);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (accepted[v] == kNone) continue;
+    const NodeId u = accepted[v];
+    m.push_back(Edge{std::min<NodeId>(u, static_cast<NodeId>(v)),
+                     std::max<NodeId>(u, static_cast<NodeId>(v))});
+  }
+  return m;
+}
+
+/// Greedy maximal matching over a Rng::shuffle of the edge indices.
+inline Matching random_maximal_matching(const Graph& g, lb::util::Rng& rng) {
+  std::vector<std::size_t> order(g.num_edges());
+  std::iota(order.begin(), order.end(), 0);
+  rng.shuffle(order);
+  std::vector<bool> used(g.num_nodes(), false);
+  Matching m;
+  for (std::size_t idx : order) {
+    const Edge& e = g.edges()[idx];
+    if (used[e.u] || used[e.v]) continue;
+    used[e.u] = used[e.v] = true;
+    m.push_back(e);
+  }
+  return m;
+}
+
+/// Colour `colour` of a `dimensions`-cube's round-robin schedule: every
+/// (u, u ^ 2^colour) in ascending u; asserts that each edge exists.
+inline Matching hypercube_dimension_matching(const Graph& g, std::size_t dimensions,
+                                             std::size_t colour) {
+  LB_ASSERT_MSG(colour < dimensions, "colour must be a hypercube dimension");
+  LB_ASSERT_MSG(g.num_nodes() == (std::size_t{1} << dimensions),
+                "graph is not a hypercube of the stated dimension");
+  Matching m;
+  const std::size_t bit = std::size_t{1} << colour;
+  for (std::size_t u = 0; u < g.num_nodes(); ++u) {
+    const std::size_t v = u ^ bit;
+    if (u < v) {
+      LB_ASSERT_MSG(g.has_edge(static_cast<NodeId>(u), static_cast<NodeId>(v)),
+                    "hypercube edge missing");
+      m.push_back(Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)});
+    }
+  }
+  return m;
+}
 
 /// The seed's sequential edge-list apply: every edge in ascending order
 /// moves |f| from its sender to its receiver; a zero share (or one that
@@ -173,10 +255,10 @@ class SecondOrder final : public lb::core::Balancer<double> {
   bool have_prev_ = false;
 };
 
-/// Dimension exchange as the seed ran it: the library's matching draw
-/// (same generator, same Rng stream, same round-robin schedule), then
-/// every matched pair balanced in matching order — the richer endpoint
-/// sends ⌊|ℓ_u − ℓ_v|/2⌋ (Tokens) or |ℓ_u − ℓ_v|/2 (Real).
+/// Dimension exchange as the seed ran it: the seed's matching draw on the
+/// round's materialized graph (same Rng stream, same round-robin
+/// schedule), then every matched pair balanced in matching order — the
+/// richer endpoint sends ⌊|ℓ_u − ℓ_v|/2⌋ (Tokens) or |ℓ_u − ℓ_v|/2 (Real).
 template <class T>
 class DimensionExchange final : public lb::core::Balancer<T> {
  public:
@@ -190,15 +272,15 @@ class DimensionExchange final : public lb::core::Balancer<T> {
     lb::graph::Matching m;
     switch (strategy_) {
       case lb::core::MatchingStrategy::kGhoshMuthukrishnan:
-        m = lb::graph::gm_random_matching(g, ctx.rng());
+        m = seed::gm_random_matching(g, ctx.rng());
         break;
       case lb::core::MatchingStrategy::kRandomMaximal:
-        m = lb::graph::random_maximal_matching(g, ctx.rng());
+        m = seed::random_maximal_matching(g, ctx.rng());
         break;
       case lb::core::MatchingStrategy::kHypercubeRoundRobin: {
         std::size_t d = 0;
         while ((std::size_t{1} << d) < g.num_nodes()) ++d;
-        m = lb::graph::hypercube_dimension_matching(g, d, round_ % d);
+        m = seed::hypercube_dimension_matching(g, d, round_ % d);
         break;
       }
     }

@@ -17,12 +17,16 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "lb/check/invariants.hpp"
 #include "lb/core/diffusion.hpp"
+#include "lb/core/dimension_exchange.hpp"
 #include "lb/core/engine.hpp"
 #include "lb/core/flow_ledger.hpp"
 #include "lb/core/fos.hpp"
+#include "lb/core/random_partner.hpp"
 #include "lb/core/sos.hpp"
 #include "lb/graph/dynamic.hpp"
 #include "lb/graph/generators.hpp"
@@ -200,6 +204,73 @@ TEST(AllocAuditTest, StencilRoundsOnLargerToriDoNotAllocate) {
     const long long long_run = count_run<double>(make, *stat, load0, 24);
     EXPECT_EQ(long_run, short_run) << (long_run - short_run) << " allocations in 12 rounds";
   }
+}
+
+/// Zero allocations per steady-state round on a static, a fixed-mask and
+/// a churn sequence over the audit torus.  The churn mask changes every
+/// round, so a round that built the masked view as a Graph would allocate
+/// every round.  Each run gets a fresh sequence (a sequence replays from
+/// round 1 only after reset()), made before the hook is armed.  Under
+/// LB_CHECK=1 the churn leg is left out: the opt-in invariant layer
+/// recounts every committed mask into fresh arrays (check::check_mask),
+/// and the environment switch overrides the config by design.
+template <class T>
+void expect_dynamic_rounds_allocation_free(const MakeBalancer<T>& make,
+                                           const std::vector<T>& load0) {
+  constexpr std::size_t kRounds = 12;
+  const Graph g = audit_graph();
+  using MakeSequence = std::function<std::unique_ptr<lb::graph::GraphSequence>()>;
+  const std::pair<const char*, MakeSequence> sequences[] = {
+      {"static", [&g] { return lb::graph::make_static_view(g); }},
+      {"fixed-mask", [&g] { return std::make_unique<FixedMaskSequence>(g); }},
+      {"churn", [&g] { return lb::graph::make_churn_sequence(g, 0.9, 0.05, 3); }},
+  };
+  for (const auto& [name, make_sequence] : sequences) {
+    if (lb::check::env_enabled() && std::string(name) == "churn") continue;
+    SCOPED_TRACE(name);
+    auto short_seq = make_sequence();
+    auto long_seq = make_sequence();
+    const long long short_run = count_run<T>(make, *short_seq, load0, kRounds);
+    const long long long_run = count_run<T>(make, *long_seq, load0, 2 * kRounds);
+    EXPECT_EQ(long_run, short_run) << (long_run - short_run) << " allocations in "
+                                   << kRounds << " extra rounds";
+  }
+}
+
+std::vector<std::int64_t> token_load(std::size_t n) {
+  lb::util::Rng rng(7);
+  return lb::workload::uniform_random<std::int64_t>(n, static_cast<std::int64_t>(1000 * n),
+                                                    rng);
+}
+
+TEST(AllocAuditTest, DimensionExchangeRoundsDoNotAllocate) {
+  const std::size_t n = audit_graph().num_nodes();
+  expect_dynamic_rounds_allocation_free<double>(
+      [] {
+        return lb::core::make_dimension_exchange_continuous(
+            lb::core::MatchingStrategy::kGhoshMuthukrishnan);
+      },
+      real_load(n));
+  expect_dynamic_rounds_allocation_free<std::int64_t>(
+      [] {
+        return lb::core::make_dimension_exchange_discrete(
+            lb::core::MatchingStrategy::kGhoshMuthukrishnan);
+      },
+      token_load(n));
+  expect_dynamic_rounds_allocation_free<std::int64_t>(
+      [] {
+        return lb::core::make_dimension_exchange_discrete(
+            lb::core::MatchingStrategy::kRandomMaximal);
+      },
+      token_load(n));
+}
+
+TEST(AllocAuditTest, RandomPartnerRoundsDoNotAllocate) {
+  const std::size_t n = audit_graph().num_nodes();
+  expect_dynamic_rounds_allocation_free<double>(
+      [] { return lb::core::make_random_partner_continuous(); }, real_load(n));
+  expect_dynamic_rounds_allocation_free<std::int64_t>(
+      [] { return lb::core::make_random_partner_discrete(); }, token_load(n));
 }
 
 /// Heap allocations of one pool-1 sharded run (K = 4) of `rounds` rounds.

@@ -6,6 +6,7 @@
 // thread-pool size and for both scalar types.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <thread>
 
@@ -15,6 +16,8 @@
 #include "lb/core/engine.hpp"
 #include "lb/core/fos.hpp"
 #include "lb/core/heterogeneous.hpp"
+#include "lb/core/ops.hpp"
+#include "lb/core/round_context.hpp"
 #include "lb/core/sos.hpp"
 #include "lb/graph/dynamic.hpp"
 #include "lb/graph/generators.hpp"
@@ -207,16 +210,92 @@ TEST(DynamicMaskTest, MaskedRunsPoolInvariant) {
 }
 
 TEST(DynamicMaskTest, DimensionExchangeMaterializingViewMatchesOracle) {
-  // Matching-based balancers need full adjacency structure, so on masked
-  // rounds they go through the context's lazily materializing graph()
-  // view (DESIGN.md §5 "materialize vs mask").  Same subgraph, same RNG
-  // stream => bit-identical to the explicit rebuild path.
-  expect_masked_equals_oracle<std::int64_t>(
-      [] {
-        return std::make_unique<lb::core::DiscreteDimensionExchange>(
-            lb::core::MatchingStrategy::kRandomMaximal);
-      },
-      token_spike(), /*rounds=*/40);
+  // Matchings are drawn on the frame (graph/matching.hpp): alive-degrees
+  // and the base's incident-edge rows, no materialized view.  The draw
+  // consumes the RNG exactly as a draw on the materialized graph, so the
+  // masked runs are bit-identical to the explicit rebuild path, for both
+  // randomized strategies (GM is the campaign's) and both scalars.
+  for (const auto strategy : {lb::core::MatchingStrategy::kGhoshMuthukrishnan,
+                              lb::core::MatchingStrategy::kRandomMaximal}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    expect_masked_equals_oracle<std::int64_t>(
+        [strategy] {
+          return std::make_unique<lb::core::DiscreteDimensionExchange>(strategy);
+        },
+        token_spike(), /*rounds=*/40);
+    expect_masked_equals_oracle<double>(
+        [strategy] {
+          return std::make_unique<lb::core::ContinuousDimensionExchange>(strategy);
+        },
+        real_spike(), /*rounds=*/40);
+  }
+}
+
+TEST(DynamicMaskTest, RoundRobinDimensionExchangeSkipsDeadDimensionEdges) {
+  // On a masked hypercube the round-robin colour keeps its alive edges:
+  // each round balances exactly those pairs and draws no random number.
+  constexpr std::size_t kDims = 4;
+  const Graph base = lb::graph::make_hypercube(kDims);
+  auto seq = lb::graph::make_churn_sequence(base, 0.6, 0.2, 7);
+  lb::core::ContinuousDimensionExchange de(lb::core::MatchingStrategy::kHypercubeRoundRobin);
+  lb::core::RunArena<double> arena;
+  lb::util::Rng rng(3);
+  std::vector<double> load = lb::workload::spike<double>(base.num_nodes(), 1600.0);
+  for (std::size_t round = 1; round <= 12; ++round) {
+    const lb::graph::TopologyFrame& frame = seq->frame_at(round);
+    std::vector<double> expected = load;
+    std::size_t pairs = 0;
+    for (const lb::graph::Edge& e :
+         seed::hypercube_dimension_matching(base, kDims, (round - 1) % kDims)) {
+      if (!frame.alive(base.edge_index(e.u, e.v))) continue;
+      const double half = std::fabs(expected[e.u] - expected[e.v]) / 2.0;
+      const bool down = expected[e.u] > expected[e.v];
+      expected[down ? e.u : e.v] -= half;
+      expected[down ? e.v : e.u] += half;
+      ++pairs;
+    }
+    lb::core::RoundContext<double> ctx(frame, rng, nullptr, arena);
+    EXPECT_EQ(de.step(ctx, load).links, pairs) << "round " << round;
+    EXPECT_EQ(load, expected) << "round " << round;
+  }
+  EXPECT_EQ(rng.next_u64(), lb::util::Rng(3).next_u64());
+}
+
+/// One masked frame every round: every `stride`-th base edge is dead.
+class FixedMaskSequence final : public GraphSequence {
+ public:
+  FixedMaskSequence(const Graph& base, std::size_t stride) : mask_(base), frame_(mask_) {
+    for (std::size_t k = 0; k < base.num_edges(); k += stride) mask_.set_alive(k, false);
+    mask_.commit();
+  }
+  std::size_t num_nodes() const override { return mask_.base().num_nodes(); }
+  const lb::graph::TopologyFrame& frame_at(std::size_t) override { return frame_; }
+  void reset() override {}
+  std::string name() const override { return "fixed-mask"; }
+  const Graph& materialized() const { return frame_.view(); }
+
+ private:
+  lb::graph::EdgeMask mask_;
+  lb::graph::TopologyFrame frame_;
+};
+
+TEST(DynamicMaskTest, OpsOnFixedMaskMatchesMaterializedGraph) {
+  // OPS binds its schedule to the round's Graph once and runs its rounds
+  // on the frame.  One reused scheme over two different fixed masks must
+  // match fresh schemes on each mask's materialized graph: a binding to
+  // a mask is dropped at the next run start.
+  const Graph base = lb::graph::make_torus2d(6, 6);
+  lb::core::OptimalPolynomialScheme reused;
+  for (const std::size_t stride : {std::size_t{5}, std::size_t{3}}) {
+    SCOPED_TRACE(stride);
+    FixedMaskSequence masked(base, stride);
+    const auto result = run_over(reused, masked, real_spike(), 30, nullptr);
+    const Graph materialized = masked.materialized();
+    auto oracle_seq = lb::graph::make_static_view(materialized);
+    lb::core::OptimalPolynomialScheme fresh;
+    const auto oracle = run_over(fresh, *oracle_seq, real_spike(), 30, nullptr);
+    EXPECT_TRUE(results_bits_equal(result, oracle));
+  }
 }
 
 TEST(DynamicMaskTest, EdgeSweepConfigStillRunsOnMaterializedPath) {
