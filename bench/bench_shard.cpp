@@ -1,11 +1,13 @@
 // E16: sharded-execution cost model — µs/round and messages/round versus
 // the domain count K on a large torus.
 //
-// For each K the sharded engine runs the identical diffusion instance the
-// shared-memory engine runs, and the bench *verifies* bit-identity
-// (rounds, per-round Φ trace, final load vector) before reporting the
-// cost columns; any divergence makes the process exit nonzero, so the
-// bench doubles as the determinism gate for CI (--quick keeps that gate
+// For each K the sharded engine runs the identical diffusion instances the
+// shared-memory engine runs — continuous diffusion on Real loads and
+// discrete diffusion on int64 tokens, whose sweeps count StepStats in an
+// integer — and the bench *verifies* bit-identity (rounds, per-round Φ and
+// transferred trace, final load vector) before reporting the cost
+// columns; any divergence makes the process exit nonzero, so the bench
+// doubles as the determinism gate for CI (--quick keeps that gate
 // cheap).  Cost columns are the modeled comm quantities (messages/round,
 // boundary bytes/round, halo-wait share) plus the measured wall µs/round.
 // The LB_SHARDS environment variable (comma-separated domain counts)
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "lb/core/diffusion.hpp"
@@ -28,6 +31,7 @@
 namespace {
 
 struct Leg {
+  const char* scalar = "real";
   std::size_t domains = 1;
   std::size_t cut_edges = 0;
   lb::core::RunResult run;
@@ -37,9 +41,10 @@ struct Leg {
 
 /// Bitwise comparison of the deterministic RunResult surface.  Returns
 /// the number of mismatched fields (0 = identical).
+template <class T>
 std::size_t count_divergence(const lb::core::RunResult& oracle, const Leg& leg,
-                             const std::vector<double>& oracle_load,
-                             const std::vector<double>& leg_load) {
+                             const std::vector<T>& oracle_load,
+                             const std::vector<T>& leg_load) {
   std::size_t bad = 0;
   if (oracle.rounds != leg.run.rounds) ++bad;
   if (oracle.final_potential != leg.run.final_potential) ++bad;
@@ -85,10 +90,11 @@ void write_json(const std::string& path, std::size_t n, std::size_t rounds,
         l.run.rounds > 0 ? static_cast<double>(l.run.rounds) : 1.0;
     std::fprintf(
         f,
-        "    {\"domains\": %zu, \"cut_edges\": %zu, \"us_per_round\": %.3f, "
+        "    {\"scalar\": \"%s\", \"domains\": %zu, \"cut_edges\": %zu, "
+        "\"us_per_round\": %.3f, "
         "\"messages_per_round\": %.3f, \"bytes_per_round\": %.1f, "
         "\"halo_wait_us\": %.3f}%s\n",
-        l.domains, l.cut_edges, l.wall_seconds * 1e6 / per_round,
+        l.scalar, l.domains, l.cut_edges, l.wall_seconds * 1e6 / per_round,
         static_cast<double>(l.run.comm.messages) / per_round,
         static_cast<double>(l.run.comm.boundary_bytes) / per_round,
         l.run.comm.halo_wait_us, i + 1 < legs.size() ? "," : "");
@@ -159,8 +165,10 @@ int main(int argc, char** argv) {
 
   lb::util::Rng rng(seed);
   const lb::graph::Graph g = lb::graph::make_named("torus2d", n, rng);
-  const auto load0 = lb::workload::spike<double>(
+  const auto real_load0 = lb::workload::spike<double>(
       g.num_nodes(), 1000.0 * static_cast<double>(g.num_nodes()));
+  const auto token_load0 = lb::workload::uniform_random<std::int64_t>(
+      g.num_nodes(), 1000 * static_cast<std::int64_t>(g.num_nodes()), rng);
 
   if (!csv) {
     lb::bench::banner(
@@ -178,44 +186,48 @@ int main(int argc, char** argv) {
   cfg.record_trace = true;
   cfg.seed = seed;
 
-  // Shared-memory oracle.
-  lb::core::RunResult oracle;
-  std::vector<double> oracle_load;
-  {
-    auto alg = lb::core::make_diffusion_continuous();
-    oracle_load = load0;
-    oracle = lb::core::run_static(*alg, g, oracle_load, cfg);
-  }
-
   std::vector<Leg> legs;
   std::size_t divergent = 0;
-  for (const std::size_t k : shard_counts()) {
-    Leg leg;
-    leg.domains = k;
-    lb::shard::ShardConfig shard;
-    shard.domains = k;
-    leg.cut_edges =
-        lb::shard::OwnershipMap::build(g, k, shard.policy).cut_edges();
-    auto alg = lb::core::make_diffusion_continuous();
-    std::vector<double> load = load0;
-    const lb::util::Stopwatch watch;
-    leg.run = lb::shard::run_static(*alg, g, load, cfg, shard);
-    leg.wall_seconds = watch.elapsed_seconds();
-    leg.divergence = count_divergence(oracle, leg, oracle_load, load);
-    if (leg.divergence != 0) {
-      std::fprintf(stderr, "DIVERGENCE: K=%zu differs from the K=1 oracle "
-                           "(%zu mismatched fields)\n", k, leg.divergence);
-      divergent += leg.divergence;
+  // The shared-memory oracle of one scalar, then its sharded leg at each K.
+  const auto run_legs = [&](const char* scalar, const auto& make, const auto& load0) {
+    lb::core::RunResult oracle;
+    auto oracle_load = load0;
+    {
+      auto alg = make();
+      oracle = lb::core::run_static(*alg, g, oracle_load, cfg);
     }
-    legs.push_back(std::move(leg));
-  }
+    for (const std::size_t k : shard_counts()) {
+      Leg leg;
+      leg.scalar = scalar;
+      leg.domains = k;
+      lb::shard::ShardConfig shard;
+      shard.domains = k;
+      leg.cut_edges =
+          lb::shard::OwnershipMap::build(g, k, shard.policy).cut_edges();
+      auto alg = make();
+      auto load = load0;
+      const lb::util::Stopwatch watch;
+      leg.run = lb::shard::run_static(*alg, g, load, cfg, shard);
+      leg.wall_seconds = watch.elapsed_seconds();
+      leg.divergence = count_divergence(oracle, leg, oracle_load, load);
+      if (leg.divergence != 0) {
+        std::fprintf(stderr, "DIVERGENCE: %s K=%zu differs from the shared-memory "
+                             "oracle (%zu mismatched fields)\n", scalar, k, leg.divergence);
+        divergent += leg.divergence;
+      }
+      legs.push_back(std::move(leg));
+    }
+  };
+  run_legs("real", [] { return lb::core::make_diffusion_continuous(); }, real_load0);
+  run_legs("tokens", [] { return lb::core::make_diffusion_discrete(); }, token_load0);
 
-  lb::util::Table table({"domains", "cut_edges", "us/round", "messages/round",
+  lb::util::Table table({"scalar", "domains", "cut_edges", "us/round", "messages/round",
                          "bytes/round", "halo_wait_us", "identical"});
   for (const Leg& l : legs) {
     const double per_round =
         l.run.rounds > 0 ? static_cast<double>(l.run.rounds) : 1.0;
     table.row()
+        .add(l.scalar)
         .add(static_cast<std::int64_t>(l.domains))
         .add(static_cast<std::int64_t>(l.cut_edges))
         .add(l.wall_seconds * 1e6 / per_round, 3)
@@ -232,7 +244,7 @@ int main(int argc, char** argv) {
   }
   if (!opts.get_string("ablation-dir").empty()) {
     for (const Leg& l : legs) {
-      if (l.domains == 1 || l.domains == 4) {
+      if (std::string(l.scalar) == "real" && (l.domains == 1 || l.domains == 4)) {
         write_trace_csv(opts.get_string("ablation-dir"), l.domains, l.run);
       }
     }

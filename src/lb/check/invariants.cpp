@@ -585,41 +585,44 @@ void check_ledger(const core::FlowLedger& ledger, const graph::Graph& base) {
   check_csr_slice(base, ledger.row_ptr(), ledger.edge_indices(), ledger.signs());
 }
 
-void check_mask_arrays(const graph::Graph& base,
-                       const std::vector<std::uint8_t>& alive,
-                       std::size_t claimed_alive_edges,
-                       const std::vector<std::uint32_t>& claimed_degrees,
+namespace {
+
+/// The mask check's core, over accessors so neither overload copies the
+/// mask: the alive-edge count, then each node's alive degree recounted
+/// from its sorted neighbour list.  A node's edges to higher neighbours
+/// are the next block of the ascending edge list, in neighbour order; an
+/// edge to a lower neighbour sits in that neighbour's block and is looked
+/// up.  Allocates nothing, so a checked run's mask commits stay off the
+/// heap.
+template <class AliveFn, class DegreeFn>
+void check_mask_counts(const graph::Graph& base, const AliveFn& alive,
+                       std::size_t claimed_alive_edges, const DegreeFn& claimed_degree,
                        std::size_t claimed_max, std::size_t claimed_min) {
   const auto& edges = base.edges();
-  if (alive.size() != edges.size() || claimed_degrees.size() != base.num_nodes()) {
-    violated(format("edge mask inconsistent: %zu alive bits for %zu base "
-                    "edges, %zu degrees for %zu nodes",
-                    alive.size(), edges.size(), claimed_degrees.size(),
-                    base.num_nodes()));
-  }
   std::size_t alive_edges = 0;
-  std::vector<std::uint32_t> degrees(base.num_nodes(), 0);
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (alive[k] == 0) continue;
-    ++alive_edges;
-    ++degrees[edges[k].u];
-    ++degrees[edges[k].v];
-  }
+  for (std::size_t k = 0; k < edges.size(); ++k) alive_edges += alive(k) ? 1 : 0;
   if (alive_edges != claimed_alive_edges) {
     violated(format("edge mask inconsistent: bitmap has %zu alive edges but "
                     "the mask claims %zu",
                     alive_edges, claimed_alive_edges));
   }
   std::size_t max_deg = 0;
-  std::size_t min_deg = base.num_nodes() == 0 ? 0 : degrees[0];
-  for (std::size_t u = 0; u < degrees.size(); ++u) {
-    if (degrees[u] != claimed_degrees[u]) {
-      violated(format("edge mask inconsistent: node %zu alive-degree is %u "
-                      "by recount but the mask claims %u",
-                      u, degrees[u], claimed_degrees[u]));
+  std::size_t min_deg = 0;
+  std::size_t up = 0;  // the first edge whose lower endpoint is u
+  for (std::size_t u = 0; u < base.num_nodes(); ++u) {
+    const auto node = static_cast<graph::NodeId>(u);
+    std::size_t degree = 0;
+    for (const graph::NodeId w : base.neighbors(node)) {
+      const std::size_t k = w < node ? base.edge_index(w, node) : up++;
+      degree += alive(k) ? 1 : 0;
     }
-    max_deg = std::max<std::size_t>(max_deg, degrees[u]);
-    min_deg = std::min<std::size_t>(min_deg, degrees[u]);
+    if (degree != claimed_degree(u)) {
+      violated(format("edge mask inconsistent: node %zu alive-degree is %zu "
+                      "by recount but the mask claims %zu",
+                      u, degree, claimed_degree(u)));
+    }
+    max_deg = std::max(max_deg, degree);
+    min_deg = u == 0 ? degree : std::min(min_deg, degree);
   }
   if (max_deg != claimed_max || min_deg != claimed_min) {
     violated(format("edge mask inconsistent: recounted degree range [%zu,%zu] "
@@ -628,19 +631,30 @@ void check_mask_arrays(const graph::Graph& base,
   }
 }
 
+}  // namespace
+
+void check_mask_arrays(const graph::Graph& base,
+                       const std::vector<std::uint8_t>& alive,
+                       std::size_t claimed_alive_edges,
+                       const std::vector<std::uint32_t>& claimed_degrees,
+                       std::size_t claimed_max, std::size_t claimed_min) {
+  if (alive.size() != base.num_edges() || claimed_degrees.size() != base.num_nodes()) {
+    violated(format("edge mask inconsistent: %zu alive bits for %zu base "
+                    "edges, %zu degrees for %zu nodes",
+                    alive.size(), base.num_edges(), claimed_degrees.size(),
+                    base.num_nodes()));
+  }
+  check_mask_counts(
+      base, [&](std::size_t k) { return alive[k] != 0; }, claimed_alive_edges,
+      [&](std::size_t u) { return std::size_t{claimed_degrees[u]}; }, claimed_max,
+      claimed_min);
+}
+
 void check_mask(const graph::EdgeMask& mask) {
-  const graph::Graph& base = mask.base();
-  std::vector<std::uint8_t> alive(base.num_edges());
-  for (std::size_t k = 0; k < alive.size(); ++k) {
-    alive[k] = mask.alive(k) ? 1 : 0;
-  }
-  std::vector<std::uint32_t> degrees(base.num_nodes());
-  for (std::size_t u = 0; u < degrees.size(); ++u) {
-    degrees[u] =
-        static_cast<std::uint32_t>(mask.alive_degree(static_cast<graph::NodeId>(u)));
-  }
-  check_mask_arrays(base, alive, mask.alive_edges(), degrees,
-                    mask.max_alive_degree(), mask.min_alive_degree());
+  check_mask_counts(
+      mask.base(), [&](std::size_t k) { return mask.alive(k); }, mask.alive_edges(),
+      [&](std::size_t u) { return mask.alive_degree(static_cast<graph::NodeId>(u)); },
+      mask.max_alive_degree(), mask.min_alive_degree());
 }
 
 // ---------------------------------------------------------------------------

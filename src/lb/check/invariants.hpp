@@ -209,7 +209,8 @@ void check_ledger(const core::FlowLedger& ledger, const graph::Graph& base);
 
 /// Verify claimed mask summaries against a recount of the alive bitmap:
 /// per-node alive-degrees, the alive-edge count, and the max/min
-/// alive-degree.  The arrays overload is the mutation-testable core.
+/// alive-degree.  The arrays overload is the mutation-testable form; both
+/// run one recount, which allocates nothing.
 void check_mask_arrays(const graph::Graph& base,
                        const std::vector<std::uint8_t>& alive,
                        std::size_t claimed_alive_edges,
@@ -217,7 +218,8 @@ void check_mask_arrays(const graph::Graph& base,
                        std::size_t claimed_max, std::size_t claimed_min);
 
 /// Verify a live mask after a commit (wired into the engines on every
-/// mask-revision change).
+/// mask-revision change), reading it in place: a checked churn run
+/// allocates nothing per round for it.
 void check_mask(const graph::EdgeMask& mask);
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "lb/core/sos.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "lb/core/flow_program.hpp"
 #include "lb/core/fos.hpp"
@@ -45,7 +46,14 @@ bool SecondOrderScheme::begin_round(RoundContext<double>& ctx) {
     // γ needs the full spectral machinery; on a masked round this
     // materializes the (cached) round-1 view once — identical to what
     // the rebuild path computes.  Dynamic runs normally pass β explicitly.
-    beta_ = optimal_beta(round_gamma(ctx));
+    // A disconnected round-1 view has γ = 1, for which no β exists: that
+    // is the caller's input, so it throws rather than tripping
+    // optimal_beta's contract.
+    const double gamma = round_gamma(ctx);
+    if (!(gamma >= 0.0 && gamma < 1.0)) {
+      throw std::invalid_argument("auto-β needs a connected round-1 topology; pass β");
+    }
+    beta_ = optimal_beta(gamma);
   }
   prev_.resize(ctx.frame().num_nodes());
   const bool first = !have_prev_;

@@ -28,6 +28,8 @@ class SecondOrderScheme final : public Balancer<double> {
  public:
   /// If `beta` is nullopt it is computed on first use from the graph's
   /// spectrum via diffusion_gamma (dense path; intended for n <= 4096).
+  /// That first round throws std::invalid_argument when its view is
+  /// disconnected (γ = 1, so no optimal β exists).
   explicit SecondOrderScheme(std::optional<double> beta = std::nullopt);
 
   std::string name() const override { return "sos"; }
@@ -52,7 +54,7 @@ class SecondOrderScheme final : public Balancer<double> {
 
   double beta() const { return beta_.value_or(0.0); }
 
-  /// Optimal β for a given γ ∈ [0, 1).
+  /// Optimal β for a given γ ∈ [0, 1); asserts that contract.
   static double optimal_beta(double gamma);
 
  private:

@@ -1,6 +1,8 @@
 #include "lb/shard/sharded_engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <concepts>
 #include <cstdint>
 #include <type_traits>
 
@@ -29,6 +31,16 @@ void for_each_domain(util::ThreadPool* pool, std::size_t domains, Fn&& fn) {
   pool->parallel_for(0, domains, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t d = lo; d < hi; ++d) fn(d);
   });
+}
+
+/// True when a domain whose owned nodes ascend in `nodes` owns every node
+/// of [lo, hi): its first owned node at or past lo then starts hi − lo
+/// distinct ascending ids, the last of which is hi − 1.
+bool owns_all(const std::vector<graph::NodeId>& nodes, std::size_t lo, std::size_t hi) {
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), lo,
+                                   [](graph::NodeId u, std::size_t x) { return u < x; });
+  const auto len = static_cast<std::ptrdiff_t>(hi - lo);
+  return nodes.end() - it >= len && it[len - 1] == hi - 1;
 }
 
 /// Per-run sharded state: the ownership/halo tables (rebuilt when the
@@ -76,6 +88,14 @@ struct Runtime {
     shares.resize(slice[K].shares);
     node_buf.resize(slice[K].nodes);
     flow_buf.resize(slice[K].flows);
+    spanning_chunks = 0;
+    const std::size_t n = base.num_nodes();
+    for (std::size_t lo = 0; lo < n; lo += core::kSummaryChunkWidth) {
+      const std::size_t hi = std::min(n, lo + core::kSummaryChunkWidth);
+      if (!owns_all(halo.plan(map.owner(static_cast<graph::NodeId>(lo))).nodes, lo, hi)) {
+        ++spanning_chunks;
+      }
+    }
     return true;
   }
 
@@ -95,6 +115,7 @@ struct Runtime {
   std::vector<double> shares;         // each domain's staged cut shares
   std::vector<T> node_buf;            // load pack scratch
   std::vector<double> flow_buf;       // flow payload scratch
+  std::size_t spanning_chunks = 0;    // summary chunks no domain owns whole
   // kMatching per-round work lists (rebuilt each matching round).
   std::vector<std::vector<std::uint32_t>> local_pairs;
   std::vector<std::vector<std::uint32_t>> remote_out;  // this domain owns e.u
@@ -127,21 +148,133 @@ void apply_share(T& x, T share) {
   }
 }
 
-/// Domain d's sweep (DESIGN.md §7) into `out`: seed its nodes with their
-/// round-start loads, then walk its cut entries and its runs of owned
-/// edges in ascending base order — each run edge's flow evaluated once
-/// from the round-start loads and stored, each cut entry's staged share
-/// applied — so every owned node takes its ±flows in the seed's edge
-/// order.  Writes only its own nodes' `out` slots and its run edges'
-/// `flows` slots.
+/// One summary chunk's StepStats as a sweep counts them, each edge's flow
+/// as applied_flow states it, in ascending edge order.  Real flows take
+/// the seed's double chain (count_flow).  finish() gets a bound on the
+/// number of terms, the chunk's edge count.
+template <class T>
+struct ChunkCount {
+  core::StepStats s;
+  void add(T f) { core::count_flow<T>(s, f); }
+  bool finish(core::StepStats& out, std::size_t) const {
+    out = s;
+    return true;
+  }
+};
+
+/// Token amounts are whole, so their magnitudes sum in an integer.  That
+/// equals the seed's double chain whenever the total is at most 2^53: every
+/// term and every partial sum is then an exactly representable integer.
+/// The sum runs modulo 2^64; `bits`, the OR of the terms, bounds them, so
+/// with the term count it proves the sum never wrapped.  finish() reports
+/// false when it cannot prove that, or when the total is past 2^53, and
+/// the caller recounts the chunk's double chain instead.
+template <std::integral T>
+struct ChunkCount<T> {
+  std::uint64_t moved = 0;
+  std::uint64_t bits = 0;
+  std::size_t active = 0;
+  void add(T a) {
+    const auto magnitude = static_cast<std::uint64_t>(a < 0 ? -a : a);
+    moved += magnitude;
+    bits |= magnitude;
+    active += a != 0 ? 1 : 0;
+  }
+  bool finish(core::StepStats& out, std::size_t terms) const {
+    // Every term is below 2^bit_width(bits), so the sum is below 2^64
+    // when the two widths add up to at most 64.
+    if (std::bit_width(bits) + std::bit_width(terms) > 64 || moved > (std::uint64_t{1} << 53)) {
+      return false;
+    }
+    out.transferred = static_cast<double>(moved);
+    out.active_edges = active;
+    return true;
+  }
+};
+
+/// One all-edges round as every domain's sweep and the barrier see it:
+/// the round-start loads, the output, the owners' stored cut flows, and
+/// where each finished summary chunk writes its StepStats and Φ/K partial.
+template <class T>
+struct AllEdgesRound {
+  const graph::TopologyFrame& frame;
+  const std::vector<std::uint32_t>& owner;
+  const std::vector<T>& load;
+  std::vector<T>& out;
+  const std::vector<double>& flows;  // each alive owned cut edge's flow, by base id
+  const core::BlockedRoundPlan& index;
+  core::StepStats* stats;
+  core::SummaryPartial<T>* parts;  // null when no summary was requested
+  double average;
+  core::SummaryMode mode;
+  const typename core::FlowProgram<T>::PostFn& post;
+
+  std::size_t chunk_lo(std::size_t c) const { return c * core::kSummaryChunkWidth; }
+  std::size_t chunk_hi(std::size_t c) const {
+    return std::min(load.size(), chunk_lo(c) + core::kSummaryChunkWidth);
+  }
+
+  /// Chunk c's StepStats by the seed's double chain: its edges ascending,
+  /// dead ones skipped, each flow as the round computed it — re-evaluated
+  /// from the round-start loads for an edge inside one domain (flows are
+  /// pure), its owner's stored flow for a cut edge.
+  template <class Rule>
+  core::StepStats count_chunk(const Rule& rule, std::size_t c) const {
+    const auto& edges = frame.base().edges();
+    core::StepStats s;
+    for (std::size_t k = index.chunk_begin(c); k < index.chunk_begin(c + 1); ++k) {
+      if (!frame.alive(k)) continue;
+      const graph::Edge& e = edges[k];
+      const double f = owner[e.u] == owner[e.v]
+                           ? core::rule_flow(rule, k, e, static_cast<double>(load[e.u]),
+                                             static_cast<double>(load[e.v]))
+                           : flows[k];
+      core::count_flow<T>(s, f);
+    }
+    return s;
+  }
+
+  /// Chunk c's nodes are final: run the post on them (SOS's β-combine),
+  /// then fold the chunk's Φ/K partial.
+  void finish_nodes(std::size_t c) const {
+    const std::size_t lo = chunk_lo(c);
+    const std::size_t hi = chunk_hi(c);
+    if (post) {
+      for (std::size_t u = lo; u < hi; ++u) out[u] = post(u, out[u], load[u]);
+    }
+    if (parts == nullptr) return;
+    core::SummaryPartial<T> p;
+    core::summary_begin(p, out[lo]);
+    for (std::size_t u = lo; u < hi; ++u) core::summary_accumulate(p, out[u], average, mode);
+    parts[c] = p;
+  }
+};
+
+/// Domain d's sweep (DESIGN.md §7): seed its nodes with their round-start
+/// loads, then walk its cut entries and its runs of owned edges in
+/// ascending base order — each run edge's flow evaluated once from the
+/// round-start loads, each cut entry's staged share applied — so every
+/// owned node takes its ±flows in the seed's edge order.
+///
+/// The walk also finishes every summary chunk the domain owns whole.  All
+/// of such a chunk's edges are the domain's: run edges, counted as they
+/// are applied, and between them owned cut edges, counted from the flows
+/// phase 2 stored.  Runs are split at chunk ends, so the inner loop makes
+/// no chunk test.  Every edge touching a chunk lies below the next
+/// chunk's first edge (its lower endpoint is at or before the chunk), so
+/// once the walk reaches that edge, with the cut entries before it
+/// applied, the chunk's nodes are final and finish_nodes runs.  Writes
+/// only its own nodes' `out` slots and its whole chunks' partials.
 template <bool kMasked, class T, class Rule>
-void sweep_domain(const DomainPlan& plan, const graph::TopologyFrame& frame, const Rule& rule,
-                  const std::vector<T>& load, std::vector<T>& out, std::vector<double>& flows,
+void sweep_domain(const AllEdgesRound<T>& round, const DomainPlan& plan, const Rule& rule,
                   const double* shares) {
-  const auto& edges = frame.base().edges();
-  const graph::EdgeMask* mask = frame.mask();
+  const auto& edges = round.frame.base().edges();
+  const graph::EdgeMask* mask = round.frame.mask();
+  const std::vector<T>& load = round.load;
+  std::vector<T>& out = round.out;
   const std::vector<graph::NodeId>& nodes = plan.nodes;
-  if (!nodes.empty() && std::size_t{nodes.back()} - nodes.front() + 1 == nodes.size()) {
+  if (nodes.empty()) return;
+  if (std::size_t{nodes.back()} - nodes.front() + 1 == nodes.size()) {
     std::copy_n(load.data() + nodes.front(), nodes.size(), out.data() + nodes.front());
   } else {
     for (const graph::NodeId u : nodes) out[u] = load[u];
@@ -150,67 +283,86 @@ void sweep_domain(const DomainPlan& plan, const graph::TopologyFrame& frame, con
   const auto apply_cuts = [&](std::size_t end) {
     for (; j < end; ++j) core::add_flow(out[plan.cut_nodes[j]], shares[j]);
   };
+
+  // The walk's chunk c, from the one holding the domain's first node to
+  // the one holding its last: its edges end at c_end, and `next` is its
+  // first edge not yet counted.
+  std::size_t c = nodes.front() / core::kSummaryChunkWidth;
+  const std::size_t last = nodes.back() / core::kSummaryChunkWidth;
+  bool whole = false;
+  std::size_t next = 0;
+  std::size_t c_end = 0;
+  ChunkCount<T> count;
+  const auto open = [&] {
+    whole = owns_all(nodes, round.chunk_lo(c), round.chunk_hi(c));
+    next = round.index.chunk_begin(c);
+    c_end = round.index.chunk_begin(c + 1);
+    count = {};
+  };
+  // A whole chunk's edges [next, end) outside the runs are owned cut edges.
+  const auto count_cut_edges = [&](std::size_t end) {
+    for (; next < end; ++next) {
+      if (kMasked && !mask->alive(next)) continue;
+      count.add(static_cast<T>(round.flows[next]));
+    }
+  };
+  const auto close = [&] {
+    if (whole) {
+      count_cut_edges(c_end);
+      const std::size_t terms = c_end - round.index.chunk_begin(c);
+      if (!count.finish(round.stats[c], terms)) round.stats[c] = round.count_chunk(rule, c);
+      round.finish_nodes(c);
+    }
+    if (++c <= last) open();
+  };
+  open();
   for (const SweepRun& run : plan.runs) {
     apply_cuts(run.cuts_before);
-    for (std::size_t k = run.first; k < run.last; ++k) {
-      if (kMasked && !mask->alive(k)) continue;
-      const graph::Edge& e = edges[k];
-      const T f = applied_flow<T>(rule, k, e, static_cast<double>(load[e.u]),
-                                  static_cast<double>(load[e.v]));
-      flows[k] = static_cast<double>(f);
-      apply_share(out[e.u], static_cast<T>(-f));
-      apply_share(out[e.v], f);
+    for (std::size_t k = run.first; k < run.last;) {
+      while (k >= c_end) close();
+      if (whole) count_cut_edges(k);
+      const std::size_t end = std::min<std::size_t>(run.last, c_end);
+      // A copy whose address is never taken, so no store to `out` may
+      // alias its counters and they stay in registers.
+      ChunkCount<T> run_count = count;
+      for (; k < end; ++k) {
+        if (kMasked && !mask->alive(k)) continue;
+        const graph::Edge& e = edges[k];
+        const T f = applied_flow<T>(rule, k, e, static_cast<double>(load[e.u]),
+                                    static_cast<double>(load[e.v]));
+        apply_share(out[e.u], static_cast<T>(-f));
+        apply_share(out[e.v], f);
+        run_count.add(f);
+      }
+      count = run_count;
+      next = end;
     }
   }
   apply_cuts(plan.cut_nodes.size());
+  while (c <= last) close();
 }
 
-/// The round's StepStats, and its summary when the engine requested one,
-/// folded per summary chunk at the barrier, chunks in parallel: a chunk
-/// counts the stored flows of its edges — those whose lower endpoint it
-/// holds, ascending from +0.0, dead ones skipped — and folds its nodes'
-/// new loads.  These are the fixed-chunk contracts of fold_chunk_stats
-/// and fused_sweep_with_summary, so nothing depends on the domains.
-template <bool kMasked, class T>
-core::StepStats fold_chunks(core::RoundContext<T>& ctx, util::ThreadPool* pool,
-                            const std::vector<double>& flows, const std::vector<T>& out) {
-  const graph::TopologyFrame& frame = ctx.frame();
-  const graph::EdgeMask* mask = frame.mask();
-  core::RunArena<T>& arena = ctx.arena();
-  const core::BlockedRoundPlan& index = arena.round_plan(frame.base());
-  const std::size_t n = out.size();
-  std::vector<core::StepStats>& stats = arena.chunk_stats();
-  stats.resize(core::summary_chunk_count(n));
-  std::vector<core::SummaryPartial<T>>& parts = arena.summary_parts();
-  const bool summarize = ctx.summary_requested();
-  if (summarize) parts.resize(stats.size());
-  const double average = ctx.summary_average();
-  const core::SummaryMode mode = ctx.summary_mode();
-  util::for_fixed_chunks(
-      pool, n, core::kSummaryChunkWidth, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-        core::StepStats s;
-        const std::size_t k_end = index.chunk_begin(c + 1);
-        for (std::size_t k = index.chunk_begin(c); k < k_end; ++k) {
-          if (kMasked && !mask->alive(k)) continue;
-          core::count_flow<T>(s, flows[k]);
-        }
-        stats[c] = s;
-        if (!summarize) return;
-        core::SummaryPartial<T> p;
-        core::summary_begin(p, out[lo]);
-        for (std::size_t u = lo; u < hi; ++u) core::summary_accumulate(p, out[u], average, mode);
-        parts[c] = p;
-      });
-  core::StepStats total;
-  for (const core::StepStats& s : stats) core::fold_chunk_stats(total, s);
-  if (summarize) ctx.publish_summary(core::combine_summary_partials(parts, n, average, mode));
-  return total;
+/// The barrier fold: the summary chunks no domain owns whole — they span
+/// two or more, as under strided or refined partitions or K = n — counted
+/// and finished once every sweep is done, chunks in parallel.  Together
+/// with the sweeps this is the fixed-chunk StepStats contract of
+/// fold_chunk_stats and the fixed-chunk summary of
+/// fused_sweep_with_summary, so nothing depends on the domains.
+template <class T, class Rule>
+void fold_spanning_chunks(const AllEdgesRound<T>& round, const Rule& rule, const HaloExchange& halo,
+                          util::ThreadPool* pool) {
+  util::for_fixed_chunks(pool, round.load.size(), core::kSummaryChunkWidth,
+                         [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                           if (owns_all(halo.plan(round.owner[lo]).nodes, lo, hi)) return;
+                           round.stats[c] = round.count_chunk(rule, c);
+                           round.finish_nodes(c);
+                         });
 }
 
 /// One kAllEdges round: the halo protocol around one sweep per domain.
-/// Domains write only their own nodes' outputs, their owned edges' flow
-/// slots and their own scratch slices, so phases need no synchronization
-/// beyond their barriers.
+/// Domains write only their own nodes' outputs, their owned cut edges'
+/// flow slots, their whole chunks' partials and their own scratch
+/// slices, so phases need no synchronization beyond their barriers.
 template <class T, class Rule>
 core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgram<T>& program,
                                const Rule& rule, std::vector<T>& load, Runtime<T>& rt,
@@ -219,9 +371,10 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
   const auto& edges = frame.base().edges();
   const bool masked = frame.masked();
   const std::size_t K = rt.map.domains();
-  std::vector<double>& flows = ctx.arena().flows();
+  core::RunArena<T>& arena = ctx.arena();
+  std::vector<double>& flows = arena.flows();
   flows.resize(edges.size());
-  std::vector<T>& out = ctx.arena().node_scratch();
+  std::vector<T>& out = arena.node_scratch();
   out.resize(load.size());
 
   // Phase A: every domain ships its boundary nodes' round-start loads.
@@ -273,7 +426,26 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
   rt.comm.deliver();
 
   // Phase C: stage each received flow as its incoming entry's share, then
-  // sweep; a post (SOS's β-combine) runs once per node on its final value.
+  // sweep, finishing the summary chunks the domain owns whole.
+  const std::size_t n = load.size();
+  std::vector<core::StepStats>& stats = arena.chunk_stats();
+  stats.resize(core::summary_chunk_count(n));
+  std::vector<core::SummaryPartial<T>>& parts = arena.summary_parts();
+  const bool summarize = ctx.summary_requested();
+  if (summarize) parts.resize(stats.size());
+  const double average = ctx.summary_average();
+  const core::SummaryMode mode = ctx.summary_mode();
+  const AllEdgesRound<T> round{frame,
+                               rt.map.owners(),
+                               load,
+                               out,
+                               flows,
+                               arena.round_plan(frame.base()),
+                               stats.data(),
+                               summarize ? parts.data() : nullptr,
+                               average,
+                               mode,
+                               program.post};
   for_each_domain(pool, K, [&](std::size_t d) {
     const DomainPlan& plan = rt.halo.plan(d);
     double* shares = rt.shares.data() + rt.slice[d].shares;
@@ -292,20 +464,19 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
       }
     }
     if (masked) {
-      sweep_domain<true>(plan, frame, rule, load, out, flows, shares);
+      sweep_domain<true>(round, plan, rule, shares);
     } else {
-      sweep_domain<false>(plan, frame, rule, load, out, flows, shares);
-    }
-    if (program.post) {
-      for (const graph::NodeId u : plan.nodes) out[u] = program.post(u, out[u], load[u]);
+      sweep_domain<false>(round, plan, rule, shares);
     }
   });
+  if (rt.spanning_chunks != 0) fold_spanning_chunks(round, rule, rt.halo, pool);
 
-  core::StepStats stats = masked ? fold_chunks<true>(ctx, pool, flows, out)
-                                 : fold_chunks<false>(ctx, pool, flows, out);
-  stats.links = program.links;
+  core::StepStats total;
+  for (const core::StepStats& s : stats) core::fold_chunk_stats(total, s);
+  if (summarize) ctx.publish_summary(core::combine_summary_partials(parts, n, average, mode));
+  total.links = program.links;
   load.swap(out);
-  return stats;
+  return total;
 }
 
 /// One kMatching round (dimension exchange): a vertex-disjoint edge set,

@@ -19,8 +19,10 @@
 // oracle's; each domain's sweep visits every edge incident to an owned
 // node in ascending base order with add_flow's per-edge update; and
 // round observability (StepStats totals, Φ/discrepancy summaries) is
-// folded per summary chunk at the barrier through the same deterministic
-// reductions the shared-memory engine uses.
+// folded per summary chunk — inside the sweep of the domain that owns
+// the chunk whole, at the barrier for a chunk that spans domains —
+// through the same deterministic reductions the shared-memory engine
+// uses.
 #pragma once
 
 #include <vector>

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "lb/check/invariants.hpp"
 #include "lb/core/diffusion.hpp"
 #include "lb/core/dimension_exchange.hpp"
 #include "lb/core/engine.hpp"
@@ -211,9 +210,8 @@ TEST(AllocAuditTest, StencilRoundsOnLargerToriDoNotAllocate) {
 /// round, so a round that built the masked view as a Graph would allocate
 /// every round.  Each run gets a fresh sequence (a sequence replays from
 /// round 1 only after reset()), made before the hook is armed.  Under
-/// LB_CHECK=1 the churn leg is left out: the opt-in invariant layer
-/// recounts every committed mask into fresh arrays (check::check_mask),
-/// and the environment switch overrides the config by design.
+/// LB_CHECK=1 every leg also runs the invariant layer, whose recount of
+/// each committed mask (check::check_mask) must not allocate either.
 template <class T>
 void expect_dynamic_rounds_allocation_free(const MakeBalancer<T>& make,
                                            const std::vector<T>& load0) {
@@ -226,7 +224,6 @@ void expect_dynamic_rounds_allocation_free(const MakeBalancer<T>& make,
       {"churn", [&g] { return lb::graph::make_churn_sequence(g, 0.9, 0.05, 3); }},
   };
   for (const auto& [name, make_sequence] : sequences) {
-    if (lb::check::env_enabled() && std::string(name) == "churn") continue;
     SCOPED_TRACE(name);
     auto short_seq = make_sequence();
     auto long_seq = make_sequence();

@@ -13,6 +13,9 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lb/core/diffusion.hpp"
@@ -463,6 +466,162 @@ TEST(ShardEngineTest, PerNodeSweepMatchesCoreForEveryRule) {
     run_matrix<double>(
         sweep_cases(), [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 59); },
         load0, g.name() + "/bernoulli", PartitionPolicy::kGreedyEdgeCut, {g.num_nodes()}, 20);
+  }
+}
+
+// ------------------------------------------------- the sweep's chunk fold
+//
+// A domain's sweep counts and finishes the summary chunks it owns whole;
+// the barrier pass finishes the chunks that span domains.  Each matrix
+// runs Real (with SOS's post) and Tokens, static and masked, at pools
+// {1, 2, hw}.
+
+/// A 64 × 64 torus: 4096 nodes, four summary chunks.
+Graph chunk_torus() { return lb::graph::make_torus2d(64, 64); }
+
+std::vector<std::int64_t> chunk_tokens(std::size_t n) {
+  lb::util::Rng rng(67);
+  return lb::workload::uniform_random<std::int64_t>(n, 1000 * static_cast<std::int64_t>(n),
+                                                    rng);
+}
+
+using SequenceFactory = std::function<std::unique_ptr<lb::graph::GraphSequence>()>;
+
+/// Static, churn and Bernoulli sequences over `g`.
+std::vector<std::pair<std::string, SequenceFactory>> chunk_sequences(const Graph& g) {
+  return {
+      {"static", [&g] { return lb::graph::make_static_sequence(g); }},
+      {"churn", [&g] { return lb::graph::make_churn_sequence(g, 0.9, 0.05, 71); }},
+      {"bernoulli", [&g] { return lb::graph::make_bernoulli_sequence(g, 0.8, 73); }},
+  };
+}
+
+/// Both scalars over every sequence of `g`, at each K in `ks`.
+void run_chunk_matrix(const Graph& g, const std::string& label, PartitionPolicy policy,
+                      const std::vector<std::size_t>& ks, std::size_t rounds = 20) {
+  for (const auto& [name, seq] : chunk_sequences(g)) {
+    run_matrix<double>(sweep_cases(), seq, sweep_load(g.num_nodes()), label + "/" + name,
+                       policy, ks, rounds);
+    run_matrix<std::int64_t>(discrete_cases(), seq, chunk_tokens(g.num_nodes()),
+                             label + "/" + name, policy, ks, rounds);
+  }
+}
+
+/// Whether domain owner(lo) owns every node of each summary chunk.
+std::vector<bool> whole_chunks(const OwnershipMap& map, std::size_t n) {
+  std::vector<bool> whole;
+  for (std::size_t lo = 0; lo < n; lo += lb::core::kSummaryChunkWidth) {
+    const std::size_t hi = std::min(n, lo + lb::core::kSummaryChunkWidth);
+    bool same = true;
+    for (std::size_t u = lo; u < hi; ++u) {
+      same = same && map.owner(static_cast<lb::graph::NodeId>(u)) ==
+                         map.owner(static_cast<lb::graph::NodeId>(lo));
+    }
+    whole.push_back(same);
+  }
+  return whole;
+}
+
+TEST(ShardEngineTest, ChunkLocalSweepMatchesCore) {
+  // Contiguous K ∈ {1, 2, 4} on 4096 nodes: every chunk lies in one
+  // domain, so the sweeps finish them all and no barrier pass runs.
+  const Graph g = chunk_torus();
+  for (const std::size_t k : {1, 2, 4}) {
+    const auto whole =
+        whole_chunks(OwnershipMap::build(g, k, PartitionPolicy::kContiguous), g.num_nodes());
+    EXPECT_EQ(std::count(whole.begin(), whole.end(), true), 4) << "K = " << k;
+  }
+  run_chunk_matrix(g, "local", PartitionPolicy::kContiguous, {1, 2, 4});
+}
+
+TEST(ShardEngineTest, MixedChunkSweepMatchesCore) {
+  // Contiguous K = 3: domains of 1366, 1365 and 1365 nodes, so chunks 0
+  // and 3 lie in one domain each and chunks 1 and 2 span two.
+  const Graph g = chunk_torus();
+  const auto whole =
+      whole_chunks(OwnershipMap::build(g, 3, PartitionPolicy::kContiguous), g.num_nodes());
+  EXPECT_EQ(whole, (std::vector<bool>{true, false, false, true}));
+  run_chunk_matrix(g, "mixed", PartitionPolicy::kContiguous, {3});
+}
+
+TEST(ShardEngineTest, SpanningChunkSweepMatchesCore) {
+  // Strided domains span every chunk, the refined greedy partitions of
+  // the 2049-node regular graph split some, and at K = n every chunk of a
+  // graph with more than one node spans.
+  const Graph torus = sweep_torus();
+  run_chunk_matrix(torus, "strided", PartitionPolicy::kStrided, {2, 4}, 12);
+  const Graph regular = sweep_regular();
+  for (const std::size_t k : kSweepDomains) {
+    const auto whole = whole_chunks(
+        OwnershipMap::build(regular, k, PartitionPolicy::kGreedyEdgeCut), regular.num_nodes());
+    EXPECT_NE(std::count(whole.begin(), whole.end(), false), 0) << "K = " << k;
+  }
+  run_chunk_matrix(regular, "greedy", PartitionPolicy::kGreedyEdgeCut, kSweepDomains, 12);
+  lb::util::Rng rng(53);
+  for (const Graph& g :
+       {lb::graph::make_torus2d(6, 6), lb::graph::make_named("regular", 40, rng)}) {
+    run_chunk_matrix(g, g.name() + "/per-node", PartitionPolicy::kGreedyEdgeCut,
+                     {g.num_nodes()}, 12);
+  }
+}
+
+TEST(ShardEngineTest, TokenCountAbove2To53MatchesCore) {
+  // A checkerboard of empty nodes and nodes of 2^50 + 987654321 tokens:
+  // each round-1 edge moves some 2^46 tokens, so each chunk's Σ|amount|
+  // is far past 2^53, where the double chain rounds and the sweep must
+  // recount it rather than convert its integer sum.
+  const Graph g = lb::graph::make_torus2d(32, 64);
+  std::vector<std::int64_t> load0(g.num_nodes());
+  for (std::size_t u = 0; u < load0.size(); ++u) {
+    load0[u] = (u / 64 + u) % 2 == 0 ? (std::int64_t{1} << 50) + 987654321 : 0;
+  }
+  EngineConfig cfg;
+  cfg.max_rounds = 1;
+  cfg.target_potential = 0.0;
+  cfg.record_trace = true;
+  auto alg = lb::core::make_diffusion_discrete();
+  std::vector<std::int64_t> load = load0;
+  const RunResult first = lb::core::run_static(*alg, g, load, cfg);
+  // Every edge joins a full node and an empty one, so every edge moved
+  // what node 0 lost over each of its four edges.  The two chunks' exact
+  // totals are past 2^53, and the seed's double chain rounds them.
+  const std::int64_t amount = (load0[0] - load[0]) / 4;
+  const double exact = static_cast<double>(amount) * static_cast<double>(g.num_edges());
+  EXPECT_GT(exact / 2, 0x1p53);
+  EXPECT_NE(first.trace[0].transferred, exact);
+  const std::vector<Case<std::int64_t>> cases = {
+      {"diffusion-disc", [] { return lb::core::make_diffusion_discrete(); }}};
+  run_matrix<std::int64_t>(
+      cases, [&] { return lb::graph::make_static_sequence(g); }, load0, "above-2^53",
+      PartitionPolicy::kContiguous, {1, 2, 3}, 8);
+  run_matrix<std::int64_t>(
+      cases, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 79); }, load0,
+      "above-2^53/bernoulli", PartitionPolicy::kStrided, {2}, 8);
+}
+
+TEST(ShardEngineTest, AutoBetaSosThrowsOnDisconnectedFirstRound) {
+  // This 40-node random regular graph's first Bernoulli(0.8) view is
+  // disconnected (γ = 1), so no optimal β exists.
+  lb::util::Rng rng(53);
+  const Graph g = lb::graph::make_named("regular", 40, rng);
+  const auto load0 = sweep_load(g.num_nodes());
+  EngineConfig cfg;
+  cfg.max_rounds = 5;
+  cfg.target_potential = 0.0;
+  {
+    auto sos = lb::core::make_sos();
+    auto seq = lb::graph::make_bernoulli_sequence(g, 0.8, 59);
+    std::vector<double> load = load0;
+    EXPECT_THROW(lb::core::run(*sos, *seq, load, cfg), std::invalid_argument);
+  }
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4}, g.num_nodes()}) {
+    ShardConfig shard;
+    shard.domains = k;
+    auto sos = lb::core::make_sos();
+    auto seq = lb::graph::make_bernoulli_sequence(g, 0.8, 59);
+    std::vector<double> load = load0;
+    EXPECT_THROW(lb::shard::run(*sos, *seq, load, cfg, shard), std::invalid_argument)
+        << "K = " << k;
   }
 }
 
