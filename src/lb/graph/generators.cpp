@@ -101,30 +101,40 @@ Graph make_grid2d(std::size_t a, std::size_t b) {
 // The big regular families build through GraphBuilder::build_stream: each
 // node emits its canonical upper neighbours (v > u) in closed form and in
 // ascending order, so the whole CSR assembles in two streaming passes with
-// no intermediate edge vector and no sorting anywhere.
+// no intermediate edge vector and no sorting anywhere.  The 2-D torus
+// runs the same fill, on the first call that reads its adjacency.
 
 Graph make_torus2d(std::size_t a, std::size_t b) {
   LB_ASSERT_MSG(a >= 3 && b >= 3, "torus sides must be >= 3 (simple graph)");
   std::ostringstream name;
   name << "torus2d(" << a << "x" << b << ")";
-  // Upper neighbours of u = (r, c), in ascending id order (a, b >= 3
-  // makes the four offsets 1 < b-1 < b < (a-1)b strictly ordered):
-  // right (c+1 < b), wrap-right owned by the row head (c == 0), down
-  // (r+1 < a), wrap-down owned by the column head (r == 0).
-  auto emit = [a, b](auto&& sink) {
-    for (std::size_t r = 0; r < a; ++r) {
-      for (std::size_t c = 0; c < b; ++c) {
-        const std::size_t u = r * b + c;
-        const auto uid = static_cast<NodeId>(u);
-        if (c + 1 < b) sink(uid, static_cast<NodeId>(u + 1));
-        if (c == 0) sink(uid, static_cast<NodeId>(u + b - 1));
-        if (r + 1 < a) sink(uid, static_cast<NodeId>(u + b));
-        if (r == 0) sink(uid, static_cast<NodeId>(u + (a - 1) * b));
-      }
-    }
-  };
-  Graph g = GraphBuilder::build_stream(a * b, name.str(), emit);
+  Graph g(a * b, name.str());
+  // Sides >= 3 give every node four distinct neighbours: m = 2n, degree 4.
+  g.m_ = 2 * a * b;
+  g.max_degree_ = 4;
+  g.min_degree_ = 4;
   g.torus_shape_ = TorusShape{a, b};
+  g.shared_->fill = [](const Graph& torus, Graph::Shared& s) {
+    const std::size_t rows = torus.torus_shape().rows;
+    const std::size_t cols = torus.torus_shape().cols;
+    // Upper neighbours of u = (r, c), in ascending id order (sides >= 3
+    // make the four offsets 1 < cols-1 < cols < (rows-1)cols strictly
+    // ordered): right (c+1 < cols), wrap-right owned by the row head
+    // (c == 0), down (r+1 < rows), wrap-down owned by the column head
+    // (r == 0).
+    Graph::fill_stream(s, torus.num_nodes(), [rows, cols](auto&& sink) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          const std::size_t u = r * cols + c;
+          const auto uid = static_cast<NodeId>(u);
+          if (c + 1 < cols) sink(uid, static_cast<NodeId>(u + 1));
+          if (c == 0) sink(uid, static_cast<NodeId>(u + cols - 1));
+          if (r + 1 < rows) sink(uid, static_cast<NodeId>(u + cols));
+          if (r == 0) sink(uid, static_cast<NodeId>(u + (rows - 1) * cols));
+        }
+      }
+    });
+  };
   return g;
 }
 

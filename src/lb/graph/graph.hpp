@@ -9,11 +9,22 @@
 // Memory layout (DESIGN.md §9): the CSR offsets live in a width-adaptive
 // util::IndexArray — uint32 whenever the incident-slot count 2m fits,
 // uint64 past the 2^32 boundary — and adjacency/edge storage is uint32
-// NodeIds throughout, so a million-node torus costs ~28 bytes/node of
-// topology instead of the seed's size_t-heavy layout.
+// NodeIds throughout, so a 4-regular torus costs 36 bytes/node of
+// topology (4 of offsets, 16 of adjacency, 16 of edge list) instead of
+// the seed's size_t-heavy layout.
+//
+// Construction (DESIGN.md §9.1): every generator but make_torus2d fills
+// the arrays when it makes the graph.  A make_torus2d graph is made with
+// everything a stencil round reads — n, m, its degrees, revision, name
+// and shape — and fills its arrays from the closed-form emission on the
+// first call that reads adjacency, so a stencil-only run never holds
+// them.  The arrays live in one holder that every copy shares.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -53,27 +64,36 @@ struct TorusShape {
 
 class Graph {
  public:
-  Graph() = default;
+  /// The empty graph: no nodes, revision 0.
+  Graph();
+  /// Copies share the CSR holder and the revision, so a copy (a move is
+  /// one) allocates nothing and every copy stays a valid graph.
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
 
-  std::size_t num_nodes() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
-  std::size_t num_edges() const { return edges_.size(); }
+  std::size_t num_nodes() const { return n_; }
+  std::size_t num_edges() const { return m_; }
 
-  /// Neighbours of node u (sorted ascending).
+  /// Neighbours of node u (sorted ascending).  Reads adjacency: the first
+  /// such call on a make_torus2d graph fills its CSR (the same for
+  /// degree, edges, has_edge and edge_index).
   std::span<const NodeId> neighbors(NodeId u) const;
 
   /// Degree of node u.  Inline: the per-edge denominator fills and the
   /// per-round flow rules call it once per endpoint.
   std::size_t degree(NodeId u) const {
     LB_ASSERT_MSG(u < num_nodes(), "node id out of range");
-    return static_cast<std::size_t>(offsets_[u + 1] - offsets_[u]);
+    const Shared& s = csr();
+    return static_cast<std::size_t>(s.offsets[u + 1] - s.offsets[u]);
   }
-  /// Maximum degree δ of the graph (0 for edgeless graphs).
+  /// Maximum degree δ of the graph (0 for edgeless graphs).  This and
+  /// the other counts below never fill a CSR.
   std::size_t max_degree() const { return max_degree_; }
   std::size_t min_degree() const { return min_degree_; }
   double average_degree() const;
 
   /// All edges in canonical (u < v) order, sorted lexicographically.
-  const std::vector<Edge>& edges() const { return edges_; }
+  const std::vector<Edge>& edges() const { return csr().edges; }
 
   bool has_edge(NodeId u, NodeId v) const;
 
@@ -81,7 +101,7 @@ class Graph {
   bool is_regular() const { return max_degree_ == min_degree_; }
 
   /// Human-readable label attached by the generator ("torus2d(16x16)" etc).
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return shared_->name; }
 
   /// The 2-D torus shape make_torus2d recorded, or an empty shape.  Only
   /// that generator sets it, so it always describes this edge list:
@@ -103,27 +123,103 @@ class Graph {
   std::size_t edge_index(NodeId u, NodeId v) const;
 
   /// Resident bytes of the topology arrays (offsets + adjacency + edge
-  /// list) — the numerator of the bytes/node scale metric.
+  /// list) — the numerator of the bytes/node scale metric.  0 for a
+  /// make_torus2d graph whose CSR no call has filled yet.
   std::size_t memory_bytes() const {
-    return offsets_.size_bytes() + adjacency_.size() * sizeof(NodeId) +
-           edges_.size() * sizeof(Edge);
+    const Shared& s = *shared_;
+    if (!s.built.load(std::memory_order_acquire)) return 0;
+    return s.offsets.size_bytes() + s.adjacency.size() * sizeof(NodeId) +
+           s.edges.size() * sizeof(Edge);
   }
 
  private:
   friend class GraphBuilder;
   friend Graph make_torus2d(std::size_t a, std::size_t b);
 
-  /// Degree extrema from the finished offsets array (shared build tail).
-  void finalize_degree_stats();
+  /// What every copy shares: the label and the CSR arrays.  The arrays
+  /// are written once — when the graph is made, or by `fill` on first
+  /// use, under `fill_mutex` — and `built` is released after them.
+  struct Shared {
+    explicit Shared(bool built_now = false) : built(built_now) {}
 
-  util::IndexArray offsets_;       // CSR offsets, n+1 entries (narrow when 2m < 2^32)
-  std::vector<NodeId> adjacency_;  // concatenated sorted neighbour lists
-  std::vector<Edge> edges_;        // canonical edge list
+    std::atomic<bool> built;
+    bool wide_indices = false;  // the offsets' width, fixed when the graph is made
+    void (*fill)(const Graph&, Shared&) = nullptr;
+    std::mutex fill_mutex;
+    std::string name;
+    util::IndexArray offsets;        // CSR offsets, n+1 entries (narrow when 2m < 2^32)
+    std::vector<NodeId> adjacency;   // concatenated sorted neighbour lists
+    std::vector<Edge> edges;         // canonical edge list
+  };
+
+  /// A graph on `num_nodes` nodes with a fresh revision and no arrays.
+  Graph(std::size_t num_nodes, std::string name);
+  /// The empty graph's holder: built, empty and never written.
+  static Shared& empty_shared();
+
+  /// The CSR arrays: one acquire load and a predicted branch once built.
+  const Shared& csr() const {
+    const Shared& s = *shared_;
+    if (!s.built.load(std::memory_order_acquire)) [[unlikely]] fill_csr();
+    return s;
+  }
+  [[gnu::cold, gnu::noinline]] void fill_csr() const;
+
+  /// Shared tail of the eager builds: m and the degree extrema from the
+  /// filled arrays, then mark them built.
+  void finish_build();
+
+  /// The streaming CSR fill (GraphBuilder::build_stream's contract):
+  /// `emit` runs twice, count pass then place pass.  A lexicographic
+  /// stream lands the edge list in order and every adjacency row sorted,
+  /// with one n+1 cursor array as the only temporary.
+  template <class EmitFn>
+  static void fill_stream(Shared& s, std::size_t num_nodes, EmitFn&& emit) {
+    // Pass 1: CSR degree per endpoint.
+    std::vector<std::size_t> cursor(num_nodes + 1, 0);
+    std::size_t m = 0;
+#ifndef NDEBUG
+    NodeId prev_u = 0;
+    NodeId prev_v = 0;
+#endif
+    emit([&](NodeId u, NodeId v) {
+      LB_DEBUG_ASSERT(u < v && v < num_nodes);
+#ifndef NDEBUG
+      LB_ASSERT_MSG(m == 0 || u > prev_u || (u == prev_u && v > prev_v),
+                    "build_stream emission must be lexicographic");
+      prev_u = u;
+      prev_v = v;
+#endif
+      ++cursor[u + 1];
+      ++cursor[v + 1];
+      ++m;
+    });
+    for (std::size_t i = 1; i <= num_nodes; ++i) cursor[i] += cursor[i - 1];
+    s.offsets.assign_copy(cursor, 2 * m, s.wide_indices);
+    s.edges.resize(m);
+    s.adjacency.resize(2 * m);
+
+    // Pass 2: place.  The sorted emission lands the edge list in
+    // canonical order as it comes, and each adjacency row receives its
+    // lower neighbours (x, w) in ascending x before its upper neighbours
+    // (w, y) in ascending y with every x < w < y — sorted rows, no sort.
+    std::size_t placed = 0;
+    emit([&](NodeId u, NodeId v) {
+      LB_DEBUG_ASSERT(placed < m);
+      s.edges[placed++] = Edge{u, v};
+      s.adjacency[cursor[u]++] = v;
+      s.adjacency[cursor[v]++] = u;
+    });
+    LB_ASSERT_MSG(placed == m, "build_stream passes emitted different streams");
+  }
+
+  std::size_t n_ = 0;
+  std::size_t m_ = 0;
   std::size_t max_degree_ = 0;
   std::size_t min_degree_ = 0;
   std::uint64_t revision_ = 0;
   TorusShape torus_shape_;
-  std::string name_;
+  std::shared_ptr<Shared> shared_;
 };
 
 /// Accumulates edges, validates them, and produces an immutable Graph.
@@ -147,8 +243,8 @@ class GraphBuilder {
   /// Build the immutable graph.  May be called once.  Edges are put in
   /// canonical order by a two-pass counting sort (stable by v, then by u)
   /// — O(m + n) instead of the comparison sort — and the cursor placement
-  /// of the sorted edge list emits each adjacency row already sorted, so
-  /// no per-row sort runs at all.
+  /// of the sorted edge list (the sort's bucket array, reused) emits each
+  /// adjacency row already sorted, so no per-row sort runs at all.
   Graph build();
 
   /// Streaming build: construct a Graph directly from an edge *stream*
@@ -160,57 +256,13 @@ class GraphBuilder {
   /// i.e. the canonical lexicographic edge order, which the structured
   /// generators (torus2d/3d, hypercube) can emit closed-form.  Both the
   /// edge list and every adjacency row then land sorted with no sort and
-  /// no temporary beyond two n+1 cursor arrays.
+  /// no temporary beyond one n+1 cursor array.
   template <class EmitFn>
   static Graph build_stream(std::size_t num_nodes, std::string name, EmitFn&& emit) {
     LB_ASSERT_MSG(num_nodes >= 1, "graph needs at least one node");
-    Graph g;
-    g.revision_ = detail::next_graph_revision();
-    g.name_ = std::move(name);
-
-    // Pass 1: count canonical edges per u and CSR degree per endpoint.
-    std::vector<std::size_t> edge_cursor(num_nodes + 1, 0);
-    std::vector<std::size_t> adj_cursor(num_nodes + 1, 0);
-#ifndef NDEBUG
-    NodeId prev_u = 0;
-    NodeId prev_v = 0;
-    bool first_emission = true;
-#endif
-    emit([&](NodeId u, NodeId v) {
-      LB_DEBUG_ASSERT(u < v && v < num_nodes);
-#ifndef NDEBUG
-      LB_ASSERT_MSG(first_emission || u > prev_u || (u == prev_u && v > prev_v),
-                    "build_stream emission must be lexicographic");
-      first_emission = false;
-      prev_u = u;
-      prev_v = v;
-#endif
-      ++edge_cursor[u + 1];
-      ++adj_cursor[u + 1];
-      ++adj_cursor[v + 1];
-    });
-    for (std::size_t i = 1; i <= num_nodes; ++i) {
-      edge_cursor[i] += edge_cursor[i - 1];
-      adj_cursor[i] += adj_cursor[i - 1];
-    }
-    const std::size_t m = edge_cursor[num_nodes];
-    g.offsets_.assign_copy(adj_cursor, 2 * m);
-    g.edges_.resize(m);
-    g.adjacency_.resize(2 * m);
-
-    // Pass 2: place.  The sorted emission makes edges_ land in canonical
-    // order directly, and each adjacency row receives its lower neighbours
-    // (x, w) in ascending x before its upper neighbours (w, y) in
-    // ascending y with every x < w < y — sorted rows, no sort.
-    std::size_t placed = 0;
-    emit([&](NodeId u, NodeId v) {
-      g.edges_[edge_cursor[u]++] = Edge{u, v};
-      g.adjacency_[adj_cursor[u]++] = v;
-      g.adjacency_[adj_cursor[v]++] = u;
-      ++placed;
-    });
-    LB_ASSERT_MSG(placed == m, "build_stream passes emitted different streams");
-    g.finalize_degree_stats();
+    Graph g(num_nodes, std::move(name));
+    Graph::fill_stream(*g.shared_, num_nodes, emit);
+    g.finish_build();
     return g;
   }
 

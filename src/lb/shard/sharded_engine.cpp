@@ -217,9 +217,12 @@ struct AllEdgesRound {
   /// Chunk c's StepStats by the seed's double chain: its edges ascending,
   /// dead ones skipped, each flow as the round computed it — re-evaluated
   /// from the round-start loads for an edge inside one domain (flows are
-  /// pure), its owner's stored flow for a cut edge.
+  /// pure), its owner's stored flow for a cut edge.  Out of line and cold:
+  /// a sweep recounts only past 2^53 tokens, and each of its
+  /// instantiations would otherwise carry this loop.
   template <class Rule>
-  core::StepStats count_chunk(const Rule& rule, std::size_t c) const {
+  [[gnu::noinline, gnu::cold]] core::StepStats count_chunk(const Rule& rule,
+                                                           std::size_t c) const {
     const auto& edges = frame.base().edges();
     core::StepStats s;
     for (std::size_t k = index.chunk_begin(c); k < index.chunk_begin(c + 1); ++k) {
@@ -235,8 +238,11 @@ struct AllEdgesRound {
   }
 
   /// Chunk c's nodes are final: run the post on them (SOS's β-combine),
-  /// then fold the chunk's Φ/K partial.
-  void finish_nodes(std::size_t c) const {
+  /// then fold the chunk's Φ/K partial.  Out of line: it does not depend
+  /// on the rule, so the sweep's instantiations share one copy per
+  /// scalar.  Not cold: it folds every node each round, and GCC compiles
+  /// a cold function for size.
+  [[gnu::noinline]] void finish_nodes(std::size_t c) const {
     const std::size_t lo = chunk_lo(c);
     const std::size_t hi = chunk_hi(c);
     if (post) {

@@ -49,9 +49,10 @@ class IndexArray {
   IndexArray() = default;
 
   /// Size to `count` zero-filled slots, choosing storage wide enough for
-  /// values up to `max_value` inclusive.
-  void reset(std::size_t count, std::uint64_t max_value) {
-    narrow_ = fits_narrow(max_value) && !force_wide_indices();
+  /// values up to `max_value` inclusive (always wide when `force_wide`).
+  void reset(std::size_t count, std::uint64_t max_value,
+             bool force_wide = force_wide_indices()) {
+    narrow_ = fits_narrow(max_value) && !force_wide;
     if (narrow_) {
       wide_.clear();
       wide_.shrink_to_fit();
@@ -64,8 +65,9 @@ class IndexArray {
   }
 
   /// Copy an externally built (size_t) array, narrowing when it fits.
-  void assign_copy(const std::vector<std::size_t>& src, std::uint64_t max_value) {
-    reset(src.size(), max_value);
+  void assign_copy(const std::vector<std::size_t>& src, std::uint64_t max_value,
+                   bool force_wide = force_wide_indices()) {
+    reset(src.size(), max_value, force_wide);
     for (std::size_t i = 0; i < src.size(); ++i) set(i, src[i]);
   }
 

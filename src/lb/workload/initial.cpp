@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "lb/util/assert.hpp"
@@ -9,6 +10,18 @@
 namespace lb::workload {
 
 namespace {
+
+/// 0..n-1 in a uniformly random order.  Node ids are uint32 throughout, so
+/// the permutation is too: half the bytes of a size_t one to shuffle and
+/// scatter through, and the same order, since Rng::shuffle draws
+/// next_below(i) whatever the element type.
+std::vector<std::uint32_t> shuffled_ids(std::size_t n, util::Rng& rng) {
+  LB_ASSERT_MSG(n <= (std::uint64_t{1} << 32), "node ids must fit in uint32");
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  rng.shuffle(order);
+  return order;
+}
 
 /// Adjust an integer vector (non-negative entries) so its sum equals
 /// `total`, never driving an entry negative.  The bulk of the correction
@@ -111,9 +124,7 @@ std::vector<T> bimodal(std::size_t n, T total, util::Rng& rng) {
   const std::size_t heavy = n / 2;
   const double heavy_share = 0.9 * static_cast<double>(total);
   const double light_share = static_cast<double>(total) - heavy_share;
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
+  const std::vector<std::uint32_t> order = shuffled_ids(n, rng);
   for (std::size_t k = 0; k < n; ++k) {
     const double share = k < heavy ? heavy_share / static_cast<double>(heavy)
                                    : light_share / static_cast<double>(n - heavy);
@@ -143,9 +154,7 @@ std::vector<T> zipf(std::size_t n, T total, double exponent, util::Rng& rng) {
   }
   double wsum = 0.0;
   for (double w : weights) wsum += w;
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
+  const std::vector<std::uint32_t> order = shuffled_ids(n, rng);
   std::vector<T> load(n, T{});
   for (std::size_t rank = 0; rank < n; ++rank) {
     const double share = static_cast<double>(total) * weights[rank] / wsum;

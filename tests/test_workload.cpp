@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
 #include "lb/core/load.hpp"
 
 namespace {
@@ -202,6 +208,118 @@ TEST(SpikeTest, PotentialIsWorstCaseForGivenTotal) {
             lb::core::potential(lb::workload::bimodal<std::int64_t>(n, total, rng)));
   EXPECT_GE(spike_phi,
             lb::core::potential(lb::workload::zipf<std::int64_t>(n, total, 1.0, rng)));
+}
+
+// ------------------------------------------- size_t-permutation reference
+
+/// The generators' total fix, restated: the int64 bulk share and random
+/// remainder, and the double rescale.
+void reference_fix_total(std::vector<std::int64_t>& load, std::int64_t total,
+                         lb::util::Rng& rng) {
+  const auto n = static_cast<std::int64_t>(load.size());
+  std::int64_t sum = 0;
+  for (const std::int64_t v : load) sum += v;
+  if (sum < total && total - sum >= n) {
+    const std::int64_t share = (total - sum) / n;
+    for (std::int64_t& v : load) v += share;
+    sum += share * n;
+  }
+  while (sum > total) {
+    const std::int64_t share = (sum - total) / n;
+    if (share == 0) break;
+    for (std::int64_t& v : load) {
+      const std::int64_t cut = std::min(v, share);
+      v -= cut;
+      sum -= cut;
+    }
+  }
+  while (sum < total) {
+    ++load[static_cast<std::size_t>(rng.next_below(load.size()))];
+    ++sum;
+  }
+  while (sum > total) {
+    const auto i = static_cast<std::size_t>(rng.next_below(load.size()));
+    if (load[i] > 0) {
+      --load[i];
+      --sum;
+    }
+  }
+}
+
+void reference_fix_total(std::vector<double>& load, double total, lb::util::Rng&) {
+  double sum = 0.0;
+  for (const double v : load) sum += v;
+  if (sum <= 0.0) {
+    std::fill(load.begin(), load.end(), total / static_cast<double>(load.size()));
+    return;
+  }
+  const double scale = total / sum;
+  for (double& v : load) v *= scale;
+}
+
+/// bimodal and zipf as they were with a size_t permutation.
+std::vector<std::size_t> reference_order(std::size_t n, lb::util::Rng& rng) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(order);
+  return order;
+}
+
+template <class T>
+std::vector<T> reference_bimodal(std::size_t n, T total, lb::util::Rng& rng) {
+  std::vector<T> load(n, T{});
+  const std::size_t heavy = n / 2;
+  const double heavy_share = 0.9 * static_cast<double>(total);
+  const double light_share = static_cast<double>(total) - heavy_share;
+  const std::vector<std::size_t> order = reference_order(n, rng);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double share = k < heavy ? heavy_share / static_cast<double>(heavy)
+                                   : light_share / static_cast<double>(n - heavy);
+    load[order[k]] = static_cast<T>(share);
+  }
+  reference_fix_total(load, total, rng);
+  return load;
+}
+
+template <class T>
+std::vector<T> reference_zipf(std::size_t n, T total, double exponent, lb::util::Rng& rng) {
+  std::vector<double> weights(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), exponent);
+  }
+  double wsum = 0.0;
+  for (const double w : weights) wsum += w;
+  const std::vector<std::size_t> order = reference_order(n, rng);
+  std::vector<T> load(n, T{});
+  for (std::size_t rank = 0; rank < n; ++rank) {
+    load[order[rank]] = static_cast<T>(static_cast<double>(total) * weights[rank] / wsum);
+  }
+  reference_fix_total(load, total, rng);
+  return load;
+}
+
+/// Same loads bit for bit, and the same Rng state after, as the reference.
+template <class T>
+void expect_matches_size_t_reference() {
+  for (const std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{1000},
+                              std::size_t{1} << 20}) {
+    SCOPED_TRACE(n);
+    const T total = static_cast<T>(1000.0 * static_cast<double>(n) + 7.0);
+    lb::util::Rng rng(41 + n);
+    lb::util::Rng ref_rng(41 + n);
+    EXPECT_EQ(lb::workload::bimodal<T>(n, total, rng), reference_bimodal<T>(n, total, ref_rng));
+    EXPECT_EQ(lb::workload::zipf<T>(n, total, 1.1, rng),
+              reference_zipf<T>(n, total, 1.1, ref_rng));
+    EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+  }
+}
+
+TEST(WorkloadPermutationTest, BimodalAndZipfMatchSizeTPermutationTokens) {
+  expect_matches_size_t_reference<std::int64_t>();
+}
+
+TEST(WorkloadPermutationTest, BimodalAndZipfMatchSizeTPermutationReal) {
+  expect_matches_size_t_reference<double>();
 }
 
 }  // namespace
