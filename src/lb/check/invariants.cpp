@@ -464,7 +464,7 @@ void expected_all_edges_round_comm(const std::vector<shard::DomainPlan>& plans,
 
 template <class T>
 std::vector<RoundCommExpectation> expected_matching_round_comm(
-    const std::vector<std::uint32_t>& matched,
+    std::span<const std::uint32_t> matched,
     const std::vector<graph::Edge>& edges,
     const std::vector<std::uint32_t>& owner, std::size_t domains) {
   std::vector<RoundCommExpectation> expected(domains);
@@ -721,7 +721,7 @@ void check_torus_shape(const graph::Graph& g, std::size_t rows, std::size_t cols
       const std::vector<shard::DomainPlan>&, const graph::TopologyFrame&,      \
       std::vector<RoundCommExpectation>&);                                     \
   template std::vector<RoundCommExpectation> expected_matching_round_comm<T>(  \
-      const std::vector<std::uint32_t>&, const std::vector<graph::Edge>&,      \
+      std::span<const std::uint32_t>, const std::vector<graph::Edge>&,         \
       const std::vector<std::uint32_t>&, std::size_t);
 
 LB_INSTANTIATE(double)

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -178,7 +179,7 @@ void expected_all_edges_round_comm(const std::vector<shard::DomainPlan>& plans,
 /// messages count nonempty (sender, receiver) channels per superstep.
 template <class T>
 std::vector<RoundCommExpectation> expected_matching_round_comm(
-    const std::vector<std::uint32_t>& matched,
+    std::span<const std::uint32_t> matched,
     const std::vector<graph::Edge>& edges,
     const std::vector<std::uint32_t>& owner, std::size_t domains);
 

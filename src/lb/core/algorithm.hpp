@@ -1,5 +1,9 @@
 // The balancing-algorithm interface shared by Algorithm 1, Algorithm 2 and
-// every baseline.  One synchronous round = one step() call.
+// every baseline.  One synchronous round = one step() call.  A balancer
+// whose round is a flow rule (diffusion, FOS, SOS, dimension exchange)
+// writes it once, as plan_round()'s FlowProgram; step()'s default runs
+// that program, and the sharded engine runs the same program per domain.
+// The others (async, heterogeneous, random partner, OPS) override step().
 //
 // Contract for implementations:
 //   * step() reads the load vector as the round-start state L^{t-1},
@@ -55,7 +59,12 @@ class Balancer {
   /// node should honour a requested fused summary via
   /// ctx.publish_summary(); the engine falls back to a standalone
   /// deterministic reduction otherwise.
-  virtual StepStats step(RoundContext<T>& ctx, std::vector<T>& load) = 0;
+  ///
+  /// Default: plan_round() into the arena's program and run it in shared
+  /// memory — a kAllEdges program as run_blocked_round with its post, a
+  /// kMatching one as the matched pairs in matching order.  A balancer
+  /// that neither plans nor overrides this aborts, naming itself.
+  virtual StepStats step(RoundContext<T>& ctx, std::vector<T>& load);
 
   /// Deprecated pre-RoundContext signature, kept because a large body of
   /// tests and benches exercises it as the equivalence oracle.  Builds a
@@ -69,17 +78,16 @@ class Balancer {
   /// pattern (Algorithm 2's random partners).
   virtual bool uses_network() const { return true; }
 
-  /// Distributed-execution hook (lb/shard/): describe this round as a
-  /// FlowProgram — a pure per-edge flow function plus optional structure
-  /// (see flow_program.hpp) — and return true; the sharded engine then
-  /// replays the identical arithmetic through its ownership/halo
-  /// machinery instead of calling step().  All round-consumed RNG draws
-  /// (matchings) and trajectory-state updates (SOS's L^{t-1} flag,
-  /// dimension exchange's round-robin counter) must happen HERE, exactly
-  /// as step() would perform them, so planned and stepped runs consume
-  /// identical streams.  Default: not plannable — the sharded engine
-  /// falls back to step() for such rounds (shared-memory execution,
-  /// zero modeled comm).
+  /// Describe this round as a FlowProgram — a pure per-edge flow rule
+  /// plus optional structure (see flow_program.hpp) — and return true;
+  /// step()'s default then runs it in shared memory, and the sharded
+  /// engine (lb/shard/) runs the identical arithmetic through its
+  /// ownership/halo machinery.  All round-consumed RNG draws (matchings)
+  /// and trajectory-state updates (SOS's L^{t-1} flag, dimension
+  /// exchange's round-robin counter) happen HERE, once per round, so
+  /// both executors consume identical streams.  Default: not plannable —
+  /// such a balancer overrides step(), which the sharded engine then
+  /// calls for its rounds (shared-memory execution, zero modeled comm).
   virtual bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
     (void)ctx;
     (void)program;

@@ -52,7 +52,7 @@ StepStats AsyncDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
         li - lj, frame_diffusion_denominator(frame, e, rule, factor, degree_plus_one));
     return active[sender] != 0 ? f : 0.0;
   };
-  StepStats stats = run_blocked_round(ctx, ctx.pool(), load, flow_fn);
+  StepStats stats = run_blocked_round(ctx, load, flow_fn);
   stats.links = frame.num_edges();
   return stats;
 }

@@ -46,12 +46,12 @@ std::string DiffusionBalancer<T>::name() const {
 }
 
 template <class T>
-template <class Use>
-decltype(auto) DiffusionBalancer<T>::with_round_flow(RoundContext<T>& ctx, Use&& use) {
+bool DiffusionBalancer<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
   const graph::TopologyFrame& frame = ctx.frame();
   const DenominatorRule rule = cfg_.rule;
   const double factor = cfg_.factor;
   const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
+  program.links = frame.num_edges();
   if (!frame.masked() &&
       (rule == DenominatorRule::kDegreePlusOne || frame.base().is_regular())) {
     // One denominator for every edge — δ + 1 always, factor·δ on a
@@ -62,28 +62,15 @@ decltype(auto) DiffusionBalancer<T>::with_round_flow(RoundContext<T>& ctx, Use&&
                              : factor * static_cast<double>(frame.max_degree());
     if (int exponent = 0; std::frexp(denom, &exponent) == 0.5) {
       // A power of two, such as the paper's 4·δ on a 4-regular torus.
-      return use(UniformDiffusionShare<T, true>{1.0 / denom});
+      program.flow = UniformDiffusionShare<T, true>{1.0 / denom};
+    } else {
+      program.flow = UniformDiffusionShare<T, false>{denom};
     }
-    return use(UniformDiffusionShare<T, false>{denom});
+  } else {
+    // The frame outlives the round (it lives in the sequence), so a
+    // planned rule may hold it.
+    program.flow = FrameDiffusionShare<T>{&frame, rule, factor, degree_plus_one};
   }
-  // The frame outlives the round (it lives in the sequence), so a
-  // planned rule may hold it.
-  return use(FrameDiffusionShare<T>{&frame, rule, factor, degree_plus_one});
-}
-
-template <class T>
-StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
-  LB_ASSERT_MSG(load.size() == ctx.frame().num_nodes(), "load vector does not match graph");
-  StepStats stats = with_round_flow(
-      ctx, [&](const auto& flow) { return run_blocked_round(ctx, ctx.pool(), load, flow); });
-  stats.links = ctx.frame().num_edges();
-  return stats;
-}
-
-template <class T>
-bool DiffusionBalancer<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
-  program.links = ctx.frame().num_edges();
-  with_round_flow(ctx, [&program](const auto& flow) { program.flow = flow; });
   return true;
 }
 

@@ -132,27 +132,19 @@ class DiffusionBalancer final : public Balancer<T> {
   explicit DiffusionBalancer(DiffusionConfig cfg = {});
 
   std::string name() const override;
-  using Balancer<T>::step;  // keep the deprecated (g, load, rng) shim visible
-  StepStats step(RoundContext<T>& ctx, std::vector<T>& load) override;
 
-  /// Sharded replay (flow_program.hpp): the identical flow rule step()
-  /// runs, as its FlowRule alternative.
+  /// The round (flow_program.hpp): Algorithm 1's flow as a pair rule
+  /// (UniformDiffusionShare) when the frame is unmasked and every edge
+  /// has the same denominator (δ + 1, or factor·δ on a regular base), else
+  /// the per-edge FrameDiffusionShare (the frame's degrees; a mask's
+  /// alive-degrees, the identical doubles the materialized subgraph
+  /// gives).  No state: round scratch, the blocked round's plan and the
+  /// stencil's buffers come from the RoundContext.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
 
   const DiffusionConfig& config() const { return cfg_; }
 
  private:
-  // The one statement of this round's flow rule: calls use(flow) with the
-  // rule step() runs and plan_round() publishes — a pair rule
-  // (UniformDiffusionShare) when the frame is unmasked and every edge has
-  // the same denominator (δ + 1, or factor·δ on a regular base), else
-  // the per-edge FrameDiffusionShare (the frame's degrees; a mask's
-  // alive-degrees, the identical doubles the materialized subgraph
-  // gives).  No state: round scratch, the blocked round's plan and the
-  // stencil's buffers come from the RoundContext.
-  template <class Use>
-  decltype(auto) with_round_flow(RoundContext<T>& ctx, Use&& use);
-
   DiffusionConfig cfg_;
 };
 

@@ -1,6 +1,5 @@
 #include "lb/core/dimension_exchange.hpp"
 
-#include "lb/core/flow_ledger.hpp"
 #include "lb/core/flow_program.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/util/assert.hpp"
@@ -34,9 +33,7 @@ std::string DimensionExchange<T>::name() const {
 }
 
 template <class T>
-std::span<const std::uint32_t> DimensionExchange<T>::draw_matching(RoundContext<T>& ctx) {
-  // step() and plan_round() both draw here: the same frame, the same RNG
-  // stream, the same round-robin advance.
+bool DimensionExchange<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
   const graph::TopologyFrame& frame = ctx.frame();
   std::span<const std::uint32_t> ids;
   switch (strategy_) {
@@ -54,39 +51,9 @@ std::span<const std::uint32_t> DimensionExchange<T>::draw_matching(RoundContext<
     }
   }
   ++round_;
-  return ids;
-}
-
-template <class T>
-StepStats DimensionExchange<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
-  LB_ASSERT_MSG(load.size() == ctx.frame().num_nodes(), "load vector does not match graph");
-  const std::span<const std::uint32_t> ids = draw_matching(ctx);
-  const auto& edges = ctx.frame().base().edges();
-
-  // A matching touches each node at most once, so the pairs' transfers
-  // are independent: each endpoint takes its one ±share, and the stats
-  // accumulate in matching order.
-  StepStats stats;
-  stats.links = ids.size();
-  for (const std::uint32_t k : ids) {
-    const graph::Edge& e = edges[k];
-    const double f =
-        MatchedFlow<T>{}(static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
-    count_flow<T>(stats, f);
-    add_flow(load[e.u], -f);
-    add_flow(load[e.v], f);
-  }
-  return stats;
-}
-
-template <class T>
-bool DimensionExchange<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) {
-  // The draw's base edge ids, in matching order, so the replayed stats
-  // accumulate exactly like step()'s loop.
-  const std::span<const std::uint32_t> ids = draw_matching(ctx);
   program.support = FlowProgram<T>::Support::kMatching;
+  program.matched = ids;
   program.links = ids.size();
-  program.matched.assign(ids.begin(), ids.end());
   program.flow = MatchedFlow<T>{};
   return true;
 }

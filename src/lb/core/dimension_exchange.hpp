@@ -7,11 +7,13 @@
 // balances completely: the richer endpoint sends (ℓ_i − ℓ_j)/2
 // (⌊·⌋ for the discrete variant, as in §4 of [12]).  The matching is
 // drawn on the round's frame (graph/matching.hpp) as base edge ids, so a
-// masked round builds no Graph and a steady round allocates nothing.  A
-// matching touches each node at most once, so the round applies its
-// pairs directly, in matching order, with the per-edge update every
-// round shares (add_flow/count_flow, core/flow_ledger.hpp) —
-// O(|matching|) work at any pool size.
+// masked round builds no Graph and a steady round allocates nothing.  The
+// round is its plan: the draw, published without a copy, and the
+// matched-pair rule.  A matching touches each node at most once, so
+// Balancer::step's default applies the pairs directly, in matching
+// order, with the per-edge update every round shares
+// (add_flow/count_flow, core/flow_ledger.hpp) — O(|matching|) work at
+// any pool size.
 #pragma once
 
 #include <cmath>
@@ -59,12 +61,10 @@ class DimensionExchange final : public Balancer<T> {
       MatchingStrategy strategy = MatchingStrategy::kGhoshMuthukrishnan);
 
   std::string name() const override;
-  using Balancer<T>::step;
-  StepStats step(RoundContext<T>& ctx, std::vector<T>& load) override;
 
-  /// Sharded replay (flow_program.hpp): draws the round's matching from
-  /// ctx.rng() exactly as step() would (same stream position), exports
-  /// it as base edge ids in matching order, and describes the matched
+  /// The round (flow_program.hpp): draws the round's matching from
+  /// ctx.rng(), publishes it as base edge ids in matching order — a view
+  /// of scratch_, valid until the next draw — and describes the matched
   /// transfer ±⌊|ℓ_u − ℓ_v|/2⌋ as its MatchedFlow rule.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
 
@@ -76,10 +76,6 @@ class DimensionExchange final : public Balancer<T> {
   void on_run_begin() override { round_ = 0; }
 
  private:
-  /// This round's matching as base edge ids, in matching order (valid
-  /// until the next draw); advances the round-robin counter.
-  std::span<const std::uint32_t> draw_matching(RoundContext<T>& ctx);
-
   MatchingStrategy strategy_;
   std::size_t round_ = 0;  // for round-robin colour selection
   graph::MatchingScratch scratch_;  // the draws' rows and work arrays

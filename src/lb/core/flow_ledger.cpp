@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <cstddef>
 #include <limits>
+#include <new>
 
 #include "lb/util/assert.hpp"
 
@@ -16,34 +17,23 @@ std::size_t round_up_to_chunk(unsigned long long width) {
   return ((w + kSummaryChunkWidth - 1) / kSummaryChunkWidth) * kSummaryChunkWidth;
 }
 
-// Override state: -1 = no override (env/default applies).
+// Override state: -1 = no override (the default width applies).
 std::atomic<long long> g_block_width_override{-1};
 
-std::size_t env_block_width() {
-  static const std::size_t cached = [] {
-    if (const char* env = std::getenv("LB_BLOCK_NODES")) {
-      char* end = nullptr;
-      const long long parsed = std::strtoll(env, &end, 10);
-      if (end != env && parsed >= 0) {
-        return parsed == 0 ? std::size_t{0}
-                           : round_up_to_chunk(static_cast<unsigned long long>(parsed));
-      }
-    }
-    return std::size_t{16384};  // 128 KiB of int64 loads: L2-resident
-  }();
-  return cached;
-}
-
-/// Calls fn(k, v) for every edge k = (u, v) whose endpoints lie in
-/// different blocks of `width` nodes, in ascending k, with no division per
-/// edge: edges ascend in u, so the end of u's block only moves forward,
-/// and the edge is cut exactly when v (> u) lies at or past it.
+/// Calls fn(k, b, opens, cut) for every edge k = (u, v) in ascending
+/// order: b is u's block of `width` nodes, `opens` marks the block's first
+/// edge, and `cut` an edge whose v lies in a later block.  No division per
+/// edge: edges ascend in u, so the end of u's block only moves forward.
 template <class Fn>
-void for_each_cut_edge(const std::vector<graph::Edge>& edges, std::size_t width, Fn&& fn) {
-  const std::size_t m = edges.size();
-  for (std::size_t k = 0, end = width; k < m; ++k) {
-    while (edges[k].u >= end) end += width;
-    if (edges[k].v >= end) fn(k, edges[k].v);
+void for_each_edge_by_block(const std::vector<graph::Edge>& edges, std::size_t width, Fn&& fn) {
+  std::size_t b = 0;
+  for (std::size_t k = 0, end = width; k < edges.size(); ++k) {
+    bool opens = k == 0;
+    for (; edges[k].u >= end; end += width) {
+      ++b;
+      opens = true;
+    }
+    fn(k, b, opens, edges[k].v >= end);
   }
 }
 
@@ -51,12 +41,9 @@ void for_each_cut_edge(const std::vector<graph::Edge>& edges, std::size_t width,
 
 std::size_t blocked_round_width() {
   const long long override_width = g_block_width_override.load(std::memory_order_relaxed);
-  if (override_width >= 0) {
-    return override_width == 0
-               ? std::size_t{0}
-               : round_up_to_chunk(static_cast<unsigned long long>(override_width));
-  }
-  return env_block_width();
+  if (override_width < 0) return 16384;  // 128 KiB of int64 loads: L2-resident
+  return override_width == 0 ? std::size_t{0}
+                             : round_up_to_chunk(static_cast<unsigned long long>(override_width));
 }
 
 void set_blocked_width_override(long long width) {
@@ -81,12 +68,34 @@ void BlockedRoundPlan::rebuild(const graph::Graph& base, std::size_t width) {
     return (v / kSummaryChunkWidth) / chunks_per_block;
   };
 
+  // A cut edge is an entry of both its blocks, and a run starts at every
+  // uncut edge that opens its block or follows a cut one.
+  const auto count = [&](auto&& on_cut, auto&& on_run) {
+    bool after_cut = false;
+    for_each_edge_by_block(edges, width, [&](std::size_t k, std::size_t b, bool opens, bool cut) {
+      if (cut) {
+        on_cut(b, block_of(edges[k].v));
+      } else if (opens || after_cut) {
+        on_run(b);
+      }
+      after_cut = cut;
+    });
+  };
   std::size_t cuts = 0;
-  for_each_cut_edge(edges, width, [&](std::size_t, graph::NodeId) { ++cuts; });
-  index_.assign(chunks_ + 1 + blocks_ + 1 + cuts, 0);
-  std::uint32_t* chunk_begin = index_.data();
+  std::size_t runs = 0;
+  count([&](std::size_t, std::size_t) { ++cuts; }, [&](std::size_t) { ++runs; });
+  const std::size_t words = chunks_ + 1 + 2 * (blocks_ + 1) + 2 * cuts;
+  const std::size_t bytes = words * sizeof(std::uint32_t) + runs * sizeof(SweepRun);
+  if (bytes > capacity_) {
+    storage_.reset(new std::byte[bytes]);
+    capacity_ = bytes;
+  }
+  words_ = ::new (storage_.get()) std::uint32_t[words]();
+  runs_ = ::new (storage_.get() + words * sizeof(std::uint32_t)) SweepRun[runs];
+  std::uint32_t* chunk_begin = words_;
   std::uint32_t* cut_ptr = chunk_begin + chunks_ + 1;
-  std::uint32_t* cut_ids = cut_ptr + blocks_ + 1;
+  std::uint32_t* run_ptr = cut_ptr + blocks_ + 1;
+  std::uint32_t* cut_ids = run_ptr + blocks_ + 1;
 
   // Chunk slices: chunk_begin[c] is the first edge with u ≥ c·1024, found
   // by binary search in the sorted edge list.
@@ -97,17 +106,45 @@ void BlockedRoundPlan::rebuild(const graph::Graph& base, std::size_t width) {
   }
   chunk_begin[chunks_] = static_cast<std::uint32_t>(edges.size());
 
-  // Cut lists: count per receiving block, prefix-sum the counts into
-  // starts, append ids in ascending edge order (each cursor ends at its
-  // block's end), then shift back.
-  for_each_cut_edge(edges, width,
-                    [&](std::size_t, graph::NodeId v) { ++cut_ptr[block_of(v) + 1]; });
-  for (std::size_t b = 0; b < blocks_; ++b) cut_ptr[b + 1] += cut_ptr[b];
-  for_each_cut_edge(edges, width, [&](std::size_t k, graph::NodeId v) {
-    cut_ids[cut_ptr[block_of(v)]++] = static_cast<std::uint32_t>(k);
+  // Entries and runs per block, prefix-summed into starts.
+  count(
+      [&](std::size_t bu, std::size_t bv) {
+        ++cut_ptr[bu + 1];
+        ++cut_ptr[bv + 1];
+      },
+      [&](std::size_t b) { ++run_ptr[b + 1]; });
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    cut_ptr[b + 1] += cut_ptr[b];
+    run_ptr[b + 1] += run_ptr[b];
+  }
+
+  // Fill in ascending edge order, each block's entries through its own
+  // cursor: a block's incoming entries all precede its first edge, so
+  // they land before its outgoing ones.  Runs come out block by block, so
+  // one cursor writes them; a run records its block's cursor, made
+  // relative once the cursors are shifted back to the starts.
+  SweepRun* run = runs_;
+  SweepRun* open = nullptr;
+  for_each_edge_by_block(edges, width, [&](std::size_t k, std::size_t b, bool opens, bool cut) {
+    const auto id = static_cast<std::uint32_t>(k);
+    if (open != nullptr && (opens || cut)) {
+      open->last = id;
+      open = nullptr;
+    }
+    if (cut) {
+      cut_ids[cut_ptr[b]++] = id;
+      cut_ids[cut_ptr[block_of(edges[k].v)]++] = id;
+    } else if (open == nullptr) {
+      open = run++;
+      *open = {id, id, cut_ptr[b]};
+    }
   });
+  if (open != nullptr) open->last = static_cast<std::uint32_t>(edges.size());
   for (std::size_t b = blocks_; b > 0; --b) cut_ptr[b] = cut_ptr[b - 1];
   cut_ptr[0] = 0;
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    for (std::size_t r = run_ptr[b]; r < run_ptr[b + 1]; ++r) runs_[r].cuts_before -= cut_ptr[b];
+  }
 }
 
 void FlowLedger::rebuild(const graph::Graph& g) {

@@ -22,7 +22,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -36,9 +38,8 @@
 
 namespace lb::core {
 
-/// Node-block width of the blocked round (DESIGN.md §9.2), in nodes.
-/// Resolution order: set_blocked_width_override() ▸ the LB_BLOCK_NODES
-/// environment variable ▸ a 16384-node default (64–128 KiB of load
+/// Node-block width of the blocked round (DESIGN.md §9.2), in nodes:
+/// set_blocked_width_override()'s width, else 16384 (64–128 KiB of load
 /// vector — L2-resident on everything we target).  Always a multiple of
 /// kSummaryChunkWidth so summary chunks never straddle a block; 0 means
 /// one block spanning every node.  The width NEVER affects results —
@@ -46,7 +47,7 @@ namespace lb::core {
 /// only decides how the round is split into tasks.
 std::size_t blocked_round_width();
 
-/// Test/bench hook: width < 0 clears the override (back to env/default),
+/// Test/bench hook: width < 0 clears the override (back to the default),
 /// 0 forces a single block, > 0 is rounded up to a kSummaryChunkWidth
 /// multiple and used as the block width.
 void set_blocked_width_override(long long width);
@@ -97,13 +98,28 @@ inline void fold_chunk_stats(StepStats& total, const StepStats& chunk) {
   total.active_edges += chunk.active_edges;
 }
 
+/// Edges [first, last) of one sweep's own — consecutive base ids whose
+/// endpoints it both owns — which the sweep enters once its cut entries
+/// [0, cuts_before) are applied (round_context.hpp's sweep_domain).
+struct SweepRun {
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+  std::uint32_t cuts_before = 0;
+};
+
 /// The blocked round's per-topology index (DESIGN.md §9.2), keyed on
 /// (base revision, block width) and held in one allocation:
 ///   * chunk_begin(c) — the first edge whose canonical lower endpoint lies
 ///     in summary chunk c.  Edges are sorted by u, so chunk c's own edges
 ///     are [chunk_begin(c), chunk_begin(c + 1)).
-///   * cut_edges(b) — block b's incoming cut edges: edges owned by an
-///     earlier block (u < lo) whose upper endpoint v lies in b, ascending.
+///   * cut_entries(b) — block b's cut edges, ascending: first its
+///     incoming ones (u in an earlier block, v in b), then its outgoing
+///     ones (u in b, v in a later block).
+///   * runs(b) — block b's uncut edges (both endpoints in b), split at its
+///     outgoing cut entries, each with the count of b's entries before it.
+/// A block is the domain sweep's contiguous domain: its edges are
+/// [chunk_begin of its first chunk, chunk_begin past its last), so every
+/// incoming entry sorts before them and the outgoing ones among them.
 /// Masks kill edges, not index entries: masked rounds share their base's
 /// plan and skip dead edges as they walk it.
 class BlockedRoundPlan {
@@ -121,10 +137,15 @@ class BlockedRoundPlan {
   }
 
   std::size_t width() const { return width_; }
-  std::size_t chunk_begin(std::size_t c) const { return index_[c]; }
-  std::span<const std::uint32_t> cut_edges(std::size_t b) const {
-    const std::uint32_t* ptr = index_.data() + chunks_ + 1;
-    return {ptr + blocks_ + 1 + ptr[b], ptr[b + 1] - ptr[b]};
+  std::size_t chunk_begin(std::size_t c) const { return words_[c]; }
+  std::span<const std::uint32_t> cut_entries(std::size_t b) const {
+    const std::uint32_t* cut_ptr = words_ + chunks_ + 1;
+    const std::uint32_t* ids = cut_ptr + 2 * (blocks_ + 1);
+    return {ids + cut_ptr[b], cut_ptr[b + 1] - cut_ptr[b]};
+  }
+  std::span<const SweepRun> runs(std::size_t b) const {
+    const std::uint32_t* run_ptr = words_ + chunks_ + 1 + blocks_ + 1;
+    return {runs_ + run_ptr[b], run_ptr[b + 1] - run_ptr[b]};
   }
 
  private:
@@ -132,8 +153,13 @@ class BlockedRoundPlan {
   std::size_t width_ = 0;
   std::size_t chunks_ = 0;
   std::size_t blocks_ = 0;
-  // chunk_begin[chunks + 1] | cut_ptr[blocks + 1] | cut edge ids
-  std::vector<std::uint32_t> index_;
+  // The one allocation, kept while a rebuild fits it: the words
+  // chunk_begin[chunks + 1] | cut_ptr[blocks + 1] | run_ptr[blocks + 1] |
+  // cut entries, then the runs.
+  std::unique_ptr<std::byte[]> storage_;
+  std::size_t capacity_ = 0;  // bytes
+  std::uint32_t* words_ = nullptr;
+  SweepRun* runs_ = nullptr;
 };
 
 class FlowLedger {

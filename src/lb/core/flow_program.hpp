@@ -1,33 +1,34 @@
-// FlowProgram: a balancer round expressed as data, for distributed replay.
+// FlowProgram: a balancer round expressed as data.
 //
-// The shared-memory engine lets a balancer execute its round however it
-// likes inside step().  The sharded engine (lb/shard/) cannot: domains
-// must compute their owned edges' flows independently from halo copies of
-// boundary loads, so the round has to be *described* — a pure flow rule
-// plus optional structure — rather than executed.  A Balancer that can be
-// distributed implements plan_round() (see algorithm.hpp) by filling one
-// of these; the sharded engine then runs the identical arithmetic through
-// its ownership/halo machinery.
+// A Balancer that can be planned implements plan_round() (see
+// algorithm.hpp) by filling one of these — a pure flow rule plus optional
+// structure — and both executors run it: Balancer::step's default runs it
+// in shared memory, and the sharded engine (lb/shard/) runs the identical
+// arithmetic through its ownership/halo machinery, where domains compute
+// their owned edges' flows independently from halo copies of boundary
+// loads.  Each plannable round is thereby written once.
 //
 // The rule is a FlowRule: a closed set of the library's rule types plus
 // one type-erased alternative for caller-written rules.  An executor
 // visits it once per round and hands the concrete rule to a template
 // kernel, so no library rule is called through an indirection per edge.
+// The optional post (SOS's β-combine) is a plain value, BetaCombine.
 //
 // The bit-identity contract: replaying a program through
 //   compute-flows (ascending edge order, round-start snapshot)
 //   + per-node gather in ascending incident-edge order
 //   + optional per-node post combine
-// must produce the exact load vector step() produces.  Every rule below is
-// therefore required to be PURE in its stated inputs — flows may depend
-// only on (edge index, endpoints, the two endpoint loads at round start),
-// never on neighbouring loads or mutable state — because a remote domain
-// evaluates it against halo *copies* of those operands and copies of
-// doubles are bitwise verbatim.
+// must produce the seed's load vector (tests/seed_oracle.hpp).  Every
+// rule below is therefore required to be PURE in its stated inputs —
+// flows may depend only on (edge index, endpoints, the two endpoint loads
+// at round start), never on neighbouring loads or mutable state —
+// because a remote domain evaluates it against halo *copies* of those
+// operands and copies of doubles are bitwise verbatim.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -61,20 +62,6 @@ double rule_flow(const F& rule, std::size_t k, const graph::Edge& e, double lu, 
   }
 }
 
-/// `flow` in the per-edge form f(k, e, ℓ_u, ℓ_v) that the CSR round
-/// calls: a pair rule behind the one adapter that drops (k, e), any other
-/// flow unchanged.
-template <class F>
-auto edge_flow(const F& flow) {
-  if constexpr (PairFlowRule<F>) {
-    return [flow](std::size_t, const graph::Edge&, double lu, double lv) {
-      return flow(lu, lv);
-    };
-  } else {
-    return flow;
-  }
-}
-
 /// A round's flow rule: one of the library's rules, or a caller-written
 /// per-edge function.  Callable like the std::function it replaces —
 /// rule(k, e, ℓ_u, ℓ_v), `explicit operator bool`, assignment from a
@@ -82,7 +69,8 @@ auto edge_flow(const F& flow) {
 /// executors run it: one dispatch per round, then a template kernel.
 ///
 /// Assigning a library rule type stores it as itself; any other callable
-/// (a pair rule through edge_flow) is type-erased into EdgeFn.  No library
+/// (a pair rule behind an adapter that drops (k, e)) is type-erased into
+/// EdgeFn.  No library
 /// balancer publishes an EdgeFn: that alternative exists for rules written
 /// outside the library (tests, experiments), and costs an indirect call
 /// per edge.
@@ -121,27 +109,46 @@ class FlowRule {
                             UniformDiffusionShare<T, false>, FrameDiffusionShare<T>, FosFlow,
                             MatchedFlow<T>>;
 
-  template <class D, class V>
-  struct IsAlternative;
-  template <class D, class... Rs>
-  struct IsAlternative<D, std::variant<Rs...>>
-      : std::bool_constant<(std::is_same_v<D, Rs> || ...)> {};
-
   template <class F>
   void assign(F&& f) {
     using D = std::remove_cvref_t<F>;
     if constexpr (std::is_same_v<D, std::nullptr_t>) {
       rule_.template emplace<EdgeFn>();
-    } else if constexpr (IsAlternative<D, Rule>::value) {
+    } else if constexpr (std::is_constructible_v<Rule, std::in_place_type_t<D>, F>) {
+      // D is one of the alternatives.
       rule_.template emplace<D>(std::forward<F>(f));
     } else if constexpr (PairFlowRule<D>) {
-      rule_.template emplace<EdgeFn>(edge_flow(f));
+      rule_.template emplace<EdgeFn>(
+          [f](std::size_t, const graph::Edge&, double lu, double lv) { return f(lu, lv); });
     } else {
       rule_.template emplace<EdgeFn>(std::forward<F>(f));
     }
   }
 
   Rule rule_;
+};
+
+/// SOS's β-combine, the one per-node post a round may carry: node u's
+/// final value from `applied` = (M·L^t)_u and `before` = L^t_u —
+/// `applied` itself in the run's first round, β·applied + (1−β)·L^{t-1}_u
+/// after it — and then L^{t-1}_u <- `before`.  It touches only node u's
+/// state, so it runs exactly once per node, in any order across nodes:
+/// every all-edges kernel calls it inline on each summary chunk's final
+/// nodes, before the chunk's Φ/K fold.  A plain value; `prev` null means
+/// no post.
+template <class T>
+struct BetaCombine {
+  double beta = 0.0;
+  bool first = false;
+  T* prev = nullptr;  // L^{t-1}, the balancer's own vector
+
+  explicit operator bool() const { return prev != nullptr; }
+
+  T operator()(std::size_t u, T applied, T before) const {
+    const T next = first ? applied : static_cast<T>(beta * applied + (1.0 - beta) * prev[u]);
+    prev[u] = before;
+    return next;
+  }
 };
 
 template <class T>
@@ -156,30 +163,23 @@ struct FlowProgram {
     kMatching,
   };
 
-  /// Optional per-node combine applied after the flow apply: the node's
-  /// final value from (applied gather result, round-start value).  Runs
-  /// exactly once per node per round, in any order across nodes (it may
-  /// only touch per-node state, e.g. SOS's prev_[u]).
-  using PostFn = std::function<T(std::size_t u, T applied, T before)>;
-
   Support support = Support::kAllEdges;
   /// Signed flow for edge k = (e.u, e.v) from the round-start endpoint
-  /// loads; positive moves load u -> v.  Must reproduce the balancer's
-  /// step() flow for that edge bit for bit (same operand values, same
-  /// operation order).
+  /// loads; positive moves load u -> v.
   FlowRule<T> flow;
-  /// Base edge ids in matching order (kMatching only).  Ids index the
-  /// frame's BASE edge list, so masked rounds need no materialized view.
-  std::vector<std::uint32_t> matched;
-  PostFn post;
+  /// Base edge ids in matching order (kMatching only): a view of the
+  /// balancer's draw, valid until its next one.  Ids index the frame's
+  /// BASE edge list, so masked rounds need no materialized view.
+  std::span<const std::uint32_t> matched;
+  BetaCombine<T> post;
   /// StepStats::links for the round (|E| or matching size).
   std::size_t links = 0;
 
   void reset() {
     support = Support::kAllEdges;
     flow = nullptr;
-    matched.clear();
-    post = nullptr;
+    matched = {};
+    post = {};
     links = 0;
   }
 };

@@ -1,10 +1,11 @@
 // First-order scheme (FOS) of Cybenko [3] / Boillat [2]: L^{t+1} = M·L^t
 // with the uniform diffusion matrix M (α = 1/(δ+1)).
 //
-// Runs on the blocked round (core/round_context.hpp, DESIGN.md §9.2):
-// the edge flows α·(ℓ_u − ℓ_v) come from the round-start loads and each
-// node block gathers its own — equivalent to the matrix-vector form, and
-// bit-identical across thread counts and block widths.  The
+// Its round is its plan: the edge flows α·(ℓ_u − ℓ_v) from the
+// round-start loads, which Balancer::step's default runs as the blocked
+// round (core/round_context.hpp, DESIGN.md §9.2) — equivalent to the
+// matrix-vector form, and bit-identical across thread counts and block
+// widths.  The
 // discrete first-order scheme of Muthukrishnan–Ghosh–Schultz [15]
 // (integer flows, floored per edge) is the flow-form DiffusionBalancer
 // with DenominatorRule::kDegreePlusOne over Tokens; make_fos_discrete()
@@ -27,8 +28,7 @@ struct FosFlow {
 };
 
 /// FosFlow with α = 1/(δ+1) over the frame's (alive) max degree — the one
-/// statement of the rule that FOS and SOS's FOS half run in step() and
-/// publish from plan_round().
+/// statement of the rule that FOS and SOS's FOS half plan.
 inline FosFlow fos_flow(const graph::TopologyFrame& frame) {
   return FosFlow{1.0 / (static_cast<double>(frame.max_degree()) + 1.0)};
 }
@@ -36,11 +36,8 @@ inline FosFlow fos_flow(const graph::TopologyFrame& frame) {
 class FirstOrderScheme final : public Balancer<double> {
  public:
   std::string name() const override { return "fos"; }
-  using Balancer<double>::step;
-  StepStats step(RoundContext<double>& ctx, std::vector<double>& load) override;
 
-  /// Sharded replay (flow_program.hpp): fos_flow, the identical rule
-  /// step() runs.
+  /// The round (flow_program.hpp): fos_flow on every alive edge.
   bool plan_round(RoundContext<double>& ctx,
                   FlowProgram<double>& program) override;
 };

@@ -74,7 +74,7 @@ StepStats HeterogeneousDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& 
         4.0 * static_cast<double>(std::max(frame.degree(e.u), frame.degree(e.v)));
     return diffusion_share<T>((li / speed_[e.u] - lj / speed_[e.v]) * harmonic, denom);
   };
-  StepStats stats = run_blocked_round(ctx, ctx.pool(), load, flow_fn);
+  StepStats stats = run_blocked_round(ctx, load, flow_fn);
   stats.links = frame.num_edges();
   return stats;
 }

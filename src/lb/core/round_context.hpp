@@ -8,9 +8,10 @@
 // graph's topology epoch), and carries the engine's fused-summary request
 // so the metrics sweep can ride inside the apply phase instead of being a
 // second O(n) pass.  See DESIGN.md §3 for the contract.  The file ends
-// with the one all-edges round every edge-flow balancer runs
-// (run_blocked_round, DESIGN.md §9.2), and the torus stencil it runs on
-// unmasked 2-D tori (DESIGN.md §9.6).
+// with the one CSR all-edges kernel both executors run (sweep_domain,
+// DESIGN.md §7), the torus stencil for unmasked 2-D tori (§9.6), and the
+// shared-memory all-edges round that picks between them
+// (run_blocked_round, §9.2).
 //
 // Ownership model:
 //   * RunArena<T> lives for a whole run (the engine owns one per run; the
@@ -22,8 +23,12 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -84,6 +89,9 @@ class RunArena {
   /// The torus stencil's flow buffers (flows as the round applies them:
   /// Real flows, token amounts), one cache-sized slot per task.
   std::vector<T>& stencil_flows() { return stencil_flows_; }
+  /// The round's FlowProgram, as the executors have plan_round() fill it
+  /// (Balancer::step's default, the sharded engine).
+  FlowProgram<T>& program() { return program_; }
 
   /// No-op.  Rounds once cached the load vector across calls and callers
   /// had to drop that cache after mutating loads; the blocked round reads
@@ -98,6 +106,7 @@ class RunArena {
   std::vector<StepStats> chunk_stats_;
   BlockedRoundPlan round_plan_;
   std::vector<T> stencil_flows_;
+  FlowProgram<T> program_;
 };
 
 template <class T>
@@ -186,54 +195,313 @@ class RoundContext {
 
 namespace detail {
 
-// The block tasks of run_blocked_round_into, instantiated once per mask
-// state so unmasked rounds carry no liveness test.  `parts` is null when
-// no summary is folded.
-template <bool kMasked, class T, class FlowFn>
-void sweep_blocks(const graph::TopologyFrame& frame, const BlockedRoundPlan& plan,
-                  util::ThreadPool* pool, const std::vector<T>& load,
-                  std::vector<T>& out, StepStats* stats, SummaryPartial<T>* parts,
-                  double average, SummaryMode mode, const FlowFn& flow_fn) {
-  const auto& edges = frame.base().edges();
-  const graph::EdgeMask* mask = frame.mask();
-  const auto flow = [&edges, &load, &flow_fn](std::size_t k) {
-    const graph::Edge& e = edges[k];
-    return flow_fn(k, e, static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
+/// A flow as a round applies it: the flow itself for Real loads; for
+/// Tokens the whole-token amount add_flow and count_flow cut from it,
+/// static_cast<T>(f) — or the rule's own amount(), which states the same
+/// value (flow_program.hpp).  This form takes a pair rule, as the torus
+/// stencil, which has no edge to pass, calls it.
+template <class T, PairFlowRule Rule>
+T applied_flow(const Rule& rule, double lu, double lv) {
+  if constexpr (std::is_integral_v<T> && requires { rule.amount(lu, lv); }) {
+    return rule.amount(lu, lv);
+  } else {
+    return static_cast<T>(rule(lu, lv));
+  }
+}
+
+/// applied_flow for edge k = e under a rule of either form.
+template <class T, class Rule>
+T applied_flow(const Rule& rule, std::size_t k, const graph::Edge& e, double lu, double lv) {
+  if constexpr (PairFlowRule<Rule>) {
+    return applied_flow<T>(rule, lu, lv);
+  } else {
+    return static_cast<T>(rule(k, e, lu, lv));
+  }
+}
+
+/// add_flow on a share as applied_flow states it.  For Tokens, x += ±a is
+/// add_flow's x += T(±f): truncation is odd.
+template <class T>
+void apply_share(T& x, T share) {
+  if constexpr (std::is_integral_v<T>) {
+    x += share;
+  } else {
+    add_flow(x, share);
+  }
+}
+
+/// One summary chunk's StepStats as a sweep counts them, each edge's flow
+/// as applied_flow states it, in ascending edge order.  Real flows take
+/// the seed's double chain (count_flow).  finish() gets a bound on the
+/// number of terms, the chunk's edge count.
+template <class T>
+struct ChunkCount {
+  StepStats s;
+  void add(T f) { count_flow<T>(s, f); }
+  bool finish(StepStats& out, std::size_t) const {
+    out = s;
+    return true;
+  }
+};
+
+/// Token amounts are whole, so their magnitudes sum in an integer.  That
+/// equals the seed's double chain whenever the total is at most 2^53: every
+/// term and every partial sum is then an exactly representable integer.
+/// The sum runs modulo 2^64; `bits`, the OR of the terms, bounds them, so
+/// with the term count it proves the sum never wrapped.  finish() reports
+/// false when it cannot prove that, or when the total is past 2^53, and
+/// the caller recounts the chunk's double chain instead.
+template <std::integral T>
+struct ChunkCount<T> {
+  std::uint64_t moved = 0;
+  std::uint64_t bits = 0;
+  std::size_t active = 0;
+  void add(T a) {
+    const auto magnitude = static_cast<std::uint64_t>(a < 0 ? -a : a);
+    moved += magnitude;
+    bits |= magnitude;
+    active += a != 0 ? 1 : 0;
+  }
+  bool finish(StepStats& out, std::size_t terms) const {
+    // Every term is below 2^bit_width(bits), so the sum is below 2^64
+    // when the two widths add up to at most 64.
+    if (std::bit_width(bits) + std::bit_width(terms) > 64 || moved > (std::uint64_t{1} << 53)) {
+      return false;
+    }
+    out.transferred = static_cast<double>(moved);
+    out.active_edges = active;
+    return true;
+  }
+};
+
+/// The nodes one sweep owns, ascending: every node of [lo, hi), or only
+/// those in `list`, which then runs from lo to hi − 1.
+struct SweepNodes {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  std::span<const graph::NodeId> list;  // empty: all of [lo, hi)
+
+  /// True when the sweep owns every node of [clo, chi): for a list, its
+  /// first node at or past clo then starts chi − clo distinct ascending
+  /// ids, the last of which is chi − 1.
+  bool owns_all(std::size_t clo, std::size_t chi) const {
+    if (list.empty()) return lo <= clo && chi <= hi;
+    const auto it = std::lower_bound(list.begin(), list.end(), clo,
+                                     [](graph::NodeId u, std::size_t x) { return u < x; });
+    const auto len = static_cast<std::ptrdiff_t>(chi - clo);
+    return list.end() - it >= len && it[len - 1] == chi - 1;
+  }
+};
+
+/// One all-edges round as every sweep sees it: the round-start loads, the
+/// output, the plan's chunk slices (null for the torus stencil, which
+/// reads none), where each finished summary chunk writes its StepStats
+/// and Φ/K partial, and the round's post.
+template <class T>
+struct AllEdgesRound {
+  const graph::TopologyFrame& frame;
+  const std::vector<T>& load;
+  std::vector<T>& out;
+  const BlockedRoundPlan* index;
+  StepStats* stats;
+  SummaryPartial<T>* parts;  // null when no summary was requested
+  double average;
+  SummaryMode mode;
+  BetaCombine<T> post;
+
+  std::size_t chunk_lo(std::size_t c) const { return c * kSummaryChunkWidth; }
+  std::size_t chunk_hi(std::size_t c) const {
+    return std::min(load.size(), chunk_lo(c) + kSummaryChunkWidth);
+  }
+
+  /// Chunk c's StepStats by the seed's double chain: its edges ascending,
+  /// dead ones skipped, each flow as the round computed it (`cuts.flow`).
+  /// Out of line and cold: a sweep recounts only past 2^53 tokens, and
+  /// each of its instantiations would otherwise carry this loop.
+  template <class Cuts>
+  [[gnu::noinline, gnu::cold]] StepStats count_chunk(const Cuts& cuts, std::size_t c) const {
+    StepStats s;
+    for (std::size_t k = index->chunk_begin(c); k < index->chunk_begin(c + 1); ++k) {
+      if (frame.alive(k)) count_flow<T>(s, cuts.flow(k));
+    }
+    return s;
+  }
+
+  /// Chunk c's nodes are final: run the post on them (SOS's β-combine),
+  /// then fold the chunk's Φ/K partial.  Out of line: it does not depend
+  /// on the rule, so the sweep's instantiations share one copy per
+  /// scalar.  Not cold: it folds every node each round, and GCC compiles
+  /// a cold function for size.
+  [[gnu::noinline]] void finish_nodes(std::size_t c) const {
+    const std::size_t lo = chunk_lo(c);
+    const std::size_t hi = chunk_hi(c);
+    if (post) {
+      for (std::size_t u = lo; u < hi; ++u) out[u] = post(u, out[u], load[u]);
+    }
+    if (parts == nullptr) return;
+    SummaryPartial<T> p;
+    summary_begin(p, out[lo]);
+    for (std::size_t u = lo; u < hi; ++u) summary_accumulate(p, out[u], average, mode);
+    parts[c] = p;
+  }
+};
+
+/// The one CSR all-edges kernel (DESIGN.md §7, §9.2): one domain's sweep.
+/// It seeds the domain's nodes with their round-start loads, then walks
+/// its cut entries and its runs of own edges in ascending base order —
+/// each run edge's flow evaluated once from the round-start loads, each
+/// cut entry's share applied — so every owned node takes its ±flows in the
+/// seed's edge order.  `cuts` is where a cut flow comes from: its
+/// apply<kMasked>(j, out) applies cut entry j's share to its node, and
+/// flow(k) is edge k's flow as the round computed it.  A shared-memory
+/// block re-evaluates both from the round-start loads (EvaluatedCuts); a
+/// sharded domain stages them from its halo.
+///
+/// The walk also finishes every summary chunk the domain owns whole.  All
+/// of such a chunk's edges are the domain's: run edges, counted as they
+/// are applied, and between them its own cut edges, counted from
+/// cuts.flow.  Runs are split at chunk ends, so the inner loop makes no
+/// chunk test.  Every edge touching a chunk lies below the next chunk's
+/// first edge (its lower endpoint is at or before the chunk), so once the
+/// walk reaches that edge, with the cut entries before it applied, the
+/// chunk's nodes are final and finish_nodes runs.  Writes only its own
+/// nodes' `out` slots and its whole chunks' partials.
+template <bool kMasked, class T, class Rule, class Cuts>
+void sweep_domain(const AllEdgesRound<T>& round, const SweepNodes& nodes,
+                  std::span<const SweepRun> runs, std::size_t cut_entries, const Rule& rule,
+                  const Cuts& cuts) {
+  const auto& edges = round.frame.base().edges();
+  const graph::EdgeMask* mask = round.frame.mask();
+  const std::vector<T>& load = round.load;
+  std::vector<T>& out = round.out;
+  if (nodes.lo >= nodes.hi) return;
+  if (nodes.list.empty()) {
+    std::copy_n(load.data() + nodes.lo, nodes.hi - nodes.lo, out.data() + nodes.lo);
+  } else {
+    for (const graph::NodeId u : nodes.list) out[u] = load[u];
+  }
+  std::size_t j = 0;
+  const auto apply_cuts = [&](std::size_t end) {
+    for (; j < end; ++j) cuts.template apply<kMasked>(j, out.data());
   };
-  util::for_fixed_chunks(
-      pool, load.size(), plan.width(),
-      [&](std::size_t b, std::size_t lo, std::size_t hi) {
-        std::copy_n(load.data() + lo, hi - lo, out.data() + lo);
-        for (const std::uint32_t k : plan.cut_edges(b)) {
-          if (kMasked && !mask->alive(k)) continue;
-          add_flow(out[edges[k].v], flow(k));
-        }
-        T outside{};  // absorbs the e.v share of edges leaving the block
-        for (std::size_t c = lo / kSummaryChunkWidth; c * kSummaryChunkWidth < hi; ++c) {
-          StepStats s;
-          const std::size_t k_end = plan.chunk_begin(c + 1);
-          for (std::size_t k = plan.chunk_begin(c); k < k_end; ++k) {
-            if (kMasked && !mask->alive(k)) continue;
-            const graph::Edge& e = edges[k];
-            const double f = flow(k);
-            add_flow(out[e.u], -f);
-            add_flow(e.v < hi ? out[e.v] : outside, f);
-            count_flow<T>(s, f);
-          }
-          stats[c] = s;
-          if (parts == nullptr) continue;
-          // Every edge touching chunk c has its lower endpoint at or
-          // before the chunk, so its nodes are final here.
-          const std::size_t clo = c * kSummaryChunkWidth;
-          const std::size_t chi = std::min(clo + kSummaryChunkWidth, hi);
-          SummaryPartial<T> p;
-          summary_begin(p, out[clo]);
-          for (std::size_t u = clo; u < chi; ++u) {
-            summary_accumulate(p, out[u], average, mode);
-          }
-          parts[c] = p;
-        }
-      });
+
+  // The walk's chunk c, from the one holding the domain's first node to
+  // the one holding its last: its edges end at c_end, and `next` is its
+  // first edge not yet counted.
+  std::size_t c = nodes.lo / kSummaryChunkWidth;
+  const std::size_t last = (nodes.hi - 1) / kSummaryChunkWidth;
+  bool whole = false;
+  std::size_t next = 0;
+  std::size_t c_end = 0;
+  ChunkCount<T> count;
+  const auto open = [&] {
+    whole = nodes.owns_all(round.chunk_lo(c), round.chunk_hi(c));
+    next = round.index->chunk_begin(c);
+    c_end = round.index->chunk_begin(c + 1);
+    count = {};
+  };
+  // A whole chunk's edges [next, end) outside the runs are its own cut
+  // edges.
+  const auto count_cut_edges = [&](std::size_t end) {
+    for (; next < end; ++next) {
+      if (kMasked && !mask->alive(next)) continue;
+      count.add(static_cast<T>(cuts.flow(next)));
+    }
+  };
+  const auto close = [&] {
+    if (whole) {
+      count_cut_edges(c_end);
+      const std::size_t terms = c_end - round.index->chunk_begin(c);
+      if (!count.finish(round.stats[c], terms)) round.stats[c] = round.count_chunk(cuts, c);
+      round.finish_nodes(c);
+    }
+    if (++c <= last) open();
+  };
+  open();
+  for (const SweepRun& run : runs) {
+    apply_cuts(run.cuts_before);
+    for (std::size_t k = run.first; k < run.last;) {
+      while (k >= c_end) close();
+      if (whole) count_cut_edges(k);
+      const std::size_t end = std::min<std::size_t>(run.last, c_end);
+      // A copy whose address is never taken, so no store to `out` may
+      // alias its counters and they stay in registers.
+      ChunkCount<T> run_count = count;
+      for (; k < end; ++k) {
+        if (kMasked && !mask->alive(k)) continue;
+        const graph::Edge& e = edges[k];
+        const T f = applied_flow<T>(rule, k, e, static_cast<double>(load[e.u]),
+                                    static_cast<double>(load[e.v]));
+        apply_share(out[e.u], static_cast<T>(-f));
+        apply_share(out[e.v], f);
+        run_count.add(f);
+      }
+      count = run_count;
+      next = end;
+    }
+  }
+  apply_cuts(cut_entries);
+  while (c <= last) close();
+}
+
+/// Where a shared-memory block's cut flows come from: every load is
+/// local, so each is re-evaluated from the round-start loads.  The block
+/// [lo, ...) takes +f on the v side of an incoming entry (u below lo) and
+/// −f on the u side of an outgoing one; a dead edge's entry applies
+/// nothing.
+template <class T, class Rule>
+struct EvaluatedCuts {
+  const Rule& rule;
+  const std::vector<graph::Edge>& edges;
+  const graph::EdgeMask* mask;
+  const T* load;
+  const std::uint32_t* entries;  // the block's cut entries
+  std::size_t lo;                // the block's first node
+
+  template <bool kMasked>
+  void apply(std::size_t j, T* out) const {
+    const std::uint32_t k = entries[j];
+    if (kMasked && !mask->alive(k)) return;
+    const graph::Edge& e = edges[k];
+    const double f = flow(k);
+    add_flow(e.u < lo ? out[e.v] : out[e.u], e.u < lo ? f : -f);
+  }
+  // Out of line: cut edges are few, and the kernel's instantiations would
+  // otherwise each carry the rule twice more.
+  [[gnu::noinline]] double flow(std::size_t k) const {
+    const graph::Edge& e = edges[k];
+    return rule_flow(rule, k, e, static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
+  }
+};
+
+/// The frame both executors' all-edges rounds share: sizes the arena's
+/// output and chunk partials, hands `sweep` the round — whose kernels
+/// write every node of the output and every chunk's StepStats and, when a
+/// summary was requested, Φ/K partial — then folds the StepStats,
+/// publishes the summary and swaps the output into `load`, so a round may
+/// hand the caller's vector a different buffer.  `links` is left to the
+/// caller.
+template <class T, class Sweep>
+StepStats run_all_edges(RoundContext<T>& ctx, std::vector<T>& load,
+                        const BlockedRoundPlan* index, BetaCombine<T> post, Sweep&& sweep) {
+  RunArena<T>& arena = ctx.arena();
+  const std::size_t n = load.size();
+  std::vector<T>& out = arena.node_scratch();
+  out.resize(n);
+  std::vector<StepStats>& stats = arena.chunk_stats();
+  stats.resize(summary_chunk_count(n));
+  std::vector<SummaryPartial<T>>& parts = arena.summary_parts();
+  const bool summarize = ctx.summary_requested();
+  if (summarize) parts.resize(stats.size());
+  const double average = ctx.summary_average();
+  const SummaryMode mode = ctx.summary_mode();
+  sweep(AllEdgesRound<T>{ctx.frame(), load, out, index, stats.data(),
+                         summarize ? parts.data() : nullptr, average, mode, post});
+  StepStats total;
+  for (const StepStats& s : stats) fold_chunk_stats(total, s);
+  if (summarize) ctx.publish_summary(combine_summary_partials(parts, n, average, mode));
+  load.swap(out);
+  return total;
 }
 
 /// Summary chunks one torus-stencil group covers (DESIGN.md §9.6).  A
@@ -269,53 +537,44 @@ inline std::size_t count_nonzero(const double* f, std::size_t len) {
 ///          (column head, w), whose canonical u is the column head;
 /// and its flow is rule(ℓ_u, ℓ_v) in canonical orientation, the bits the
 /// CSR round computes; the buffers keep it as the round applies it
-/// (flow()).  Nodes run in groups of kStencilGroupWidth; a group [lo, hi)
-/// keeps, with j = w − lo,
+/// (applied_flow).  Nodes run in groups of kStencilGroupWidth; a group
+/// [lo, hi) keeps, with j = w − lo,
 ///   h[j + 1] = H(w), h[0] = H(lo − 1) (its first node's left flow) and
 ///              h[hi − lo + 1] = H of the tail of a row that runs past hi;
 ///   v[j + cols] = V(w), and v[j] the flow from the node above w — so
 ///              v[j] = V(w − cols) past the group's first row.
 /// h[0], h[hi − lo + 1] and the first row's up flows are the group's
 /// halo: flows another group owns, re-evaluated (flows are pure, so the
-/// bits are the same).
-template <class T, class Rule>
+/// bits are the same).  Only pass 1 reads the rule.
+template <class T>
 class TorusStencil {
  public:
-  TorusStencil(const graph::TorusShape& shape, const std::vector<T>& load,
-               std::vector<T>& out, const Rule& rule)
+  TorusStencil(const graph::TorusShape& shape, const AllEdgesRound<T>& round)
       : rows_(shape.rows),
         cols_(shape.cols),
         last_row_((shape.rows - 1) * shape.cols),
-        n_(load.size()),
+        n_(round.load.size()),
         span_(std::min(n_, kStencilGroupWidth)),
-        load_(load.data()),
-        out_(out.data()),
-        rule_(rule) {}
+        load_(round.load.data()),
+        out_(round.out.data()),
+        post_(round.post) {}
 
   /// Flow-buffer entries one task needs.
   std::size_t slot_size() const { return 2 * span_ + 2 + cols_; }
 
   /// Write out[lo, hi) of groups [first, last), in order on one buffer
-  /// slot, and the partials of their summary chunks (`parts` null: no
-  /// summary).
-  void run_groups(std::size_t first, std::size_t last, T* buf, StepStats* stats,
-                  SummaryPartial<T>* parts, double average, SummaryMode mode) const {
-    constexpr std::size_t kWidth = kStencilGroupWidth;
+  /// slot, run the post on them, and fold the partials of their summary
+  /// chunks (`parts` null: no summary).
+  template <class Rule>
+  void run_groups(std::size_t first, std::size_t last, T* buf, const Rule& rule,
+                  StepStats* stats, SummaryPartial<T>* parts, double average,
+                  SummaryMode mode) const {
     for (std::size_t group = first; group < last; ++group) {
-      const std::size_t lo = group * kWidth;
-      const std::size_t hi = std::min(n_, lo + kWidth);
+      const std::size_t lo = group * kStencilGroupWidth;
+      const std::size_t hi = std::min(n_, lo + kStencilGroupWidth);
       const Group g{lo, hi, lo == 0 ? 0 : lo / cols_, buf, buf + span_ + 2};
-      evaluate_flows(g);
-      write_nodes(g);
-      with_summary_mode(parts, mode, [&](auto summary, auto summary_mode) {
-        constexpr bool kSummary = decltype(summary)::value;
-        constexpr SummaryMode kMode = decltype(summary_mode)::value;
-        if (hi - lo == kWidth) {
-          fold_chunks<kSummary, kMode>(g, stats, parts, average);
-        } else {
-          fold_nodes<kSummary, kMode>(g, stats, parts, average);
-        }
-      });
+      evaluate_flows(g, [&rule](double lu, double lv) { return applied_flow<T>(rule, lu, lv); });
+      finish_group(g, stats, parts, average, mode);
     }
   }
 
@@ -334,41 +593,32 @@ class TorusStencil {
 
   double l(std::size_t w) const { return static_cast<double>(load_[w]); }
 
-  // An edge's flow as the round applies it: the flow itself for Real
-  // loads; for Tokens the whole-token amount add_flow and count_flow cut
-  // from it, static_cast<T>(f), cut once here — or the rule's own
-  // amount(), which states the same value (flow_program.hpp).
-  T flow(double lu, double lv) const {
-    if constexpr (requires { rule_.amount(lu, lv); }) {
-      return rule_.amount(lu, lv);
-    } else {
-      return static_cast<T>(rule_(lu, lv));
+  // Passes 2 and 3 of a group, with the post between them.  Out of line:
+  // they do not read the rule, so every rule's round shares one copy per
+  // scalar.
+  [[gnu::noinline]] void finish_group(const Group& g, StepStats* stats,
+                                      SummaryPartial<T>* parts, double average,
+                                      SummaryMode mode) const {
+    write_nodes(g);
+    if (post_) {
+      for (std::size_t w = g.lo; w < g.hi; ++w) out_[w] = post_(w, out_[w], load_[w]);
     }
+    with_summary_mode(parts, mode, [&](auto summary, auto summary_mode) {
+      constexpr bool kSummary = decltype(summary)::value;
+      constexpr SummaryMode kMode = decltype(summary_mode)::value;
+      if (g.hi - g.lo == kStencilGroupWidth) {
+        fold_chunks<kSummary, kMode>(g, stats, parts, average);
+      } else {
+        fold_nodes<kSummary, kMode>(g, stats, parts, average);
+      }
+    });
   }
 
-  // add_flow and count_flow on a flow as flow() stores it.  For Tokens,
-  // x += ±a is add_flow's x += T(±f) (truncation is odd), and the amount
-  // is what count_flow counts.
-  static void apply(T& x, T a) {
-    if constexpr (std::is_integral_v<T>) {
-      x += a;
-    } else {
-      add_flow(x, a);
-    }
-  }
-  static void count(StepStats& s, T a) {
-    if constexpr (std::is_integral_v<T>) {
-      s.transferred += static_cast<double>(a < 0 ? -a : a);
-      s.active_edges += a != 0 ? 1 : 0;
-    } else {
-      count_flow<T>(s, a);
-    }
-  }
-  // count() less a Real flow's active edge, which the caller counts for a
-  // whole run at once with the vectorized count_nonzero.
+  // count_flow less a Real flow's active edge, which the caller counts for
+  // a whole run at once with the vectorized count_nonzero.
   static void count_moved(StepStats& s, T a) {
     if constexpr (std::is_integral_v<T>) {
-      count(s, a);
+      count_flow<T>(s, a);
     } else {
       s.transferred += std::fabs(a);
     }
@@ -386,8 +636,9 @@ class TorusStencil {
   // flows (the wrap edges on row 0).  Then H and V of every node in one
   // sweep each.  The H sweep also evaluates ℓ_tail against the next row's
   // head, which is no edge, at every row tail; the tail's wrap flow then
-  // replaces it.
-  void evaluate_flows(const Group& g) const {
+  // replaces it.  flow(ℓ_u, ℓ_v) is the rule's applied_flow.
+  template <class Flow>
+  void evaluate_flows(const Group& g, const Flow& flow) const {
     const std::size_t lo = g.lo, hi = g.hi, b = cols_;
     T* h = g.h;
     T* v = g.v;
@@ -427,21 +678,21 @@ class TorusStencil {
     const auto row_pair = [&] {
       // A head's wrap neighbour sorts after its right one, a tail's
       // before its left one: both apply right, then left.
-      apply(x, kCol == ColKind::kInterior ? left : right);
-      apply(x, kCol == ColKind::kInterior ? right : left);
+      apply_share(x, kCol == ColKind::kInterior ? left : right);
+      apply_share(x, kCol == ColKind::kInterior ? right : left);
     };
     if constexpr (kRow == RowKind::kFirst) {
       row_pair();
-      apply(x, down);
-      apply(x, up);
+      apply_share(x, down);
+      apply_share(x, up);
     } else if constexpr (kRow == RowKind::kLast) {
-      apply(x, down);
-      apply(x, up);
+      apply_share(x, down);
+      apply_share(x, up);
       row_pair();
     } else {
-      apply(x, up);
+      apply_share(x, up);
       row_pair();
-      apply(x, down);
+      apply_share(x, down);
     }
     return x;
   }
@@ -475,10 +726,10 @@ class TorusStencil {
   void count_edges(const Group& g, std::size_t w, std::size_t row, std::size_t col,
                    StepStats& s) const {
     const std::size_t j = w - g.lo;
-    if (col + 1 < cols_) count(s, g.h[j + 1]);
-    if (col == 0) count(s, tail_flow(g, w));
-    if (row + 1 < rows_) count(s, g.v[j + cols_]);
-    if (row == 0) count(s, g.v[j]);
+    if (col + 1 < cols_) count_flow<T>(s, g.h[j + 1]);
+    if (col == 0) count_flow<T>(s, tail_flow(g, w));
+    if (row + 1 < rows_) count_flow<T>(s, g.v[j + cols_]);
+    if (row == 0) count_flow<T>(s, g.v[j]);
   }
 
   // Calls fn(summary, mode) with the round's summary request as
@@ -654,7 +905,7 @@ class TorusStencil {
   std::size_t span_;  // nodes of the widest group
   const T* load_;
   T* out_;
-  const Rule& rule_;
+  BetaCombine<T> post_;
 };
 
 /// Run the stencil over every group.  Tasks are slabs of consecutive
@@ -664,12 +915,9 @@ class TorusStencil {
 /// them, so the slab count, a function of the pool size, changes no bit.
 template <class T, class Rule>
 void run_torus_stencil(const graph::TorusShape& shape, util::ThreadPool* pool,
-                       const std::vector<T>& load, std::vector<T>& out,
-                       std::vector<T>& buffers, StepStats* stats,
-                       SummaryPartial<T>* parts, double average, SummaryMode mode,
-                       const Rule& rule) {
-  const TorusStencil<T, Rule> stencil(shape, load, out, rule);
-  const std::size_t groups = (load.size() + kStencilGroupWidth - 1) / kStencilGroupWidth;
+                       const AllEdgesRound<T>& round, std::vector<T>& buffers, const Rule& rule) {
+  const TorusStencil<T> stencil(shape, round);
+  const std::size_t groups = (round.load.size() + kStencilGroupWidth - 1) / kStencilGroupWidth;
   const std::size_t slabs =
       pool != nullptr && pool->size() > 1 ? std::min(groups, 4 * pool->size()) : 1;
   const std::size_t per_slab = (groups + slabs - 1) / slabs;
@@ -677,98 +925,60 @@ void run_torus_stencil(const graph::TorusShape& shape, util::ThreadPool* pool,
   buffers.resize((groups + per_slab - 1) / per_slab * slot);
   util::for_fixed_chunks(
       pool, groups, per_slab, [&](std::size_t slab, std::size_t first, std::size_t last) {
-        stencil.run_groups(first, last, buffers.data() + slab * slot, stats, parts, average,
-                           mode);
+        stencil.run_groups(first, last, buffers.data() + slab * slot, rule, round.stats,
+                           round.parts, round.average, round.mode);
       });
 }
 
 }  // namespace detail
 
-/// The one all-edges round (DESIGN.md §9.2): writes the round's loads
-/// into `out` from the round-start `load`, for every pool size, block
-/// width and mask.  Nodes are cut into blocks of blocked_round_width()
-/// nodes (a single block when the width is 0), each one for_fixed_chunks
-/// task that
-///   1. seeds out[lo,hi) from the round-start loads;
-///   2. applies its incoming cut edges — edges of earlier blocks whose v
-///      lies in the block — in ascending edge order, each flow recomputed
-///      from the round-start loads;
-///   3. sweeps its own edges (u in the block) in ascending order, each
-///      flow going to e.u and, when v lies in the block, to e.v;
-///   4. folds each summary chunk's Φ/K partial, and its StepStats
-///      partial, as soon as the chunk's nodes are final.
-/// Every node receives the same ±flows in ascending edge order — a
-/// block's cut edges have lower ids than its own — computed from
-/// round-start values, so `out` is bit-identical to the seed's edge sweep
-/// at every pool size, block width and mask.  A block writes only
-/// out[lo,hi) and its own chunks' partials, so blocks need no
-/// synchronization.  StepStats follow the fixed-chunk contract
-/// (fold_chunk_stats); `stats.links` is left to the caller.  With
-/// `observe` set, a summary the engine requested is folded over `out`
-/// and published — pass it only when `out` is the round's final load.
-/// `flow_fn` is a pair rule f(lu, lv) (PairFlowRule) or a per-edge rule
-/// f(k, e, lu, lv), pure in its inputs either way.  A pair rule on an
-/// unmasked frame whose base has a torus shape runs the torus stencil
+/// The shared-memory all-edges round (DESIGN.md §9.2): replaces `load`
+/// with the round's loads — for every pool size, block width and mask,
+/// bit-identical to the seed's edge sweep — and returns its StepStats
+/// (run_all_edges).  Nodes are cut into blocks of blocked_round_width()
+/// nodes (one block when the width is 0), and each block is one
+/// for_fixed_chunks task running the domain sweep (sweep_domain) over
+/// its node range, with its cut flows re-evaluated from the round-start
+/// loads: a block's incoming cut edges all have lower ids than its own,
+/// so every node receives the same ±flows in ascending edge order.  A
+/// block writes only its own nodes and its own chunks' partials, so
+/// blocks need no synchronization.  `post` runs on every node once it is
+/// final.  `rule` is a pair rule f(lu, lv) (PairFlowRule) or a per-edge
+/// rule f(k, e, lu, lv), pure in its inputs either way.  A pair rule on
+/// an unmasked frame whose base has a torus shape runs the torus stencil
 /// instead (DESIGN.md §9.6), with the same bits and no plan.
-template <class T, class FlowFn>
-StepStats run_blocked_round_into(RoundContext<T>& ctx, util::ThreadPool* pool,
-                                 const std::vector<T>& load, std::vector<T>& out,
-                                 bool observe, const FlowFn& flow_fn) {
+template <class T, class Rule>
+StepStats run_blocked_round(RoundContext<T>& ctx, std::vector<T>& load, const Rule& rule,
+                            BetaCombine<T> post = {}) {
   const graph::TopologyFrame& frame = ctx.frame();
-  const std::size_t n = frame.num_nodes();
-  LB_ASSERT_MSG(load.size() == n, "load vector does not match graph");
-  LB_ASSERT_MSG(&load != &out, "the blocked round cannot run in place");
-  RunArena<T>& arena = ctx.arena();
-  const std::size_t chunks = summary_chunk_count(n);
-
-  out.resize(n);
-  std::vector<StepStats>& stats = arena.chunk_stats();
-  stats.resize(chunks);
-  const bool summarize = observe && ctx.summary_requested();
-  std::vector<SummaryPartial<T>>& parts = arena.summary_parts();
-  if (summarize) parts.resize(chunks);
-  SummaryPartial<T>* parts_out = summarize ? parts.data() : nullptr;
-  const double average = ctx.summary_average();
-  const SummaryMode mode = ctx.summary_mode();
-  const auto csr_round = [&](const auto& edge_rule) {
-    const BlockedRoundPlan& plan = arena.round_plan(frame.base());
-    if (frame.masked()) {
-      detail::sweep_blocks<true>(frame, plan, pool, load, out, stats.data(), parts_out,
-                                 average, mode, edge_rule);
-    } else {
-      detail::sweep_blocks<false>(frame, plan, pool, load, out, stats.data(), parts_out,
-                                  average, mode, edge_rule);
-    }
-  };
-  if constexpr (PairFlowRule<FlowFn>) {
+  LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
+  if constexpr (PairFlowRule<Rule>) {
     const graph::TorusShape& shape = frame.base().torus_shape();
     if (!frame.masked() && !shape.empty()) {
-      detail::run_torus_stencil(shape, pool, load, out, arena.stencil_flows(), stats.data(),
-                                parts_out, average, mode, flow_fn);
-    } else {
-      csr_round(edge_flow(flow_fn));
+      return detail::run_all_edges(ctx, load, nullptr, post, [&](const auto& round) {
+        detail::run_torus_stencil(shape, ctx.pool(), round, ctx.arena().stencil_flows(), rule);
+      });
     }
-  } else {
-    csr_round(flow_fn);
   }
-
-  StepStats total;
-  for (const StepStats& s : stats) fold_chunk_stats(total, s);
-  if (summarize) ctx.publish_summary(combine_summary_partials(parts, n, average, mode));
-  return total;
-}
-
-/// run_blocked_round_into with the arena's node scratch as the output,
-/// swapped into `load` afterwards — so a round may hand the caller's
-/// vector a different buffer.  The round's final load is `load` itself,
-/// so a requested summary is always published.
-template <class T, class FlowFn>
-StepStats run_blocked_round(RoundContext<T>& ctx, util::ThreadPool* pool,
-                            std::vector<T>& load, const FlowFn& flow_fn) {
-  std::vector<T>& next = ctx.arena().node_scratch();
-  const StepStats stats = run_blocked_round_into(ctx, pool, load, next, true, flow_fn);
-  load.swap(next);
-  return stats;
+  const BlockedRoundPlan& plan = ctx.arena().round_plan(frame.base());
+  return detail::run_all_edges(ctx, load, &plan, post, [&](const auto& round) {
+    const auto blocks = [&](auto masked) {
+      util::for_fixed_chunks(
+          ctx.pool(), load.size(), plan.width(),
+          [&](std::size_t b, std::size_t lo, std::size_t hi) {
+            const std::span<const std::uint32_t> entries = plan.cut_entries(b);
+            const detail::EvaluatedCuts<T, Rule> cuts{
+                rule, frame.base().edges(), frame.mask(), load.data(), entries.data(), lo};
+            detail::sweep_domain<decltype(masked)::value>(round, {lo, hi, {}}, plan.runs(b),
+                                                          entries.size(), rule, cuts);
+          });
+    };
+    if (frame.masked()) {
+      blocks(std::true_type());
+    } else {
+      blocks(std::false_type());
+    }
+  });
 }
 
 }  // namespace lb::core

@@ -10,10 +10,10 @@
 // load but produces fractional (and possibly transiently negative)
 // intermediate loads, exactly as in [15].
 //
-// The M·L product is the FOS blocked round (core/round_context.hpp) into
-// SOS's own buffer, and the β-combination one fixed-chunk per-node sweep,
-// so every phase of a round is parallel and bit-identical across thread
-// counts.
+// The round is its plan: the FOS edge flow, whose gather is M·L, and the
+// β-combination as the program's post (BetaCombine, flow_program.hpp),
+// which every all-edges kernel runs on each node once its gather is
+// final — one pass, parallel and bit-identical across thread counts.
 #pragma once
 
 #include <memory>
@@ -33,13 +33,10 @@ class SecondOrderScheme final : public Balancer<double> {
   explicit SecondOrderScheme(std::optional<double> beta = std::nullopt);
 
   std::string name() const override { return "sos"; }
-  using Balancer<double>::step;
-  StepStats step(RoundContext<double>& ctx, std::vector<double>& load) override;
 
-  /// Sharded replay (flow_program.hpp): the FOS edge flow plus
-  /// next_load() as the per-node post combine — the one statement of the
-  /// β-recurrence step() also runs.  prev_ is per-node state, so the post
-  /// closure is safe to run from any domain.
+  /// The round (flow_program.hpp): the FOS edge flow, and the β-combine
+  /// over prev_ as the post.  prev_ is per-node state, so the post is
+  /// safe to run from any block or domain.
   bool plan_round(RoundContext<double>& ctx,
                   FlowProgram<double>& program) override;
 
@@ -58,20 +55,9 @@ class SecondOrderScheme final : public Balancer<double> {
   static double optimal_beta(double gamma);
 
  private:
-  /// Per-round setup shared by step() and plan_round(): derives the
-  /// auto-β on first use, sizes prev_, and returns true on the run's
-  /// first round (a plain FOS step), after which L^{t-1} is recorded.
-  bool begin_round(RoundContext<double>& ctx);
-
-  /// Node u's next load from `applied` = (M·L^t)_u and `before` = L^t_u:
-  /// `applied` itself on the first round, β·applied + (1−β)·L^{t-1}_u
-  /// otherwise; then L^{t-1}_u <- `before`.
-  double next_load(std::size_t u, double applied, double before, bool first);
-
   std::optional<double> configured_beta_;  // constructor argument, verbatim
-  std::optional<double> beta_;             // in effect (auto-filled on first step)
-  std::vector<double> prev_;     // L^{t-1} — algorithm state, not scratch
-  std::vector<double> scratch_;  // M·L^t
+  std::optional<double> beta_;             // in effect (auto-filled on first round)
+  std::vector<double> prev_;  // L^{t-1} — algorithm state, not scratch
   bool have_prev_ = false;
 };
 

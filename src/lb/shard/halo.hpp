@@ -17,7 +17,8 @@
 // the channel is a FIFO with no per-message framing.
 //
 // Each DomainPlan also carries the tables of its round sweep (DESIGN.md
-// §7): the runs of owned edges whose endpoints are both owned, and the
+// §7, core::detail::sweep_domain): the runs of owned edges whose
+// endpoints are both owned, and the
 // cut entries between them — each cut edge incident to an owned node, in
 // ascending base order, with the slot its flow is staged in.  Walking the
 // two merged visits every edge incident to an owned node in ascending
@@ -34,6 +35,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lb/core/flow_ledger.hpp"
 #include "lb/graph/graph.hpp"
 #include "lb/shard/ownership.hpp"
 
@@ -55,12 +57,8 @@ struct HaloLink {
 
 /// Owned edges [first, last) — consecutive base ids, both endpoints owned
 /// — which the sweep enters once the plan's cut entries [0, cuts_before)
-/// are applied.
-struct SweepRun {
-  std::uint32_t first = 0;
-  std::uint32_t last = 0;
-  std::uint32_t cuts_before = 0;
-};
+/// are applied.  The blocked round's plan holds the same runs per block.
+using core::SweepRun;
 
 struct DomainPlan {
   /// Owned nodes, ascending (== OwnershipMap::nodes(d)).

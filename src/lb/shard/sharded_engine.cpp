@@ -1,10 +1,8 @@
 #include "lb/shard/sharded_engine.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <concepts>
 #include <cstdint>
-#include <type_traits>
+#include <span>
 
 #include "lb/check/invariants.hpp"
 #include "lb/core/flow_ledger.hpp"
@@ -33,14 +31,13 @@ void for_each_domain(util::ThreadPool* pool, std::size_t domains, Fn&& fn) {
   });
 }
 
-/// True when a domain whose owned nodes ascend in `nodes` owns every node
-/// of [lo, hi): its first owned node at or past lo then starts hi − lo
-/// distinct ascending ids, the last of which is hi − 1.
-bool owns_all(const std::vector<graph::NodeId>& nodes, std::size_t lo, std::size_t hi) {
-  const auto it = std::lower_bound(nodes.begin(), nodes.end(), lo,
-                                   [](graph::NodeId u, std::size_t x) { return u < x; });
-  const auto len = static_cast<std::ptrdiff_t>(hi - lo);
-  return nodes.end() - it >= len && it[len - 1] == hi - 1;
+/// A domain's owned nodes as its sweep takes them: a range when they are
+/// consecutive, else the list itself.
+core::detail::SweepNodes sweep_nodes(const std::vector<graph::NodeId>& nodes) {
+  if (nodes.empty()) return {};
+  const std::size_t lo = nodes.front();
+  const std::size_t hi = std::size_t{nodes.back()} + 1;
+  return {lo, hi, hi - lo == nodes.size() ? std::span<const graph::NodeId>() : nodes};
 }
 
 /// Per-run sharded state: the ownership/halo tables (rebuilt when the
@@ -92,7 +89,8 @@ struct Runtime {
     const std::size_t n = base.num_nodes();
     for (std::size_t lo = 0; lo < n; lo += core::kSummaryChunkWidth) {
       const std::size_t hi = std::min(n, lo + core::kSummaryChunkWidth);
-      if (!owns_all(halo.plan(map.owner(static_cast<graph::NodeId>(lo))).nodes, lo, hi)) {
+      if (!sweep_nodes(halo.plan(map.owner(static_cast<graph::NodeId>(lo))).nodes)
+               .owns_all(lo, hi)) {
         ++spanning_chunks;
       }
     }
@@ -122,245 +120,53 @@ struct Runtime {
   std::vector<std::vector<std::uint32_t>> remote_in;   // this domain owns e.v
 };
 
-/// A flow as the sweep applies it: the flow itself for Real loads; for
-/// Tokens the whole-token amount add_flow and count_flow cut from it,
-/// static_cast<T>(f) — or the rule's own amount(), which states the same
-/// value (flow_program.hpp).
+/// Where a domain's cut flows come from: its halo.  Each cut entry's
+/// share (−f on the u side, +f on the v side, 0 for a dead edge) is staged
+/// in its slot; a cut edge's flow is the one its owner stored by base id,
+/// and any other edge's is re-evaluated from the round-start loads (flows
+/// are pure).  The barrier fold reads flows only, and passes no entries.
 template <class T, class Rule>
-T applied_flow(const Rule& rule, std::size_t k, const graph::Edge& e, double lu, double lv) {
-  if constexpr (!std::is_integral_v<T>) {
-    return core::rule_flow(rule, k, e, lu, lv);
-  } else if constexpr (requires { rule.amount(lu, lv); }) {
-    return rule.amount(lu, lv);
-  } else {
-    return static_cast<T>(core::rule_flow(rule, k, e, lu, lv));
-  }
-}
+struct StagedCuts {
+  const Rule& rule;
+  const std::vector<graph::Edge>& edges;
+  const T* load;
+  const std::uint32_t* owner;
+  const double* flows;  // each alive owned cut edge's flow, by base id
+  const graph::NodeId* nodes = nullptr;  // each cut entry's owned node
+  const double* shares = nullptr;        // each cut entry's staged share
 
-/// add_flow on a share as applied_flow states it.  For Tokens, x += ±a is
-/// add_flow's x += T(±f): truncation is odd.
-template <class T>
-void apply_share(T& x, T share) {
-  if constexpr (std::is_integral_v<T>) {
-    x += share;
-  } else {
-    core::add_flow(x, share);
+  template <bool>
+  void apply(std::size_t j, T* out) const {
+    core::add_flow(out[nodes[j]], shares[j]);
   }
-}
-
-/// One summary chunk's StepStats as a sweep counts them, each edge's flow
-/// as applied_flow states it, in ascending edge order.  Real flows take
-/// the seed's double chain (count_flow).  finish() gets a bound on the
-/// number of terms, the chunk's edge count.
-template <class T>
-struct ChunkCount {
-  core::StepStats s;
-  void add(T f) { core::count_flow<T>(s, f); }
-  bool finish(core::StepStats& out, std::size_t) const {
-    out = s;
-    return true;
+  // Out of line: the kernel's instantiations would otherwise each carry
+  // the rule once more for their few cut edges.
+  [[gnu::noinline]] double flow(std::size_t k) const {
+    const graph::Edge& e = edges[k];
+    if (owner[e.u] != owner[e.v]) return flows[k];
+    return core::rule_flow(rule, k, e, static_cast<double>(load[e.u]),
+                           static_cast<double>(load[e.v]));
   }
 };
-
-/// Token amounts are whole, so their magnitudes sum in an integer.  That
-/// equals the seed's double chain whenever the total is at most 2^53: every
-/// term and every partial sum is then an exactly representable integer.
-/// The sum runs modulo 2^64; `bits`, the OR of the terms, bounds them, so
-/// with the term count it proves the sum never wrapped.  finish() reports
-/// false when it cannot prove that, or when the total is past 2^53, and
-/// the caller recounts the chunk's double chain instead.
-template <std::integral T>
-struct ChunkCount<T> {
-  std::uint64_t moved = 0;
-  std::uint64_t bits = 0;
-  std::size_t active = 0;
-  void add(T a) {
-    const auto magnitude = static_cast<std::uint64_t>(a < 0 ? -a : a);
-    moved += magnitude;
-    bits |= magnitude;
-    active += a != 0 ? 1 : 0;
-  }
-  bool finish(core::StepStats& out, std::size_t terms) const {
-    // Every term is below 2^bit_width(bits), so the sum is below 2^64
-    // when the two widths add up to at most 64.
-    if (std::bit_width(bits) + std::bit_width(terms) > 64 || moved > (std::uint64_t{1} << 53)) {
-      return false;
-    }
-    out.transferred = static_cast<double>(moved);
-    out.active_edges = active;
-    return true;
-  }
-};
-
-/// One all-edges round as every domain's sweep and the barrier see it:
-/// the round-start loads, the output, the owners' stored cut flows, and
-/// where each finished summary chunk writes its StepStats and Φ/K partial.
-template <class T>
-struct AllEdgesRound {
-  const graph::TopologyFrame& frame;
-  const std::vector<std::uint32_t>& owner;
-  const std::vector<T>& load;
-  std::vector<T>& out;
-  const std::vector<double>& flows;  // each alive owned cut edge's flow, by base id
-  const core::BlockedRoundPlan& index;
-  core::StepStats* stats;
-  core::SummaryPartial<T>* parts;  // null when no summary was requested
-  double average;
-  core::SummaryMode mode;
-  const typename core::FlowProgram<T>::PostFn& post;
-
-  std::size_t chunk_lo(std::size_t c) const { return c * core::kSummaryChunkWidth; }
-  std::size_t chunk_hi(std::size_t c) const {
-    return std::min(load.size(), chunk_lo(c) + core::kSummaryChunkWidth);
-  }
-
-  /// Chunk c's StepStats by the seed's double chain: its edges ascending,
-  /// dead ones skipped, each flow as the round computed it — re-evaluated
-  /// from the round-start loads for an edge inside one domain (flows are
-  /// pure), its owner's stored flow for a cut edge.  Out of line and cold:
-  /// a sweep recounts only past 2^53 tokens, and each of its
-  /// instantiations would otherwise carry this loop.
-  template <class Rule>
-  [[gnu::noinline, gnu::cold]] core::StepStats count_chunk(const Rule& rule,
-                                                           std::size_t c) const {
-    const auto& edges = frame.base().edges();
-    core::StepStats s;
-    for (std::size_t k = index.chunk_begin(c); k < index.chunk_begin(c + 1); ++k) {
-      if (!frame.alive(k)) continue;
-      const graph::Edge& e = edges[k];
-      const double f = owner[e.u] == owner[e.v]
-                           ? core::rule_flow(rule, k, e, static_cast<double>(load[e.u]),
-                                             static_cast<double>(load[e.v]))
-                           : flows[k];
-      core::count_flow<T>(s, f);
-    }
-    return s;
-  }
-
-  /// Chunk c's nodes are final: run the post on them (SOS's β-combine),
-  /// then fold the chunk's Φ/K partial.  Out of line: it does not depend
-  /// on the rule, so the sweep's instantiations share one copy per
-  /// scalar.  Not cold: it folds every node each round, and GCC compiles
-  /// a cold function for size.
-  [[gnu::noinline]] void finish_nodes(std::size_t c) const {
-    const std::size_t lo = chunk_lo(c);
-    const std::size_t hi = chunk_hi(c);
-    if (post) {
-      for (std::size_t u = lo; u < hi; ++u) out[u] = post(u, out[u], load[u]);
-    }
-    if (parts == nullptr) return;
-    core::SummaryPartial<T> p;
-    core::summary_begin(p, out[lo]);
-    for (std::size_t u = lo; u < hi; ++u) core::summary_accumulate(p, out[u], average, mode);
-    parts[c] = p;
-  }
-};
-
-/// Domain d's sweep (DESIGN.md §7): seed its nodes with their round-start
-/// loads, then walk its cut entries and its runs of owned edges in
-/// ascending base order — each run edge's flow evaluated once from the
-/// round-start loads, each cut entry's staged share applied — so every
-/// owned node takes its ±flows in the seed's edge order.
-///
-/// The walk also finishes every summary chunk the domain owns whole.  All
-/// of such a chunk's edges are the domain's: run edges, counted as they
-/// are applied, and between them owned cut edges, counted from the flows
-/// phase 2 stored.  Runs are split at chunk ends, so the inner loop makes
-/// no chunk test.  Every edge touching a chunk lies below the next
-/// chunk's first edge (its lower endpoint is at or before the chunk), so
-/// once the walk reaches that edge, with the cut entries before it
-/// applied, the chunk's nodes are final and finish_nodes runs.  Writes
-/// only its own nodes' `out` slots and its whole chunks' partials.
-template <bool kMasked, class T, class Rule>
-void sweep_domain(const AllEdgesRound<T>& round, const DomainPlan& plan, const Rule& rule,
-                  const double* shares) {
-  const auto& edges = round.frame.base().edges();
-  const graph::EdgeMask* mask = round.frame.mask();
-  const std::vector<T>& load = round.load;
-  std::vector<T>& out = round.out;
-  const std::vector<graph::NodeId>& nodes = plan.nodes;
-  if (nodes.empty()) return;
-  if (std::size_t{nodes.back()} - nodes.front() + 1 == nodes.size()) {
-    std::copy_n(load.data() + nodes.front(), nodes.size(), out.data() + nodes.front());
-  } else {
-    for (const graph::NodeId u : nodes) out[u] = load[u];
-  }
-  std::size_t j = 0;
-  const auto apply_cuts = [&](std::size_t end) {
-    for (; j < end; ++j) core::add_flow(out[plan.cut_nodes[j]], shares[j]);
-  };
-
-  // The walk's chunk c, from the one holding the domain's first node to
-  // the one holding its last: its edges end at c_end, and `next` is its
-  // first edge not yet counted.
-  std::size_t c = nodes.front() / core::kSummaryChunkWidth;
-  const std::size_t last = nodes.back() / core::kSummaryChunkWidth;
-  bool whole = false;
-  std::size_t next = 0;
-  std::size_t c_end = 0;
-  ChunkCount<T> count;
-  const auto open = [&] {
-    whole = owns_all(nodes, round.chunk_lo(c), round.chunk_hi(c));
-    next = round.index.chunk_begin(c);
-    c_end = round.index.chunk_begin(c + 1);
-    count = {};
-  };
-  // A whole chunk's edges [next, end) outside the runs are owned cut edges.
-  const auto count_cut_edges = [&](std::size_t end) {
-    for (; next < end; ++next) {
-      if (kMasked && !mask->alive(next)) continue;
-      count.add(static_cast<T>(round.flows[next]));
-    }
-  };
-  const auto close = [&] {
-    if (whole) {
-      count_cut_edges(c_end);
-      const std::size_t terms = c_end - round.index.chunk_begin(c);
-      if (!count.finish(round.stats[c], terms)) round.stats[c] = round.count_chunk(rule, c);
-      round.finish_nodes(c);
-    }
-    if (++c <= last) open();
-  };
-  open();
-  for (const SweepRun& run : plan.runs) {
-    apply_cuts(run.cuts_before);
-    for (std::size_t k = run.first; k < run.last;) {
-      while (k >= c_end) close();
-      if (whole) count_cut_edges(k);
-      const std::size_t end = std::min<std::size_t>(run.last, c_end);
-      // A copy whose address is never taken, so no store to `out` may
-      // alias its counters and they stay in registers.
-      ChunkCount<T> run_count = count;
-      for (; k < end; ++k) {
-        if (kMasked && !mask->alive(k)) continue;
-        const graph::Edge& e = edges[k];
-        const T f = applied_flow<T>(rule, k, e, static_cast<double>(load[e.u]),
-                                    static_cast<double>(load[e.v]));
-        apply_share(out[e.u], static_cast<T>(-f));
-        apply_share(out[e.v], f);
-        run_count.add(f);
-      }
-      count = run_count;
-      next = end;
-    }
-  }
-  apply_cuts(plan.cut_nodes.size());
-  while (c <= last) close();
-}
 
 /// The barrier fold: the summary chunks no domain owns whole — they span
 /// two or more, as under strided or refined partitions or K = n — counted
 /// and finished once every sweep is done, chunks in parallel.  Together
 /// with the sweeps this is the fixed-chunk StepStats contract of
 /// fold_chunk_stats and the fixed-chunk summary of
-/// fused_sweep_with_summary, so nothing depends on the domains.
+/// fused_sweep_with_summary, so nothing depends on the domains.  A
+/// shared-memory block is whole chunks, so only the sharded round has
+/// such chunks.
 template <class T, class Rule>
-void fold_spanning_chunks(const AllEdgesRound<T>& round, const Rule& rule, const HaloExchange& halo,
+void fold_spanning_chunks(const core::detail::AllEdgesRound<T>& round,
+                          const StagedCuts<T, Rule>& cuts, const Runtime<T>& rt,
                           util::ThreadPool* pool) {
   util::for_fixed_chunks(pool, round.load.size(), core::kSummaryChunkWidth,
                          [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                           if (owns_all(halo.plan(round.owner[lo]).nodes, lo, hi)) return;
-                           round.stats[c] = round.count_chunk(rule, c);
+                           const DomainPlan& plan = rt.halo.plan(rt.map.owner(
+                               static_cast<graph::NodeId>(lo)));
+                           if (sweep_nodes(plan.nodes).owns_all(lo, hi)) return;
+                           round.stats[c] = round.count_chunk(cuts, c);
                            round.finish_nodes(c);
                          });
 }
@@ -380,8 +186,6 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
   core::RunArena<T>& arena = ctx.arena();
   std::vector<double>& flows = arena.flows();
   flows.resize(edges.size());
-  std::vector<T>& out = arena.node_scratch();
-  out.resize(load.size());
 
   // Phase A: every domain ships its boundary nodes' round-start loads.
   // Node halos are a function of the topology alone (not of the round's
@@ -433,55 +237,42 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
 
   // Phase C: stage each received flow as its incoming entry's share, then
   // sweep, finishing the summary chunks the domain owns whole.
-  const std::size_t n = load.size();
-  std::vector<core::StepStats>& stats = arena.chunk_stats();
-  stats.resize(core::summary_chunk_count(n));
-  std::vector<core::SummaryPartial<T>>& parts = arena.summary_parts();
-  const bool summarize = ctx.summary_requested();
-  if (summarize) parts.resize(stats.size());
-  const double average = ctx.summary_average();
-  const core::SummaryMode mode = ctx.summary_mode();
-  const AllEdgesRound<T> round{frame,
-                               rt.map.owners(),
-                               load,
-                               out,
-                               flows,
-                               arena.round_plan(frame.base()),
-                               stats.data(),
-                               summarize ? parts.data() : nullptr,
-                               average,
-                               mode,
-                               program.post};
-  for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    double* shares = rt.shares.data() + rt.slice[d].shares;
-    double* buf = rt.flow_buf.data() + rt.slice[d].flows;
-    std::size_t r = 0;
-    for (const HaloLink& l : plan.links) {
-      const std::size_t count =
-          masked ? static_cast<std::size_t>(std::count_if(
-                       l.recv_flow_edges.begin(), l.recv_flow_edges.end(),
-                       [&](std::uint32_t k) { return frame.alive(k); }))
-                 : l.recv_flow_edges.size();
-      rt.comm.recv(l.peer, d, buf, count);
-      std::size_t i = 0;
-      for (const std::uint32_t k : l.recv_flow_edges) {
-        shares[plan.recv_slots[r++]] = masked && !frame.alive(k) ? 0.0 : buf[i++];
+  const StagedCuts<T, Rule> staged{rule, edges, load.data(), rt.map.owners().data(),
+                                   flows.data()};
+  const auto sweep = [&](const core::detail::AllEdgesRound<T>& round) {
+    for_each_domain(pool, K, [&](std::size_t d) {
+      const DomainPlan& plan = rt.halo.plan(d);
+      double* shares = rt.shares.data() + rt.slice[d].shares;
+      double* buf = rt.flow_buf.data() + rt.slice[d].flows;
+      std::size_t r = 0;
+      for (const HaloLink& l : plan.links) {
+        const std::size_t count =
+            masked ? static_cast<std::size_t>(std::count_if(
+                         l.recv_flow_edges.begin(), l.recv_flow_edges.end(),
+                         [&](std::uint32_t k) { return frame.alive(k); }))
+                   : l.recv_flow_edges.size();
+        rt.comm.recv(l.peer, d, buf, count);
+        std::size_t i = 0;
+        for (const std::uint32_t k : l.recv_flow_edges) {
+          shares[plan.recv_slots[r++]] = masked && !frame.alive(k) ? 0.0 : buf[i++];
+        }
       }
-    }
-    if (masked) {
-      sweep_domain<true>(round, plan, rule, shares);
-    } else {
-      sweep_domain<false>(round, plan, rule, shares);
-    }
-  });
-  if (rt.spanning_chunks != 0) fold_spanning_chunks(round, rule, rt.halo, pool);
-
-  core::StepStats total;
-  for (const core::StepStats& s : stats) core::fold_chunk_stats(total, s);
-  if (summarize) ctx.publish_summary(core::combine_summary_partials(parts, n, average, mode));
+      StagedCuts<T, Rule> cuts = staged;
+      cuts.nodes = plan.cut_nodes.data();
+      cuts.shares = shares;
+      const core::detail::SweepNodes nodes = sweep_nodes(plan.nodes);
+      const std::size_t entries = plan.cut_nodes.size();
+      if (masked) {
+        core::detail::sweep_domain<true>(round, nodes, plan.runs, entries, rule, cuts);
+      } else {
+        core::detail::sweep_domain<false>(round, nodes, plan.runs, entries, rule, cuts);
+      }
+    });
+    if (rt.spanning_chunks != 0) fold_spanning_chunks(round, staged, rt, pool);
+  };
+  core::StepStats total = core::detail::run_all_edges(
+      ctx, load, &arena.round_plan(frame.base()), program.post, sweep);
   total.links = program.links;
-  load.swap(out);
   return total;
 }
 
@@ -614,32 +405,33 @@ class DomainExecutor final : public core::RoundExecutor<T> {
   core::StepStats step(core::Balancer<T>& balancer, core::RoundContext<T>& ctx,
                        std::vector<T>& load, std::size_t round,
                        bool checking) override {
-    program_.reset();
-    if (!balancer.plan_round(ctx, program_)) {
+    core::FlowProgram<T>& program = ctx.arena().program();
+    program.reset();
+    if (!balancer.plan_round(ctx, program)) {
       // Non-distributable round: shared-memory step() inside the sharded
       // run (zero comm; not counted in sharded_rounds).
       return balancer.step(ctx, load);
     }
-    LB_ASSERT_MSG(static_cast<bool>(program_.flow), "planned round without a flow function");
-    const bool matching = program_.support == core::FlowProgram<T>::Support::kMatching;
+    LB_ASSERT_MSG(static_cast<bool>(program.flow), "planned round without a flow function");
+    const bool matching = program.support == core::FlowProgram<T>::Support::kMatching;
     if (checking) {
       // Round-start loads are what the domains will exchange, so the
       // antisymmetry probe sees exactly the values the protocol uses.
       const graph::TopologyFrame& frame = ctx.frame();
-      check::check_flow_antisymmetry(program_, frame, load, round);
+      check::check_flow_antisymmetry(program, frame, load, round);
       snapshot_totals(before_);
       if (matching) {
         expected_ = check::expected_matching_round_comm<T>(
-            program_.matched, frame.base().edges(), rt_.map.owners(), shard_.domains);
+            program.matched, frame.base().edges(), rt_.map.owners(), shard_.domains);
       } else {
         check::expected_all_edges_round_comm<T>(rt_.halo.plans(), frame, expected_);
       }
     }
     // One dispatch on the rule per round; the round's kernel then runs
     // the concrete rule (a caller-written EdgeFn as its std::function).
-    const core::StepStats stats = program_.flow.visit([&](const auto& rule) {
-      return matching ? step_matching(ctx, program_, rule, load, rt_, pool_)
-                      : step_all_edges(ctx, program_, rule, load, rt_, pool_);
+    const core::StepStats stats = program.flow.visit([&](const auto& rule) {
+      return matching ? step_matching(ctx, program, rule, load, rt_, pool_)
+                      : step_all_edges(ctx, program, rule, load, rt_, pool_);
     });
     if (checking) {
       snapshot_totals(after_);
@@ -686,7 +478,6 @@ class DomainExecutor final : public core::RoundExecutor<T> {
   const ShardConfig& shard_;
   util::ThreadPool* pool_;
   Runtime<T> rt_;
-  core::FlowProgram<T> program_;
   std::size_t sharded_rounds_ = 0;
   // Checked rounds' comm accounting, reused round to round.
   std::vector<sim::CommTotals> before_;

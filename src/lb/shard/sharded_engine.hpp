@@ -6,7 +6,9 @@
 // core::FlowProgram (plan_round); the engine visits its flow rule once
 // and executes the round as each domain's independent half — pack
 // boundary loads, exchange, evaluate owned cut edges' flows from halo
-// copies, exchange, then one ascending sweep over the domain's edges —
+// copies, exchange, then one ascending sweep over the domain's edges
+// (core::detail::sweep_domain, the kernel the shared-memory round runs
+// over blocks, here with its cut flows staged from the halo) —
 // reconciling at deterministic sim::CommEngine barriers.  Balancers that
 // cannot be distributed (async, random-partner, ...) fall back to their
 // shared-memory step() for that round, still through the domain

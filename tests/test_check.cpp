@@ -214,7 +214,8 @@ TEST(CheckMutationTest, MatchingProgramAntisymmetryChecked) {
   const std::vector<double> load = {4.0, 3.0, 2.0, 1.0};
   lb::core::FlowProgram<double> program;
   program.support = lb::core::FlowProgram<double>::Support::kMatching;
-  program.matched = {0, 2};  // vertex-disjoint in the path
+  const std::uint32_t matched[] = {0, 2};  // vertex-disjoint in the path
+  program.matched = matched;
   program.links = 2;
   program.flow = [](std::size_t, const lb::graph::Edge&, double lu, double) {
     return lu / 2.0;  // ignores lv: cannot be antisymmetric

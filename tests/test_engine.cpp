@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "lb/core/diffusion.hpp"
 #include "lb/core/load.hpp"
@@ -15,6 +17,22 @@ namespace {
 
 using lb::core::EngineConfig;
 using lb::core::RunResult;
+
+/// A balancer that neither plans its rounds nor overrides step().
+class NeitherPlansNorSteps final : public lb::core::Balancer<double> {
+ public:
+  std::string name() const override { return "unplanned-probe"; }
+};
+
+TEST(EngineTest, BalancerThatNeitherPlansNorStepsAbortsNamingIt) {
+  const auto g = lb::graph::make_cycle(8);
+  NeitherPlansNorSteps alg;
+  lb::core::EngineConfig cfg;
+  cfg.max_rounds = 1;
+  cfg.target_potential = 0.0;
+  std::vector<double> load = lb::workload::spike<double>(8, 80.0);
+  EXPECT_DEATH(lb::core::run_static(alg, g, load, cfg), "unplanned-probe");
+}
 
 TEST(EngineTest, ReachesTargetPotential) {
   const auto g = lb::graph::make_torus2d(5, 5);

@@ -172,8 +172,10 @@ std::vector<long long> randomized_widths(std::uint64_t seed, std::size_t count) 
 /// BlockedRoundPlan's contents against a brute-force O(m) reference, at
 /// each of `widths` plus 1024, 3072, 5120 and a width past n: chunk c's
 /// slice starts after every edge whose lower endpoint lies in an earlier
-/// chunk, and block b's cut list is every edge whose v lies in b and whose
-/// u lies in an earlier block, in ascending order.
+/// chunk; block b's cut entries are every edge with exactly one endpoint
+/// in b, in ascending order (so the incoming ones, u in an earlier block,
+/// come first); and its runs are the maximal stretches of its uncut edges
+/// (u and v in b), each with the count of b's entries below its first.
 void expect_plans_match_reference(const Graph& g, std::vector<long long> widths) {
   const auto& edges = g.edges();
   const std::size_t n = g.num_nodes();
@@ -190,11 +192,20 @@ void expect_plans_match_reference(const Graph& g, std::vector<long long> widths)
     const std::size_t width = lb::core::blocked_round_width();
     SCOPED_TRACE(g.name() + "/w" + std::to_string(width));
     const std::size_t blocks = (n + width - 1) / width;
-    std::vector<std::vector<std::uint32_t>> cuts(blocks);
+    std::vector<std::vector<std::uint32_t>> entries(blocks);
+    std::vector<std::vector<lb::core::SweepRun>> runs(blocks);
     for (std::size_t k = 0; k < edges.size(); ++k) {
+      const auto id = static_cast<std::uint32_t>(k);
       const std::size_t bu = edges[k].u / width;
       const std::size_t bv = edges[k].v / width;
-      if (bu != bv) cuts[bv].push_back(static_cast<std::uint32_t>(k));
+      if (bu != bv) {
+        entries[bv].push_back(id);
+        entries[bu].push_back(id);
+      } else if (!runs[bu].empty() && runs[bu].back().last == id) {
+        ++runs[bu].back().last;
+      } else {
+        runs[bu].push_back({id, id + 1, static_cast<std::uint32_t>(entries[bu].size())});
+      }
     }
     lb::core::BlockedRoundPlan plan;
     plan.rebuild(g, width);
@@ -203,9 +214,17 @@ void expect_plans_match_reference(const Graph& g, std::vector<long long> widths)
       EXPECT_EQ(plan.chunk_begin(c), chunk_begin[c]) << "chunk " << c;
     }
     for (std::size_t b = 0; b < blocks; ++b) {
-      const auto got = plan.cut_edges(b);
-      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), cuts[b])
+      const auto got = plan.cut_entries(b);
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), entries[b])
           << "block " << b;
+      const auto got_runs = plan.runs(b);
+      ASSERT_EQ(got_runs.size(), runs[b].size()) << "block " << b;
+      for (std::size_t r = 0; r < runs[b].size(); ++r) {
+        EXPECT_EQ(got_runs[r].first, runs[b][r].first) << "block " << b << " run " << r;
+        EXPECT_EQ(got_runs[r].last, runs[b][r].last) << "block " << b << " run " << r;
+        EXPECT_EQ(got_runs[r].cuts_before, runs[b][r].cuts_before)
+            << "block " << b << " run " << r;
+      }
     }
   }
 }

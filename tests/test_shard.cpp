@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -34,6 +35,7 @@
 #include "lb/util/rng.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
+#include "seed_oracle.hpp"
 
 namespace {
 
@@ -414,6 +416,49 @@ TEST(ShardEngineTest, SweepTokensMatchCore) {
   }
 }
 
+/// core::run of `make` against the seed's sequential round (`seed`) at
+/// pools {1, 2, hw} and block widths {0, 1024}: every round's
+/// StepStats::transferred bits, its active edges and every final load.
+/// Both executors run one kernel, so core-vs-shard matrices cannot catch
+/// a count both get wrong; these pins can.
+template <class T>
+void expect_core_matches_seed(const Case<T>& c, const Case<T>& seed,
+                              const std::function<std::unique_ptr<lb::graph::GraphSequence>()>& seq,
+                              const std::vector<T>& load0, std::size_t rounds,
+                              const std::string& label) {
+  EngineConfig cfg;
+  cfg.max_rounds = rounds;
+  cfg.target_potential = 0.0;
+  cfg.record_trace = true;
+  auto seed_alg = seed.make();
+  auto seed_seq = seq();
+  std::vector<T> seed_load = load0;
+  const RunResult oracle = lb::core::run(*seed_alg, *seed_seq, seed_load, cfg);
+  for (const long long width : {0LL, 1024LL}) {
+    lb::core::set_blocked_width_override(width);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+      lb::util::ThreadPool pool(threads);
+      cfg.pool = &pool;
+      auto alg = c.make();
+      auto s = seq();
+      std::vector<T> load = load0;
+      const RunResult run = lb::core::run(*alg, *s, load, cfg);
+      SCOPED_TRACE(label + "/" + c.name + "/w" + std::to_string(width) + "/pool" +
+                   std::to_string(pool.size()));
+      ASSERT_EQ(run.trace.size(), oracle.trace.size());
+      for (std::size_t i = 0; i < run.trace.size(); ++i) {
+        const double got = run.trace[i].transferred;
+        const double want = oracle.trace[i].transferred;
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "round " << i + 1;
+        EXPECT_EQ(run.trace[i].active_edges, oracle.trace[i].active_edges) << i;
+      }
+      EXPECT_EQ(load, seed_load);
+    }
+    cfg.pool = nullptr;
+  }
+  lb::core::set_blocked_width_override(-1);
+}
+
 /// FOS's flow as a per-edge lambda: not a library rule type, so a
 /// FlowProgram stores it type-erased (FlowRule::EdgeFn).
 auto lambda_fos_rule(const lb::core::RoundContext<double>& ctx) {
@@ -423,19 +468,11 @@ auto lambda_fos_rule(const lb::core::RoundContext<double>& ctx) {
   };
 }
 
-/// A caller-written all-edges balancer, whose sharded rounds run its rule
-/// as the FlowRule's type-erased EdgeFn.
+/// A caller-written all-edges balancer: it only plans, so both executors
+/// run its rule as the FlowRule's type-erased EdgeFn.
 class LambdaFos final : public lb::core::Balancer<double> {
  public:
   std::string name() const override { return "lambda-fos"; }
-  using lb::core::Balancer<double>::step;
-  lb::core::StepStats step(lb::core::RoundContext<double>& ctx,
-                           std::vector<double>& load) override {
-    lb::core::StepStats stats =
-        lb::core::run_blocked_round(ctx, ctx.pool(), load, lambda_fos_rule(ctx));
-    stats.links = ctx.frame().num_edges();
-    return stats;
-  }
   bool plan_round(lb::core::RoundContext<double>& ctx,
                   lb::core::FlowProgram<double>& program) override {
     program.links = ctx.frame().num_edges();
@@ -443,6 +480,20 @@ class LambdaFos final : public lb::core::Balancer<double> {
     return true;
   }
 };
+
+TEST(ShardEngineTest, CallerWrittenRuleMatchesSeedFos) {
+  // LambdaFos only plans, so core::run steps its EdgeFn through the
+  // shared-memory kernel; the seed's FOS is the oracle.
+  const Graph g = sweep_torus();
+  const auto load0 = sweep_load(g.num_nodes());
+  const Case<double> lambda = {"lambda-fos", [] { return std::make_unique<LambdaFos>(); }};
+  const Case<double> seed = {"seed-fos", [] { return std::make_unique<seed::SecondOrder>(); }};
+  expect_core_matches_seed<double>(
+      lambda, seed, [&] { return lb::graph::make_static_sequence(g); }, load0, 20, "static");
+  expect_core_matches_seed<double>(
+      lambda, seed, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 61); }, load0, 20,
+      "bernoulli");
+}
 
 TEST(ShardEngineTest, CallerWrittenRuleMatchesCore) {
   const Graph g = sweep_torus();
@@ -597,6 +648,22 @@ TEST(ShardEngineTest, TokenCountAbove2To53MatchesCore) {
   run_matrix<std::int64_t>(
       cases, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 79); }, load0,
       "above-2^53/bernoulli", PartitionPolicy::kStrided, {2}, 8);
+  // The CSR legs against the seed's double chain: the masked torus, its
+  // shape-less twin, and a random regular graph with the same load pattern.
+  const Case<std::int64_t> seed = {
+      "seed-diffusion", [] { return std::make_unique<seed::Diffusion<std::int64_t>>(); }};
+  expect_core_matches_seed<std::int64_t>(
+      cases[0], seed, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 79); }, load0, 8,
+      "above-2^53/bernoulli");
+  const Graph twin = lb::graph::subgraph_with_edges(g, g.edges(), "twin");
+  expect_core_matches_seed<std::int64_t>(
+      cases[0], seed, [&] { return lb::graph::make_static_sequence(twin); }, load0, 8,
+      "above-2^53/twin");
+  lb::util::Rng rng(83);
+  const Graph regular = lb::graph::make_random_regular(2048, 4, rng);
+  expect_core_matches_seed<std::int64_t>(
+      cases[0], seed, [&] { return lb::graph::make_static_sequence(regular); }, load0, 8,
+      "above-2^53/regular");
 }
 
 TEST(ShardEngineTest, AutoBetaSosThrowsOnDisconnectedFirstRound) {
