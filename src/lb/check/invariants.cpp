@@ -214,7 +214,7 @@ namespace {
 
 /// The sweep's tables of domain d's plan, rebuilt in one ascending pass
 /// over the edges and compared entry by entry: every run, every cut
-/// entry's owned endpoint, and every cut edge's place in its link's flow
+/// entry's base edge, and every cut edge's place in its link's flow
 /// list, with its staging slot and compact-halo index.
 void check_sweep_tables(const graph::Graph& base, const std::vector<std::uint32_t>& owner,
                         std::size_t d, const shard::DomainPlan& plan) {
@@ -277,11 +277,9 @@ void check_sweep_tables(const graph::Graph& base, const std::vector<std::uint32_
     }
     if (in_run) close_run(k);
     if (!own_u && !own_v) continue;
-    const graph::NodeId mine = own_u ? e.u : e.v;
-    if (cuts >= plan.cut_nodes.size() || plan.cut_nodes[cuts] != mine) {
-      violated(format("csr: domain %zu plan: sweep cut entry %zu should be edge %zu's "
-                      "node %u",
-                      d, cuts, k, mine));
+    if (cuts >= plan.cut_edges.size() || plan.cut_edges[cuts] != k) {
+      violated(format("csr: domain %zu plan: sweep cut entry %zu should be edge %zu", d,
+                      cuts, k));
     }
     if (own_u) {
       // Shipped: the flow's slot in its link's send list, which names the
@@ -314,10 +312,10 @@ void check_sweep_tables(const graph::Graph& base, const std::vector<std::uint32_
     ++cuts;
   }
   if (in_run) close_run(edges.size());
-  if (runs != plan.runs.size() || cuts != plan.cut_nodes.size()) {
+  if (runs != plan.runs.size() || cuts != plan.cut_edges.size()) {
     violated(format("csr: domain %zu plan: %zu sweep runs and %zu cut entries listed "
                     "but %zu and %zu expected",
-                    d, plan.runs.size(), plan.cut_nodes.size(), runs, cuts));
+                    d, plan.runs.size(), plan.cut_edges.size(), runs, cuts));
   }
   for (std::size_t l = 0; l < links; ++l) {
     if (sent[l] != plan.links[l].send_flow_edges.size() ||
@@ -408,24 +406,37 @@ void check_domain_plan(const graph::Graph& base,
 }
 
 void check_cut_flows(const std::vector<shard::DomainPlan>& plans,
-                     const graph::TopologyFrame& frame, const std::vector<double>& flows,
-                     const std::vector<double>& shares, std::size_t round) {
+                     const graph::TopologyFrame& frame, const std::vector<double>& shares,
+                     std::size_t round) {
   std::size_t base = 0;  // domain d's first share
   for (std::size_t d = 0; d < plans.size(); ++d) {
     const shard::DomainPlan& plan = plans[d];
+    // Each peer's first share, summed on the fly as the links' peers
+    // ascend: O(K) per domain, as a round's deliver() is.
+    std::size_t peer = 0, peer_base = 0;
     std::size_t r = 0;
     for (const shard::HaloLink& l : plan.links) {
+      for (; peer < l.peer; ++peer) peer_base += plans[peer].cut_edges.size();
+      // The owner's mirrored link sends l's flows in l's order; its send
+      // entries start after those of its links to lower peers.
+      const shard::DomainPlan& owner = plans[l.peer];
+      std::size_t s = 0;
+      for (const shard::HaloLink& m : owner.links) {
+        if (m.peer == d) break;
+        s += m.send_flow_edges.size();
+      }
       for (const std::uint32_t k : l.recv_flow_edges) {
-        const double applied = shares[base + plan.recv_slots[r++]];
+        const double received = shares[base + plan.recv_slots[r++]];
+        const double staged = shares[peer_base + owner.send_slots[s++]];
         if (!frame.alive(k)) continue;
-        if (std::bit_cast<std::uint64_t>(applied) != std::bit_cast<std::uint64_t>(flows[k])) {
+        if (std::bit_cast<std::uint64_t>(received) != std::bit_cast<std::uint64_t>(-staged)) {
           violated(format("cut flow violated: round %zu domain %zu edge %u from peer %u: "
-                          "applied %.17g but the owner stored %.17g",
-                          round, d, k, l.peer, applied, flows[k]));
+                          "received %.17g but the owner staged %.17g",
+                          round, d, k, l.peer, received, staged));
         }
       }
     }
-    base += plan.cut_nodes.size();
+    base += plan.cut_edges.size();
   }
 }
 

@@ -135,23 +135,25 @@ void check_halo_mirrors(const shard::HaloExchange& halo);
 /// node an endpoint of every listed edge, sign −1 exactly when the node
 /// is the edge's u); and the sweep's tables equal to the ones an
 /// ascending pass over the edges rebuilds — every run with its
-/// cuts_before, every cut entry's owned node, and every cut edge at its
+/// cuts_before, every cut entry's base edge, and every cut edge at its
 /// place in its link's flow list with its send_slots/send_halo or
 /// recv_slots entry.
 void check_domain_plan(const graph::Graph& base,
                        const std::vector<std::uint32_t>& owner, std::size_t d,
                        const shard::DomainPlan& plan);
 
-/// Verify that every alive cut edge's flow, as the v-side domain applied
-/// it, equals bit for bit the value its owner stored in `flows` (indexed
-/// by base edge id) after an all-edges sharded round — so a flow unpacked
-/// into the wrong entry fails even when the byte counts agree.  `shares`
-/// holds every domain's staged cut shares, domain by domain in domain
-/// order, DomainPlan::cut_nodes.size() entries each; a received flow sits
-/// at its entry's recv_slots index.
+/// Verify that every alive cut edge's share, as the v-side domain received
+/// and staged it, is bit for bit the negation of the share its owner
+/// staged (−f) after an all-edges sharded round — so a flow unpacked into
+/// the wrong entry, or staged in the wrong sent slot, fails even when the
+/// byte counts agree.  `shares` holds every domain's staged cut shares,
+/// domain by domain in domain order, DomainPlan::cut_edges.size()
+/// entries each; a sent share sits at its entry's send_slots index, a
+/// received one at its recv_slots index.  The plans' links must mirror
+/// (check_halo_mirrors).  Allocates nothing.
 void check_cut_flows(const std::vector<shard::DomainPlan>& plans,
-                     const graph::TopologyFrame& frame, const std::vector<double>& flows,
-                     const std::vector<double>& shares, std::size_t round);
+                     const graph::TopologyFrame& frame, const std::vector<double>& shares,
+                     std::size_t round);
 
 // ---------------------------------------------------------------------------
 // Comm accounting

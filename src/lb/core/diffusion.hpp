@@ -84,10 +84,10 @@ inline double frame_diffusion_denominator(const graph::TopologyFrame& frame,
 
 /// diffusion_share<T>(ℓ_u − ℓ_v, d) as a pair rule (flow_program.hpp),
 /// for rounds in which every edge has the one denominator d.  With
-/// kByInverse, d is a power of two applied as a multiply by its exact
-/// inverse `scale` = 1/d: gap·(1/d) and gap/d are the same real number,
-/// so IEEE arithmetic rounds both to the same double; otherwise `scale`
-/// is d itself.  amount() is the whole-token amount T(flow) a round
+/// kByInverse, `scale` multiplies the gap: an exact power-of-two inverse
+/// 1/d (gap·(1/d) and gap/d are the same real number, so IEEE arithmetic
+/// rounds both to the same double), or FOS's α (fos.hpp); otherwise
+/// `scale` is d itself.  amount() is the whole-token amount T(flow) a round
 /// moves, cast straight from the quotient: the cast truncates, so the
 /// flow's trunc changes no amount, and skipping it skips trunc's
 /// branchy expansion on baseline x86-64.

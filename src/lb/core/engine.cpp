@@ -266,7 +266,7 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
 template <class T>
 RunResult run_static(Balancer<T>& balancer, const graph::Graph& g, std::vector<T>& load,
                      const EngineConfig& config) {
-  // Non-owning: `g` outlives the run, so the graph is never copied.
+  // The sequence's copy of `g` shares its CSR, so nothing is rebuilt.
   auto seq = graph::make_static_view(g);
   return run(balancer, *seq, load, config);
 }

@@ -36,7 +36,6 @@
 
 #include "lb/core/diffusion.hpp"
 #include "lb/core/dimension_exchange.hpp"
-#include "lb/core/fos.hpp"
 #include "lb/graph/graph.hpp"
 
 namespace lb::core {
@@ -106,7 +105,7 @@ class FlowRule {
 
  private:
   using Rule = std::variant<EdgeFn, UniformDiffusionShare<T, true>,
-                            UniformDiffusionShare<T, false>, FrameDiffusionShare<T>, FosFlow,
+                            UniformDiffusionShare<T, false>, FrameDiffusionShare<T>,
                             MatchedFlow<T>>;
 
   template <class F>

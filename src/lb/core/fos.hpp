@@ -15,22 +15,18 @@
 #include <memory>
 
 #include "lb/core/algorithm.hpp"
+#include "lb/core/diffusion.hpp"
 #include "lb/graph/edge_mask.hpp"
 
 namespace lb::core {
 
-/// The first-order-scheme edge flow α·(ℓ_u − ℓ_v): a pair rule
-/// (flow_program.hpp), reading only the two endpoint loads.
-struct FosFlow {
-  double alpha;
-
-  double operator()(double lu, double lv) const { return alpha * (lu - lv); }
-};
-
-/// FosFlow with α = 1/(δ+1) over the frame's (alive) max degree — the one
-/// statement of the rule that FOS and SOS's FOS half plan.
-inline FosFlow fos_flow(const graph::TopologyFrame& frame) {
-  return FosFlow{1.0 / (static_cast<double>(frame.max_degree()) + 1.0)};
+/// The first-order-scheme edge flow α·(ℓ_u − ℓ_v) with α = 1/(δ+1) over
+/// the frame's (alive) max degree — the one statement of the rule that
+/// FOS and SOS's FOS half plan.  It is the scaled-gap pair rule
+/// (flow_program.hpp): (ℓ_u − ℓ_v)·α, the same bits, since IEEE
+/// multiplication commutes.
+inline UniformDiffusionShare<double, true> fos_flow(const graph::TopologyFrame& frame) {
+  return {1.0 / (static_cast<double>(frame.max_degree()) + 1.0)};
 }
 
 class FirstOrderScheme final : public Balancer<double> {

@@ -62,7 +62,10 @@ namespace lb::core {
 template <class T>
 class RunArena {
  public:
-  /// Per-edge signed flow buffer (positive moves load u -> v).
+  /// Per-edge signed flow buffer (positive moves load u -> v).  No round
+  /// of the library writes it — a sharded round keeps each cut flow in its
+  /// entry's slot — so it serves callers that replay rounds from outside
+  /// (perfbench's replay and probes).
   std::vector<double>& flows() { return flows_; }
   /// Per-node T scratch: the blocked round's output buffer (swapped with
   /// the load vector every round), random-partner deltas.
@@ -315,14 +318,21 @@ struct AllEdgesRound {
   }
 
   /// Chunk c's StepStats by the seed's double chain: its edges ascending,
-  /// dead ones skipped, each flow as the round computed it (`cuts.flow`).
-  /// Out of line and cold: a sweep recounts only past 2^53 tokens, and
-  /// each of its instantiations would otherwise carry this loop.
-  template <class Cuts>
-  [[gnu::noinline, gnu::cold]] StepStats count_chunk(const Cuts& cuts, std::size_t c) const {
+  /// dead ones skipped, each flow re-evaluated from the round-start loads
+  /// (flows are pure, so these are the bits the round applied; a sharded
+  /// round's halo copies are the same bits).  Out of line and cold: a
+  /// sweep recounts only past 2^53 tokens, the sharded barrier only the
+  /// chunks no domain owns whole, and each kernel instantiation would
+  /// otherwise carry this loop.
+  template <class Rule>
+  [[gnu::noinline, gnu::cold]] StepStats count_chunk(const Rule& rule, std::size_t c) const {
+    const auto& edges = frame.base().edges();
     StepStats s;
     for (std::size_t k = index->chunk_begin(c); k < index->chunk_begin(c + 1); ++k) {
-      if (frame.alive(k)) count_flow<T>(s, cuts.flow(k));
+      if (!frame.alive(k)) continue;
+      const graph::Edge& e = edges[k];
+      count_flow<T>(s, rule_flow(rule, k, e, static_cast<double>(load[e.u]),
+                                 static_cast<double>(load[e.v])));
     }
     return s;
   }
@@ -351,21 +361,23 @@ struct AllEdgesRound {
 /// its cut entries and its runs of own edges in ascending base order —
 /// each run edge's flow evaluated once from the round-start loads, each
 /// cut entry's share applied — so every owned node takes its ±flows in the
-/// seed's edge order.  `cuts` is where a cut flow comes from: its
-/// apply<kMasked>(j, out) applies cut entry j's share to its node, and
-/// flow(k) is edge k's flow as the round computed it.  A shared-memory
-/// block re-evaluates both from the round-start loads (EvaluatedCuts); a
-/// sharded domain stages them from its halo.
+/// seed's edge order.  `cuts` is where a cut flow comes from: edge(j) is
+/// cut entry j's base edge, and apply<kMasked>(j, out, moved) applies its
+/// share to its owned endpoint and returns true for an outgoing entry
+/// (the domain owns its u), with `moved` its flow as the round applies it
+/// (applied_flow).  A dead edge applies nothing and counts zero or
+/// nothing.  A shared-memory block re-evaluates that flow from the
+/// round-start loads (EvaluatedCuts); a sharded domain stages it from its
+/// halo.
 ///
 /// The walk also finishes every summary chunk the domain owns whole.  All
-/// of such a chunk's edges are the domain's: run edges, counted as they
-/// are applied, and between them its own cut edges, counted from
-/// cuts.flow.  Runs are split at chunk ends, so the inner loop makes no
-/// chunk test.  Every edge touching a chunk lies below the next chunk's
-/// first edge (its lower endpoint is at or before the chunk), so once the
-/// walk reaches that edge, with the cut entries before it applied, the
-/// chunk's nodes are final and finish_nodes runs.  Writes only its own
-/// nodes' `out` slots and its whole chunks' partials.
+/// of such a chunk's edges are the domain's: run edges and outgoing cut
+/// entries, each counted where it is applied.  Runs are split at chunk
+/// ends, so the inner loop makes no chunk test.  Every edge touching a
+/// chunk lies below the next chunk's first edge (its lower endpoint is at
+/// or before the chunk), so once the walk reaches that edge — a run edge
+/// or a cut entry — the chunk's nodes are final and finish_nodes runs.
+/// Writes only its own nodes' `out` slots and its whole chunks' partials.
 template <bool kMasked, class T, class Rule, class Cuts>
 void sweep_domain(const AllEdgesRound<T>& round, const SweepNodes& nodes,
                   std::span<const SweepRun> runs, std::size_t cut_entries, const Rule& rule,
@@ -380,49 +392,41 @@ void sweep_domain(const AllEdgesRound<T>& round, const SweepNodes& nodes,
   } else {
     for (const graph::NodeId u : nodes.list) out[u] = load[u];
   }
-  std::size_t j = 0;
-  const auto apply_cuts = [&](std::size_t end) {
-    for (; j < end; ++j) cuts.template apply<kMasked>(j, out.data());
-  };
 
   // The walk's chunk c, from the one holding the domain's first node to
-  // the one holding its last: its edges end at c_end, and `next` is its
-  // first edge not yet counted.
+  // the one holding its last: its edges end at c_end.
   std::size_t c = nodes.lo / kSummaryChunkWidth;
   const std::size_t last = (nodes.hi - 1) / kSummaryChunkWidth;
   bool whole = false;
-  std::size_t next = 0;
   std::size_t c_end = 0;
   ChunkCount<T> count;
   const auto open = [&] {
     whole = nodes.owns_all(round.chunk_lo(c), round.chunk_hi(c));
-    next = round.index->chunk_begin(c);
     c_end = round.index->chunk_begin(c + 1);
     count = {};
   };
-  // A whole chunk's edges [next, end) outside the runs are its own cut
-  // edges.
-  const auto count_cut_edges = [&](std::size_t end) {
-    for (; next < end; ++next) {
-      if (kMasked && !mask->alive(next)) continue;
-      count.add(static_cast<T>(cuts.flow(next)));
-    }
-  };
   const auto close = [&] {
     if (whole) {
-      count_cut_edges(c_end);
       const std::size_t terms = c_end - round.index->chunk_begin(c);
-      if (!count.finish(round.stats[c], terms)) round.stats[c] = round.count_chunk(cuts, c);
+      if (!count.finish(round.stats[c], terms)) round.stats[c] = round.count_chunk(rule, c);
       round.finish_nodes(c);
     }
     if (++c <= last) open();
   };
   open();
-  for (const SweepRun& run : runs) {
-    apply_cuts(run.cuts_before);
+  // Each run, entered once the entries before it are applied; past the
+  // last run, an empty one that waits for every entry.
+  std::size_t j = 0;
+  for (std::size_t r = 0; r <= runs.size(); ++r) {
+    const SweepRun run =
+        r < runs.size() ? runs[r] : SweepRun{0, 0, static_cast<std::uint32_t>(cut_entries)};
+    for (; j < run.cuts_before; ++j) {
+      while (cuts.edge(j) >= c_end) close();
+      T moved{};
+      if (cuts.template apply<kMasked>(j, out.data(), moved) && whole) count.add(moved);
+    }
     for (std::size_t k = run.first; k < run.last;) {
       while (k >= c_end) close();
-      if (whole) count_cut_edges(k);
       const std::size_t end = std::min<std::size_t>(run.last, c_end);
       // A copy whose address is never taken, so no store to `out` may
       // alias its counters and they stay in registers.
@@ -437,18 +441,16 @@ void sweep_domain(const AllEdgesRound<T>& round, const SweepNodes& nodes,
         run_count.add(f);
       }
       count = run_count;
-      next = end;
     }
   }
-  apply_cuts(cut_entries);
   while (c <= last) close();
 }
 
 /// Where a shared-memory block's cut flows come from: every load is
 /// local, so each is re-evaluated from the round-start loads.  The block
 /// [lo, ...) takes +f on the v side of an incoming entry (u below lo) and
-/// −f on the u side of an outgoing one; a dead edge's entry applies
-/// nothing.
+/// −f on the u side of an outgoing one; a dead edge's entry applies and
+/// moves nothing.
 template <class T, class Rule>
 struct EvaluatedCuts {
   const Rule& rule;
@@ -458,19 +460,23 @@ struct EvaluatedCuts {
   const std::uint32_t* entries;  // the block's cut entries
   std::size_t lo;                // the block's first node
 
+  std::uint32_t edge(std::size_t j) const { return entries[j]; }
   template <bool kMasked>
-  void apply(std::size_t j, T* out) const {
+  bool apply(std::size_t j, T* out, T& moved) const {
     const std::uint32_t k = entries[j];
-    if (kMasked && !mask->alive(k)) return;
+    if (kMasked && !mask->alive(k)) return false;
     const graph::Edge& e = edges[k];
-    const double f = flow(k);
-    add_flow(e.u < lo ? out[e.v] : out[e.u], e.u < lo ? f : -f);
+    moved = flow(k);
+    const bool outgoing = e.u >= lo;
+    apply_share(outgoing ? out[e.u] : out[e.v], outgoing ? static_cast<T>(-moved) : moved);
+    return outgoing;
   }
   // Out of line: cut edges are few, and the kernel's instantiations would
-  // otherwise each carry the rule twice more.
-  [[gnu::noinline]] double flow(std::size_t k) const {
+  // otherwise each carry the rule once more.
+  [[gnu::noinline]] T flow(std::size_t k) const {
     const graph::Edge& e = edges[k];
-    return rule_flow(rule, k, e, static_cast<double>(load[e.u]), static_cast<double>(load[e.v]));
+    return applied_flow<T>(rule, k, e, static_cast<double>(load[e.u]),
+                           static_cast<double>(load[e.v]));
   }
 };
 

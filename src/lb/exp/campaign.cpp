@@ -87,7 +87,7 @@ std::unique_ptr<graph::GraphSequence> make_scenario(const ScenarioSpec& s,
                                                     std::uint64_t seed) {
   switch (s.kind) {
     case ScenarioKind::kStatic:
-      // Non-owning: cells reference the cached base with no CSR copy.
+      // A Graph copy shares the cached base's CSR: no per-cell copy.
       return graph::make_static_view(base);
     case ScenarioKind::kBernoulli:
       return graph::make_bernoulli_sequence(base, s.a, seed);

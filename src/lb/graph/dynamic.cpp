@@ -39,24 +39,6 @@ class StaticSequence final : public GraphSequence {
   TopologyFrame frame_;
 };
 
-/// Non-owning static sequence: frames reference a caller-owned base.
-/// The campaign layer serves hundreds of cells off one cached Graph;
-/// the owning StaticSequence would copy the CSR per cell.
-class StaticViewSequence final : public GraphSequence {
- public:
-  explicit StaticViewSequence(const Graph& g) : g_(&g), frame_(g) {}
-
-  std::size_t num_nodes() const override { return g_->num_nodes(); }
-  const TopologyFrame& frame_at(std::size_t) override { return frame_; }
-  const Graph& at_round(std::size_t) override { return *g_; }
-  void reset() override {}
-  std::string name() const override { return "static[" + g_->name() + "]"; }
-
- private:
-  const Graph* g_;
-  TopologyFrame frame_;
-};
-
 class PeriodicSequence final : public GraphSequence {
  public:
   explicit PeriodicSequence(std::vector<Graph> graphs) : graphs_(std::move(graphs)) {
@@ -499,7 +481,7 @@ std::unique_ptr<GraphSequence> make_static_sequence(Graph g) {
 }
 
 std::unique_ptr<GraphSequence> make_static_view(const Graph& g) {
-  return std::make_unique<StaticViewSequence>(g);
+  return make_static_sequence(g);
 }
 
 std::unique_ptr<GraphSequence> make_periodic_sequence(std::vector<Graph> graphs) {

@@ -55,10 +55,10 @@ class GraphSequence {
 /// The constant sequence G, G, G, ... (reduces Section 5 to Section 4).
 std::unique_ptr<GraphSequence> make_static_sequence(Graph g);
 
-/// Non-owning variant of make_static_sequence: frames reference `g`
-/// instead of copying it.  `g` must outlive the sequence.  The campaign
-/// layer (lb/exp/) uses this to serve many cells off one cached base
-/// graph with zero per-cell CSR copies.
+/// make_static_sequence of a copy of `g`.  A Graph copy shares the
+/// original's CSR (and, for a lazy torus, its fill), so the campaign
+/// layer (lb/exp/) serves many cells off one cached base graph with no
+/// per-cell CSR copy.
 std::unique_ptr<GraphSequence> make_static_view(const Graph& g);
 
 /// Cycle through the given graphs: G_1, ..., G_p, G_1, ... (all must share

@@ -187,7 +187,7 @@ HaloExchange HaloExchange::build(const graph::Graph& g, const OwnershipMap& map)
     plan.sign.resize(row);
     plan.owned_edges.resize(c.owned);
     plan.runs.reserve(c.runs);
-    plan.cut_nodes.reserve(c.sends + c.recvs);
+    plan.cut_edges.reserve(c.sends + c.recvs);
     plan.send_slots.resize(c.sends);
     plan.send_halo.resize(c.sends);
     plan.recv_slots.resize(c.recvs);
@@ -229,7 +229,7 @@ HaloExchange HaloExchange::build(const graph::Graph& g, const OwnershipMap& map)
       run = r;
       if (run != kNoRun) {
         DomainPlan& plan = plans[run];
-        plan.runs.push_back({id, id, static_cast<std::uint32_t>(plan.cut_nodes.size())});
+        plan.runs.push_back({id, id, static_cast<std::uint32_t>(plan.cut_edges.size())});
         run_owned = at[run].owned;
       }
     }
@@ -247,16 +247,16 @@ HaloExchange HaloExchange::build(const graph::Graph& g, const OwnershipMap& map)
     HaloLink& in = pb.links[lb];
     const LinkCounts& lca = lc[first_link[a] + la];
     const std::size_t s = lca.send_base + out.send_flow_edges.size();
-    pa.send_slots[s] = static_cast<std::uint32_t>(pa.cut_nodes.size());
+    pa.send_slots[s] = static_cast<std::uint32_t>(pa.cut_edges.size());
     pa.send_halo[s] = static_cast<std::uint32_t>(
         lca.halo_base +
         (std::lower_bound(out.recv_nodes.begin(), out.recv_nodes.end(), e.v) -
          out.recv_nodes.begin()));
-    pa.cut_nodes.push_back(e.u);
+    pa.cut_edges.push_back(id);
     out.send_flow_edges.push_back(id);
     pb.recv_slots[lc[first_link[b] + lb].recv_base + in.recv_flow_edges.size()] =
-        static_cast<std::uint32_t>(pb.cut_nodes.size());
-    pb.cut_nodes.push_back(e.v);
+        static_cast<std::uint32_t>(pb.cut_edges.size());
+    pb.cut_edges.push_back(id);
     in.recv_flow_edges.push_back(id);
   }
   end_run(edges.size());

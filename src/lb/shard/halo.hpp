@@ -9,7 +9,8 @@
 //
 //   loads:  b → a   load[v] for every boundary node v (deduplicated —
 //                   one copy feeds all of a's edges into v),
-//   flows:  a → b   flows[k] for every cut edge a owns toward b.
+//   flows:  a → b   the flow of every cut edge a owns toward b, which
+//                   each side keeps only in its cut entry's slot.
 //
 // Both sides derive each list from the same ascending base-edge sweep
 // (node lists sorted + deduplicated, edge lists naturally ascending), so
@@ -20,7 +21,7 @@
 // §7, core::detail::sweep_domain): the runs of owned edges whose
 // endpoints are both owned, and the
 // cut entries between them — each cut edge incident to an owned node, in
-// ascending base order, with the slot its flow is staged in.  Walking the
+// ascending base order, with the slot its share is staged in.  Walking the
 // two merged visits every edge incident to an owned node in ascending
 // base order, so each owned node takes its ±flows in the seed's edge
 // order.  The CSR slice over the owned nodes (core::FlowLedger's layout:
@@ -79,8 +80,9 @@ struct DomainPlan {
   // the u side and +f on the v side, in a slot per entry.
   /// Runs of owned edges between the cut entries, ascending.
   std::vector<SweepRun> runs;
-  /// The owned endpoint of each cut entry.
-  std::vector<graph::NodeId> cut_nodes;
+  /// Each cut entry's base edge id.  Its owned endpoint is the edge's u
+  /// when the domain owns u (an outgoing entry), else its v.
+  std::vector<std::uint32_t> cut_edges;
   /// Per send_flow_edges entry of every link, in link order: its cut
   /// entry, and its v's index in the compact halo — the recv_nodes of
   /// every link, concatenated in link order.

@@ -18,19 +18,6 @@ namespace lb::shard {
 
 namespace {
 
-/// Run fn(d) for every domain, on the pool when it has workers to give.
-/// One domain per chunk: domains are the unit of independence here.
-template <class Fn>
-void for_each_domain(util::ThreadPool* pool, std::size_t domains, Fn&& fn) {
-  if (pool == nullptr || pool->size() <= 1 || domains <= 1) {
-    for (std::size_t d = 0; d < domains; ++d) fn(d);
-    return;
-  }
-  pool->parallel_for(0, domains, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t d = lo; d < hi; ++d) fn(d);
-  });
-}
-
 /// A domain's owned nodes as its sweep takes them: a range when they are
 /// consecutive, else the list itself.
 core::detail::SweepNodes sweep_nodes(const std::vector<graph::NodeId>& nodes) {
@@ -78,7 +65,7 @@ struct Runtime {
         max_flows =
             std::max({max_flows, l.send_flow_edges.size(), l.recv_flow_edges.size()});
       }
-      slice[d + 1] = {slice[d].halo + halo_nodes, slice[d].shares + plan.cut_nodes.size(),
+      slice[d + 1] = {slice[d].halo + halo_nodes, slice[d].shares + plan.cut_edges.size(),
                       slice[d].nodes + max_nodes, slice[d].flows + max_flows};
     }
     halo_load.resize(slice[K].halo);
@@ -122,59 +109,53 @@ struct Runtime {
 
 /// Where a domain's cut flows come from: its halo.  Each cut entry's
 /// share (−f on the u side, +f on the v side, 0 for a dead edge) is staged
-/// in its slot; a cut edge's flow is the one its owner stored by base id,
-/// and any other edge's is re-evaluated from the round-start loads (flows
-/// are pure).  The barrier fold reads flows only, and passes no entries.
-template <class T, class Rule>
+/// in its slot, and the entry is outgoing when the domain owns its u.
+template <class T>
 struct StagedCuts {
-  const Rule& rule;
   const std::vector<graph::Edge>& edges;
-  const T* load;
   const std::uint32_t* owner;
-  const double* flows;  // each alive owned cut edge's flow, by base id
-  const graph::NodeId* nodes = nullptr;  // each cut entry's owned node
-  const double* shares = nullptr;        // each cut entry's staged share
+  std::uint32_t domain;
+  const std::uint32_t* cut_edges;  // each cut entry's base edge
+  const double* shares;            // each cut entry's staged share
 
+  std::uint32_t edge(std::size_t j) const { return cut_edges[j]; }
   template <bool>
-  void apply(std::size_t j, T* out) const {
-    core::add_flow(out[nodes[j]], shares[j]);
-  }
-  // Out of line: the kernel's instantiations would otherwise each carry
-  // the rule once more for their few cut edges.
-  [[gnu::noinline]] double flow(std::size_t k) const {
-    const graph::Edge& e = edges[k];
-    if (owner[e.u] != owner[e.v]) return flows[k];
-    return core::rule_flow(rule, k, e, static_cast<double>(load[e.u]),
-                           static_cast<double>(load[e.v]));
+  bool apply(std::size_t j, T* out, T& moved) const {
+    const graph::Edge& e = edges[cut_edges[j]];
+    const bool outgoing = owner[e.u] == domain;
+    core::add_flow(out[outgoing ? e.u : e.v], shares[j]);
+    moved = static_cast<T>(-shares[j]);
+    return outgoing;
   }
 };
 
 /// The barrier fold: the summary chunks no domain owns whole — they span
 /// two or more, as under strided or refined partitions or K = n — counted
-/// and finished once every sweep is done, chunks in parallel.  Together
-/// with the sweeps this is the fixed-chunk StepStats contract of
-/// fold_chunk_stats and the fixed-chunk summary of
-/// fused_sweep_with_summary, so nothing depends on the domains.  A
-/// shared-memory block is whole chunks, so only the sharded round has
+/// (count_chunk re-evaluates their flows) and finished once every sweep is
+/// done, chunks in parallel.  Together with the sweeps this is the
+/// fixed-chunk StepStats contract of fold_chunk_stats and the fixed-chunk
+/// summary of fused_sweep_with_summary, so nothing depends on the domains.
+/// A shared-memory block is whole chunks, so only the sharded round has
 /// such chunks.
 template <class T, class Rule>
-void fold_spanning_chunks(const core::detail::AllEdgesRound<T>& round,
-                          const StagedCuts<T, Rule>& cuts, const Runtime<T>& rt,
-                          util::ThreadPool* pool) {
+void fold_spanning_chunks(const core::detail::AllEdgesRound<T>& round, const Rule& rule,
+                          const Runtime<T>& rt, util::ThreadPool* pool) {
   util::for_fixed_chunks(pool, round.load.size(), core::kSummaryChunkWidth,
                          [&](std::size_t c, std::size_t lo, std::size_t hi) {
                            const DomainPlan& plan = rt.halo.plan(rt.map.owner(
                                static_cast<graph::NodeId>(lo)));
                            if (sweep_nodes(plan.nodes).owns_all(lo, hi)) return;
-                           round.stats[c] = round.count_chunk(cuts, c);
+                           round.stats[c] = round.count_chunk(rule, c);
                            round.finish_nodes(c);
                          });
 }
 
 /// One kAllEdges round: the halo protocol around one sweep per domain.
-/// Domains write only their own nodes' outputs, their owned cut edges'
-/// flow slots, their whole chunks' partials and their own scratch
-/// slices, so phases need no synchronization beyond their barriers.
+/// Domains write only their own nodes' outputs, their whole chunks'
+/// partials and their own scratch slices, so phases need no
+/// synchronization beyond their barriers.  A cut flow is stored once per
+/// side, in its entry's slot: −f where its owner stages it, the received
+/// +f where its v's domain does.
 template <class T, class Rule>
 core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgram<T>& program,
                                const Rule& rule, std::vector<T>& load, Runtime<T>& rt,
@@ -183,15 +164,12 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
   const auto& edges = frame.base().edges();
   const bool masked = frame.masked();
   const std::size_t K = rt.map.domains();
-  core::RunArena<T>& arena = ctx.arena();
-  std::vector<double>& flows = arena.flows();
-  flows.resize(edges.size());
 
   // Phase A: every domain ships its boundary nodes' round-start loads.
   // Node halos are a function of the topology alone (not of the round's
   // mask): a dead boundary edge still carries its endpoint load, keeping
   // the payload schedule deterministic per topology epoch.
-  for_each_domain(pool, K, [&](std::size_t d) {
+  util::for_fixed_chunks(pool, K, 1, [&](std::size_t d, std::size_t, std::size_t) {
     T* buf = rt.node_buf.data() + rt.slice[d].nodes;
     for (const HaloLink& l : rt.halo.plan(d).links) {
       for (std::size_t i = 0; i < l.send_nodes.size(); ++i) buf[i] = load[l.send_nodes[i]];
@@ -201,9 +179,9 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
   rt.comm.deliver();
 
   // Phase B: unpack the halo (link by link, into the compact halo), then
-  // evaluate every owned cut edge's flow from (own load, halo copy),
-  // store it, stage its u-side share −f and ship the flows back.
-  for_each_domain(pool, K, [&](std::size_t d) {
+  // evaluate every owned cut edge's flow from (own load, halo copy), stage
+  // its u-side share −f and ship the flows back.
+  util::for_fixed_chunks(pool, K, 1, [&](std::size_t d, std::size_t, std::size_t) {
     const DomainPlan& plan = rt.halo.plan(d);
     T* halo = rt.halo_load.data() + rt.slice[d].halo;
     double* shares = rt.shares.data() + rt.slice[d].shares;
@@ -226,7 +204,6 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
         const graph::Edge& e = edges[k];
         const double f = core::rule_flow(rule, k, e, static_cast<double>(load[e.u]),
                                          static_cast<double>(halo[v]));
-        flows[k] = f;
         shares[slot] = -f;
         buf[count++] = f;
       }
@@ -237,10 +214,8 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
 
   // Phase C: stage each received flow as its incoming entry's share, then
   // sweep, finishing the summary chunks the domain owns whole.
-  const StagedCuts<T, Rule> staged{rule, edges, load.data(), rt.map.owners().data(),
-                                   flows.data()};
   const auto sweep = [&](const core::detail::AllEdgesRound<T>& round) {
-    for_each_domain(pool, K, [&](std::size_t d) {
+    util::for_fixed_chunks(pool, K, 1, [&](std::size_t d, std::size_t, std::size_t) {
       const DomainPlan& plan = rt.halo.plan(d);
       double* shares = rt.shares.data() + rt.slice[d].shares;
       double* buf = rt.flow_buf.data() + rt.slice[d].flows;
@@ -257,21 +232,20 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx, const core::FlowProgr
           shares[plan.recv_slots[r++]] = masked && !frame.alive(k) ? 0.0 : buf[i++];
         }
       }
-      StagedCuts<T, Rule> cuts = staged;
-      cuts.nodes = plan.cut_nodes.data();
-      cuts.shares = shares;
+      const StagedCuts<T> cuts{edges, rt.map.owners().data(), static_cast<std::uint32_t>(d),
+                               plan.cut_edges.data(), shares};
       const core::detail::SweepNodes nodes = sweep_nodes(plan.nodes);
-      const std::size_t entries = plan.cut_nodes.size();
+      const std::size_t entries = plan.cut_edges.size();
       if (masked) {
         core::detail::sweep_domain<true>(round, nodes, plan.runs, entries, rule, cuts);
       } else {
         core::detail::sweep_domain<false>(round, nodes, plan.runs, entries, rule, cuts);
       }
     });
-    if (rt.spanning_chunks != 0) fold_spanning_chunks(round, staged, rt, pool);
+    if (rt.spanning_chunks != 0) fold_spanning_chunks(round, rule, rt, pool);
   };
   core::StepStats total = core::detail::run_all_edges(
-      ctx, load, &arena.round_plan(frame.base()), program.post, sweep);
+      ctx, load, &ctx.arena().round_plan(frame.base()), program.post, sweep);
   total.links = program.links;
   return total;
 }
@@ -324,7 +298,7 @@ core::StepStats step_matching(core::RoundContext<T>& ctx, const core::FlowProgra
   }
 
   // Phase A: v-side domains ship their endpoint loads to the owners.
-  for_each_domain(pool, K, [&](std::size_t d) {
+  util::for_fixed_chunks(pool, K, 1, [&](std::size_t d, std::size_t, std::size_t) {
     for (const std::uint32_t k : rt.remote_in[d]) {
       const graph::Edge& e = edges[k];
       rt.comm.send(d, owner[e.u], &load[e.v], 1);
@@ -335,9 +309,9 @@ core::StepStats step_matching(core::RoundContext<T>& ctx, const core::FlowProgra
   // Phase B: owners compute each matched flow, apply u's side, and ship
   // the flow back (every matched cut edge ships, zero or not, keeping
   // message counts a function of the matching alone).  Local pairs apply
-  // both sides at once, exactly like step()'s direct loop; every side
-  // takes add_flow's per-edge update.
-  for_each_domain(pool, K, [&](std::size_t d) {
+  // both sides at once, exactly like the shared-memory matching loop;
+  // every side takes add_flow's per-edge update.
+  util::for_fixed_chunks(pool, K, 1, [&](std::size_t d, std::size_t, std::size_t) {
     for (const std::uint32_t k : rt.remote_out[d]) {
       const graph::Edge& e = edges[k];
       T lv{};
@@ -356,7 +330,7 @@ core::StepStats step_matching(core::RoundContext<T>& ctx, const core::FlowProgra
   rt.comm.deliver();
 
   // Phase C: v-side domains apply the received flows.
-  for_each_domain(pool, K, [&](std::size_t d) {
+  util::for_fixed_chunks(pool, K, 1, [&](std::size_t d, std::size_t, std::size_t) {
     for (const std::uint32_t k : rt.remote_in[d]) {
       const graph::Edge& e = edges[k];
       double f = 0.0;
@@ -396,7 +370,7 @@ class DomainExecutor final : public core::RoundExecutor<T> {
   void apply_delta(const workload::StreamDelta<T>& delta,
                    std::vector<T>& load) override {
     const auto& owner = rt_.map.owners();
-    for_each_domain(pool_, shard_.domains, [&](std::size_t d) {
+    util::for_fixed_chunks(pool_, shard_.domains, 1, [&](std::size_t d, std::size_t, std::size_t) {
       workload::apply_stream_delta_owned(delta, load, owner,
                                          static_cast<std::uint32_t>(d));
     });
@@ -437,8 +411,7 @@ class DomainExecutor final : public core::RoundExecutor<T> {
       snapshot_totals(after_);
       check::check_comm_accounting(expected_, before_, after_, round);
       if (!matching) {
-        check::check_cut_flows(rt_.halo.plans(), ctx.frame(), ctx.arena().flows(), rt_.shares,
-                               round);
+        check::check_cut_flows(rt_.halo.plans(), ctx.frame(), rt_.shares, round);
       }
     }
     ++sharded_rounds_;
@@ -503,7 +476,7 @@ template <class T>
 core::RunResult run_static(core::Balancer<T>& balancer, const graph::Graph& g,
                            std::vector<T>& load, const core::EngineConfig& config,
                            const ShardConfig& shard) {
-  // Non-owning: `g` outlives the run, so the graph is never copied.
+  // The sequence's copy of `g` shares its CSR, so nothing is rebuilt.
   auto seq = graph::make_static_view(g);
   return run(balancer, *seq, load, config, shard);
 }

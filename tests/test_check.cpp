@@ -324,42 +324,77 @@ TEST(CheckMutationTest, ShiftedSweepTablesDetectedInPlan) {
 
 // --------------------------------------------------------------- cut flows
 
+/// Every domain's cut shares the way a sharded round leaves them, with
+/// flow 0.5 + k on edge k: −f in each sent slot, the received f in each
+/// receiving one.  `sent` and `received` name two slots of each kind
+/// within one domain, a link's first two flows (both 0 when no link
+/// carries two).
+struct StagedShares {
+  std::vector<double> shares;
+  std::size_t sent[2] = {};
+  std::size_t received[2] = {};
+};
+
+StagedShares staged_cut_shares(const HaloExchange& halo) {
+  StagedShares out;
+  for (const lb::shard::DomainPlan& plan : halo.plans()) {
+    const std::size_t base = out.shares.size();
+    out.shares.resize(base + plan.cut_edges.size());
+    std::size_t s = 0, r = 0;
+    for (const lb::shard::HaloLink& l : plan.links) {
+      if (out.sent[1] == 0 && l.send_flow_edges.size() >= 2) {
+        out.sent[0] = base + plan.send_slots[s];
+        out.sent[1] = base + plan.send_slots[s + 1];
+      }
+      for (const std::uint32_t k : l.send_flow_edges) {
+        out.shares[base + plan.send_slots[s++]] = -(0.5 + static_cast<double>(k));
+      }
+      if (out.received[1] == 0 && l.recv_flow_edges.size() >= 2) {
+        out.received[0] = base + plan.recv_slots[r];
+        out.received[1] = base + plan.recv_slots[r + 1];
+      }
+      for (const std::uint32_t k : l.recv_flow_edges) {
+        out.shares[base + plan.recv_slots[r++]] = 0.5 + static_cast<double>(k);
+      }
+    }
+  }
+  return out;
+}
+
 TEST(CheckMutationTest, SwappedCutFlowSlotsDetected) {
-  // Stage every domain's cut shares the way a sharded round leaves them:
-  // −f on the u side, the received f on the v side.  Swapping two
-  // received slots keeps every byte count, so only the cut-flow check
-  // can see it.
+  // Swapping two received slots keeps every byte count, so only the
+  // cut-flow check can see it.
   const Graph g = lb::graph::make_torus2d(6, 6);
   const OwnershipMap map =
       OwnershipMap::build(g, 2, lb::shard::PartitionPolicy::kStrided);
   const HaloExchange halo = HaloExchange::build(g, map);
   const lb::graph::TopologyFrame frame(g);
-  std::vector<double> flows(g.num_edges());
-  for (std::size_t k = 0; k < flows.size(); ++k) flows[k] = 0.5 + static_cast<double>(k);
-  std::vector<double> shares;
-  std::size_t first = 0, second = 0;  // two received slots of one link
-  for (const lb::shard::DomainPlan& plan : halo.plans()) {
-    const std::size_t base = shares.size();
-    shares.resize(base + plan.cut_nodes.size());
-    std::size_t s = 0, r = 0;
-    for (const lb::shard::HaloLink& l : plan.links) {
-      for (const std::uint32_t k : l.send_flow_edges) {
-        shares[base + plan.send_slots[s++]] = -flows[k];
-      }
-      if (second == 0 && l.recv_flow_edges.size() >= 2) {
-        first = base + plan.recv_slots[r];
-        second = base + plan.recv_slots[r + 1];
-      }
-      for (const std::uint32_t k : l.recv_flow_edges) {
-        shares[base + plan.recv_slots[r++]] = flows[k];
-      }
-    }
-  }
-  EXPECT_NO_THROW(lb::check::check_cut_flows(halo.plans(), frame, flows, shares, 1));
-  ASSERT_NE(second, 0u) << "no link receives two flows";
-  std::swap(shares[first], shares[second]);
+  StagedShares staged = staged_cut_shares(halo);
+  EXPECT_NO_THROW(lb::check::check_cut_flows(halo.plans(), frame, staged.shares, 1));
+  ASSERT_NE(staged.received[1], 0u) << "no link receives two flows";
+  std::swap(staged.shares[staged.received[0]], staged.shares[staged.received[1]]);
   expect_named(violation_message([&] {
-                 lb::check::check_cut_flows(halo.plans(), frame, flows, shares, 1);
+                 lb::check::check_cut_flows(halo.plans(), frame, staged.shares, 1);
+               }),
+               "cut flow");
+}
+
+TEST(CheckMutationTest, SwappedSentSharesDetected) {
+  // Two sent shares swapped within one domain: the sweep would apply
+  // each to the other's node while the flows on the wire, and so every
+  // received share, stay right.  The check compares the staged sides
+  // themselves, so it sees this too.
+  const Graph g = lb::graph::make_torus2d(6, 6);
+  const OwnershipMap map =
+      OwnershipMap::build(g, 2, lb::shard::PartitionPolicy::kStrided);
+  const HaloExchange halo = HaloExchange::build(g, map);
+  const lb::graph::TopologyFrame frame(g);
+  StagedShares staged = staged_cut_shares(halo);
+  EXPECT_NO_THROW(lb::check::check_cut_flows(halo.plans(), frame, staged.shares, 1));
+  ASSERT_NE(staged.sent[1], 0u) << "no link sends two flows";
+  std::swap(staged.shares[staged.sent[0]], staged.shares[staged.sent[1]]);
+  expect_named(violation_message([&] {
+                 lb::check::check_cut_flows(halo.plans(), frame, staged.shares, 1);
                }),
                "cut flow");
 }

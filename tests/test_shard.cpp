@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "lb/check/invariants.hpp"
 #include "lb/core/diffusion.hpp"
 #include "lb/core/dimension_exchange.hpp"
 #include "lb/core/engine.hpp"
@@ -503,6 +505,110 @@ TEST(ShardEngineTest, CallerWrittenRuleMatchesCore) {
   run_matrix<double>(
       cases, [&] { return lb::graph::make_bernoulli_sequence(g, 0.8, 61); }, load0,
       "caller-rule", PartitionPolicy::kStrided, kSweepDomains, 20);
+}
+
+/// LambdaFos whose rule counts its calls (from any worker).  As each
+/// round is planned it records the calls so far and the round's alive
+/// edges, and among them the cut edges between `width`-node blocks.
+class CountingFos final : public lb::core::Balancer<double> {
+ public:
+  struct Round {
+    std::size_t calls_before = 0;
+    std::size_t alive = 0;
+    std::size_t cut = 0;
+  };
+
+  explicit CountingFos(std::size_t width) : width_(width) {}
+  std::string name() const override { return "counting-fos"; }
+  bool plan_round(lb::core::RoundContext<double>& ctx,
+                  lb::core::FlowProgram<double>& program) override {
+    const lb::graph::TopologyFrame& frame = ctx.frame();
+    const auto& edges = frame.base().edges();
+    Round r{calls_.load()};
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      if (!frame.alive(k)) continue;
+      ++r.alive;
+      r.cut += edges[k].u / width_ != edges[k].v / width_ ? 1 : 0;
+    }
+    rounds_.push_back(r);
+    program.links = frame.num_edges();
+    program.flow = [rule = lambda_fos_rule(ctx), calls = &calls_](
+                       std::size_t k, const lb::graph::Edge& e, double lu, double lv) {
+      calls->fetch_add(1, std::memory_order_relaxed);
+      return rule(k, e, lu, lv);
+    };
+    return true;
+  }
+
+  const std::vector<Round>& rounds() const { return rounds_; }
+  /// Rule calls from round i's plan to the next round's (for the last
+  /// round, to now).
+  std::size_t calls_in(std::size_t i) const {
+    const std::size_t end = i + 1 < rounds_.size() ? rounds_[i + 1].calls_before : calls_.load();
+    return end - rounds_[i].calls_before;
+  }
+
+ private:
+  std::size_t width_;
+  std::atomic<std::size_t> calls_{0};
+  std::vector<Round> rounds_;
+};
+
+TEST(ShardEngineTest, EachRoundEvaluatesEveryFlowOncePerSide) {
+  // The shared-memory round at width 1024 evaluates each alive edge once
+  // in the block that owns it and each cut edge once more in the block of
+  // its v: m + c calls, where counting a cut edge's flow into its chunk
+  // apart from applying it would make m + 2c.  The sharded round at
+  // K = 4 evaluates each alive edge once, in its owner (the antisymmetry
+  // probe adds 2m when the invariant layer is on).
+  lb::util::Rng rng(89);
+  const Graph torus = lb::graph::make_torus2d(64, 64);
+  const Graph twin = lb::graph::subgraph_with_edges(torus, torus.edges(), "twin");
+  const Graph regular = lb::graph::make_random_regular(4096, 4, rng);
+  const std::vector<
+      std::pair<std::string, std::function<std::unique_ptr<lb::graph::GraphSequence>()>>>
+      sequences = {
+          {"regular", [&] { return lb::graph::make_static_sequence(regular); }},
+          {"masked-twin", [&] { return lb::graph::make_bernoulli_sequence(twin, 0.8, 97); }},
+      };
+  const std::size_t width = 1024;
+  const bool checking = lb::check::env_enabled();
+  EngineConfig cfg;
+  cfg.max_rounds = 6;
+  cfg.target_potential = 0.0;
+  for (const auto& [label, make_seq] : sequences) {
+    const auto load0 = sweep_load(4096);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+      lb::util::ThreadPool pool(threads);
+      cfg.pool = &pool;
+      SCOPED_TRACE(label + "/pool" + std::to_string(pool.size()));
+      lb::core::set_blocked_width_override(static_cast<long long>(width));
+      CountingFos shared(width);
+      auto seq = make_seq();
+      std::vector<double> load = load0;
+      lb::core::run(shared, *seq, load, cfg);
+      lb::core::set_blocked_width_override(-1);
+      ASSERT_EQ(shared.rounds().size(), cfg.max_rounds);
+      for (std::size_t i = 0; i < shared.rounds().size(); ++i) {
+        const CountingFos::Round& r = shared.rounds()[i];
+        EXPECT_GT(r.cut, 0u);
+        EXPECT_EQ(shared.calls_in(i), r.alive + r.cut) << "shared-memory round " << i + 1;
+      }
+
+      ShardConfig shard;
+      shard.domains = 4;
+      shard.policy = PartitionPolicy::kContiguous;
+      CountingFos sharded(width);
+      seq = make_seq();
+      load = load0;
+      lb::shard::run(sharded, *seq, load, cfg, shard);
+      ASSERT_EQ(sharded.rounds().size(), cfg.max_rounds);
+      for (std::size_t i = 0; i < sharded.rounds().size(); ++i) {
+        const CountingFos::Round& r = sharded.rounds()[i];
+        EXPECT_EQ(sharded.calls_in(i), (checking ? 3 : 1) * r.alive) << "shard round " << i + 1;
+      }
+    }
+  }
 }
 
 TEST(ShardEngineTest, PerNodeSweepMatchesCoreForEveryRule) {
